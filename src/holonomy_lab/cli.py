@@ -13,13 +13,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import spin_model, sweep as sweep_mod, verify as verify_mod
 from .config import RunConfig, build_config, load_config, tolerance_overrides
 from .errors import ConfigError
 from .evolution import TimeGrid, fidelity, propagate
-from .phases import circular_distance, cyclic_geometric_phase, mod_two_pi
+from .phases import circular_distance, cyclic_geometric_phase
 from .tolerances import DEFAULT
 
 __all__ = ["main"]
@@ -73,7 +71,7 @@ def cmd_evolve(args) -> int:
 
     exact = spin_model.exact_trajectory(params, +1, grid)
     fid = fidelity(traj, exact)
-    exact_geom = mod_two_pi(config.n_periods * 2.0 * np.pi * spin_model.connection_rate(params, +1) / params.omega)
+    exact_geom = spin_model.geometric_phase_exact(params, +1, config.n_periods)
     tilt = spin_model.tilt_angle(params)
     payload = {
         "model": {

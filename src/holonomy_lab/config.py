@@ -12,6 +12,7 @@ Unknown keys are rejected rather than ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,8 +73,13 @@ class RunConfig:
             raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {self.output_format!r}")
-        for p, name in ((self.mu, "mu"), (self.b_field, "b_field"), (self.hbar, "hbar")):
-            if not p > 0:
+        if not 0.0 <= self.theta <= math.pi:
+            raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
+        for p, name in (
+            (self.mu, "mu"), (self.b_field, "b_field"), (self.hbar, "hbar"),
+            (self.omega, "omega"), (self.eta, "eta"),
+        ):
+            if p is not None and not p > 0:
                 raise ConfigError(f"{name} must be positive, got {p}")
 
     def require_single_point(self) -> float:
@@ -142,9 +148,14 @@ def _as_float(mapping: dict, key: str):
 
 def _as_int(mapping: dict, key: str):
     v = mapping[key]
-    if isinstance(v, bool) or (not isinstance(v, int) and float(v) != int(float(v))):
+    try:
+        x = float(v)
+        valid = not isinstance(v, bool) and x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise ConfigError(f"{key} must be an integer, got {v!r}")
-    return int(float(v))
+    return int(x)
 
 
 def _as_bool(mapping: dict, key: str):
@@ -166,7 +177,7 @@ def tolerance_overrides(mapping: dict) -> dict:
         name = key[4:]
         if name not in tol_names:
             raise ConfigError(f"unknown tolerance {key!r}")
-        overrides[name] = int(value) if name == "max_dim" else float(value)
+        overrides[name] = _as_int(mapping, key) if name == "max_dim" else _as_float(mapping, key)
     return overrides
 
 

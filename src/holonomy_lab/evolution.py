@@ -20,6 +20,7 @@ __all__ = [
     "TimeGrid",
     "HamiltonianSchedule",
     "Trajectory",
+    "TrajectoryBlock",
     "propagate",
     "expand_in_frame",
     "fidelity",
@@ -100,6 +101,23 @@ class Trajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
+class TrajectoryBlock(tuple):
+    """Trajectories of a block of initial states on one shared grid, in row order.
+
+    Exposes the shared `grid` and `dim` like a single Trajectory does.
+    """
+
+    __slots__ = ()
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self[0].grid
+
+    @property
+    def dim(self) -> int:
+        return self[0].dim
+
+
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(hams)
     phases = np.exp(-1j * evals * (dt / hbar))
@@ -140,22 +158,32 @@ def propagate(
     grid: TimeGrid,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT,
-) -> Trajectory:
+) -> Trajectory | TrajectoryBlock:
     """Propagate psi0 over the grid: states[k+1] = exp(-i H(t_k + dt/2) dt / hbar) states[k].
 
-    Global error is O(dt^2) against the exact flow; each step is exactly
-    unitary, so the norm is preserved to round-off. Raises NonHermitianError
-    naming the offending midpoint if the schedule is not Hermitian there.
+    A 1-d psi0 gives one Trajectory. A block of initial states, shape
+    (m, dim), gives a TrajectoryBlock with one Trajectory per row: the
+    Hamiltonian samples, step unitaries and their prefix products are shared
+    by all rows, and each row equals the single-state propagation of that
+    row exactly. Global error is O(dt^2) against the exact flow; each step is
+    exactly unitary, so the norm is preserved to round-off. Raises
+    NonHermitianError naming the offending midpoint if the schedule is not
+    Hermitian there.
     """
-    psi = hilbert.check_normalized(psi0, tol=tol)
-    if psi.size != schedule.dim:
+    psis = np.asarray(psi0, dtype=complex)
+    if psis.ndim not in (1, 2) or psis.size == 0:
         raise DimensionMismatchError(
-            f"state dimension {psi.size} does not match schedule dimension {schedule.dim}"
+            f"initial state must be a vector or a non-empty (m, dim) block, got shape {psis.shape}"
+        )
+    rows = [hilbert.check_normalized(psi, tol=tol) for psi in np.atleast_2d(psis)]
+    dim = rows[0].size
+    if dim != schedule.dim:
+        raise DimensionMismatchError(
+            f"state dimension {dim} does not match schedule dimension {schedule.dim}"
         )
     mids = grid.midpoints()
-    dim = psi.size
-    states = np.empty((grid.steps + 1, dim), dtype=complex)
-    states[0] = psi
+    states = np.empty((len(rows), grid.steps + 1, dim), dtype=complex)
+    states[:, 0] = rows
     block = max(16, _SCAN_BLOCK_ELEMENTS // (dim * dim))
     pos = 0
     while pos < grid.steps:
@@ -167,13 +195,14 @@ def propagate(
         if bad.size:
             k = int(bad[0])
             raise NonHermitianError(
-                f"Hamiltonian not Hermitian at t = {mids[pos + k]!r}: defect {defects[k]:.3e}"
+                f"Hamiltonian not Hermitian at t = {float(mids[pos + k])!r}: defect {defects[k]:.3e}"
             )
         prefixes = _prefix_products(_step_unitaries(hams, grid.dt, hbar))
-        np.einsum("kij,j->ki", prefixes, psi, out=states[pos + 1 : pos + take + 1])
-        psi = states[pos + take]
+        for row in states:
+            np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
         pos += take
-    return Trajectory(grid=grid, states=states)
+    trajs = [Trajectory(grid=grid, states=row) for row in states]
+    return trajs[0] if psis.ndim == 1 else TrajectoryBlock(trajs)
 
 
 def expand_in_frame(traj: Trajectory, frame) -> np.ndarray:

@@ -32,7 +32,7 @@ def as_state(psi, dim: int | None = None, tol: Tolerances = DEFAULT) -> np.ndarr
         raise DimensionMismatchError(f"dimension {a.size} exceeds configured cap {tol.max_dim}")
     if dim is not None and a.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {a.size}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("state contains non-finite amplitudes")
     return a
 
@@ -46,7 +46,7 @@ def as_operator(m, dim: int | None = None, tol: Tolerances = DEFAULT) -> np.ndar
         raise DimensionMismatchError(f"dimension {a.shape[0]} exceeds configured cap {tol.max_dim}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("operator contains non-finite entries")
     return a
 

@@ -235,10 +235,14 @@ def exact_trajectory(params: ModelParams, branch: int, grid: TimeGrid) -> Trajec
     return Trajectory(grid=grid, states=exact_solution(params, branch, ts))
 
 
-def geometric_phase_exact(params: ModelParams, branch: int) -> float:
-    """pi (1 + branch cos(theta - alpha)), reduced mod 2 pi."""
+def geometric_phase_exact(params: ModelParams, branch: int, n_periods: int = 1) -> float:
+    """n_periods * pi (1 + branch cos(theta - alpha)), reduced mod 2 pi.
+
+    The phase accrues at a constant rate, so n periods carry n times the
+    one-period phase.
+    """
     a = tilt_angle(params).alpha
-    return float((np.pi * (1.0 + branch * np.cos(params.theta - a))) % (2.0 * np.pi))
+    return float((n_periods * np.pi * (1.0 + branch * np.cos(params.theta - a))) % (2.0 * np.pi))
 
 
 def berry_limit_phase(theta: float, branch: int) -> float:

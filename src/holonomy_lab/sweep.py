@@ -86,10 +86,14 @@ def run_point(
 ) -> SweepRow:
     """One sweep row: propagate both branches at eta and compare to the closed form.
 
-    `base_steps` is a floor; when `deviation_target` is given the step count
-    is raised until the estimated integrator phase error sits a factor 3
-    below the target. The internal two-route consistency check is widened to
-    the same estimate, since both effects share the secular error.
+    Both branches are propagated as one block through the same step
+    unitaries. `base_steps` is a floor; when `deviation_target` is given the
+    step count is raised until the estimated integrator phase error sits a
+    factor 3 below the target, and a row whose measured deviation still
+    exceeds the target (the estimate was optimistic, or the step count hit
+    its cap) gets status `over_target`. The internal two-route consistency
+    check is widened to the same estimate, since both effects share the
+    secular error.
     """
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
     steps = base_steps + (base_steps % 2)
@@ -101,22 +105,21 @@ def run_point(
     route_tol = max(tol.two_route, 6.0 * err_estimate)
     tilt = spin_model.tilt_angle(params)
 
-    geom = {}
-    endpoint_fid = math.nan
-    for branch in (+1, -1):
-        psi0 = spin_model.exact_solution(params, branch, 0.0)
-        traj = propagate(sched, psi0, grid, hbar=hbar, tol=tol)
-        report = cyclic_geometric_phase(
+    branches = (+1, -1)
+    psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
+    trajs = propagate(sched, psi0, grid, hbar=hbar, tol=tol)
+    geom = {
+        branch: cyclic_geometric_phase(
             traj, sched, hbar=hbar, two_route_tol=route_tol, tol=tol
-        )
-        geom[branch] = report.geometric
-        if branch == +1:
-            exact_traj = spin_model.exact_trajectory(params, branch, grid)
-            endpoint_fid = float(
-                abs(np.vdot(exact_traj.states[-1], traj.states[-1])) ** 2
-            )
+        ).geometric
+        for branch, traj in zip(branches, trajs)
+    }
+    exact_traj = spin_model.exact_trajectory(params, +1, grid)
+    endpoint_fid = float(abs(np.vdot(exact_traj.states[-1], trajs[0].states[-1])) ** 2)
 
-    exact_plus = spin_model.geometric_phase_exact(params, +1)
+    exact_plus = spin_model.geometric_phase_exact(params, +1, n_periods)
+    deviation = circular_distance(geom[+1], exact_plus)
+    over = deviation_target is not None and deviation > deviation_target
     return SweepRow(
         eta=eta,
         theta=theta,
@@ -125,10 +128,10 @@ def run_point(
         geom_phase_minus=geom[-1],
         geom_phase_exact_plus=exact_plus,
         berry_limit_plus=spin_model.berry_limit_phase(theta, +1),
-        deviation_from_exact=circular_distance(geom[+1], exact_plus),
+        deviation_from_exact=deviation,
         endpoint_fidelity=endpoint_fid,
         steps_used=steps,
-        status="ok",
+        status="over_target" if over else "ok",
     )
 
 
@@ -153,7 +156,11 @@ def run_sweep(
     deviation_target: float | None = None,
     tol: Tolerances = DEFAULT,
 ) -> list[SweepRow]:
-    """Independent rows, ascending in eta. Row failures land in `status`."""
+    """Independent rows, ascending in eta. Row failures land in `status`.
+
+    A row that raises ValueError (every library error) or ArithmeticError
+    becomes an `error:` row; any other exception is a bug and propagates.
+    """
     if deviation_target is None:
         deviation_target = tol.sweep_deviation
     rows = []
@@ -172,7 +179,7 @@ def run_sweep(
                     tol=tol,
                 )
             )
-        except Exception as exc:  # noqa: BLE001 - rows are isolated by design
+        except (ValueError, ArithmeticError) as exc:  # numerical and domain failures stay in their row
             status = f"error: {exc}".replace(",", ";").replace("\n", " ")  # keep the CSV rectangular
             rows.append(
                 SweepRow(

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_lab import spin_model
+from holonomy_lab import evolution, spin_model
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
 from holonomy_lab.evolution import (
     HamiltonianSchedule,
     TimeGrid,
     Trajectory,
+    TrajectoryBlock,
     expand_in_frame,
     fidelity,
     propagate,
@@ -155,3 +156,66 @@ def test_expand_dimension_mismatch():
     frame = MovingFrame(dim=3, count=3, value_fn=lambda n, t: vecs[n])
     with pytest.raises(DimensionMismatchError):
         expand_in_frame(traj, frame)
+
+
+# --- block propagation --------------------------------------------------------
+
+
+def random_periodic_schedule(rng, dim):
+    h0, h1, h2 = (a + a.conj().T for a in rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)))
+
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        return h0 + h1 * np.cos(ts) + h2 * np.sin(ts)
+
+    return HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
+
+
+def assert_block_equals_single_calls(sched, psis, grid):
+    block = propagate(sched, psis, grid)
+    assert isinstance(block, TrajectoryBlock) and len(block) == len(psis)
+    assert block.grid == grid and block.dim == sched.dim
+    for psi, traj in zip(psis, block):
+        assert np.array_equal(traj.states, propagate(sched, psi, grid).states)
+
+
+def test_block_matches_single_state_calls_on_spin_model():
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-2)
+    grid = TimeGrid(t_end=params.period, steps=4096)
+    psis = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in (+1, -1)])
+    assert_block_equals_single_calls(spin_model.schedule(params), psis, grid)
+
+
+@pytest.mark.parametrize("scan_elements", [None, 8 * 8 * 20], ids=["one-scan-block", "three-scan-blocks"])
+def test_block_matches_single_state_calls_on_random_schedule(rng, monkeypatch, scan_elements):
+    if scan_elements is not None:
+        monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
+    psis = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    assert_block_equals_single_calls(random_periodic_schedule(rng, 8), psis, TimeGrid(t_end=2 * np.pi, steps=50))
+
+
+def test_block_rows_may_be_strided(rng):
+    sched = random_periodic_schedule(rng, 4)
+    psis = np.linalg.eigh(sched(0.0))[1].T  # rows are eigenvector columns
+    assert not psis[0].flags.contiguous
+    assert_block_equals_single_calls(sched, psis, TimeGrid(t_end=1.0, steps=32))
+
+
+def test_block_non_hermitian_names_first_bad_midpoint():
+    grid = TimeGrid(t_end=1.0, steps=16)
+    bad = HamiltonianSchedule(evaluate=lambda t: SIGMA_Z if t < 0.5 else np.array([[0, 1], [0, 0]]), dim=2)
+    with pytest.raises(NonHermitianError, match=r"at t = 0\.53125:"):
+        propagate(bad, np.eye(2), grid)
+
+
+def test_block_input_errors():
+    grid = TimeGrid(t_end=1.0, steps=16)
+    sched = static_schedule(SIGMA_Z)
+    with pytest.raises(DimensionMismatchError, match="schedule dimension"):
+        propagate(sched, np.eye(3), grid)
+    with pytest.raises(ValueError, match="not normalized"):
+        propagate(sched, np.array([[1.0, 0.0], [1.0, 1.0]]), grid)
+    for shape in ((0, 2), (1, 2, 2)):
+        with pytest.raises(DimensionMismatchError, match="block"):
+            propagate(sched, np.ones(shape), grid)

@@ -105,3 +105,22 @@ def test_dimension_cap():
 def test_non_finite_state_rejected():
     with pytest.raises(ValueError):
         hilbert.as_state([1.0, np.nan])
+
+
+def test_strided_state_and_operator_accepted(rng):
+    h = random_hermitian(rng, 4)
+    column = np.linalg.eigh(h)[1][:, 0]
+    assert not column.flags.contiguous
+    assert np.array_equal(hilbert.as_state(column), column)
+    assert np.array_equal(hilbert.check_normalized(column), column)
+    assert not h.T.flags.c_contiguous
+    assert np.array_equal(hilbert.as_operator(h.T), h.T)
+
+
+def test_non_finite_strided_input_rejected():
+    a = np.ones((3, 3), dtype=complex)
+    a[1, 0] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        hilbert.as_state(a[:, 0])
+    with pytest.raises(ValueError, match="non-finite"):
+        hilbert.as_operator(a.T)

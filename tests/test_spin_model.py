@@ -181,6 +181,15 @@ def test_geometric_phase_exact_hand_value():
     assert spin_model.geometric_phase_exact(p, +1) == pytest.approx(5.363034122668976, abs=1e-12)
 
 
+def test_geometric_phase_exact_multiple_periods():
+    # the phase accrues at a constant rate: n periods carry n times the one-period phase
+    p = ModelParams.from_eta(theta=np.pi / 3, eta=0.5)
+    for branch in (+1, -1):
+        one = spin_model.geometric_phase_exact(p, branch)
+        for n in (2, 3):
+            assert circular_distance(spin_model.geometric_phase_exact(p, branch, n), n * one) <= 1e-12
+
+
 def test_geometric_phase_exact_continuity():
     etas = np.logspace(-3, 3, 200)
     values = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from holonomy_lab import spin_model, sweep
 from holonomy_lab.config import build_config, parse_config_text
 from holonomy_lab.errors import ConfigError
 from holonomy_lab.phases import circular_distance
@@ -83,6 +85,18 @@ def test_config_bounds():
         build_config({"theta": 1.0, "sweep.eta_min": 2.0, "sweep.eta_max": 1.0, "sweep.points": 4})
     with pytest.raises(ConfigError, match="format"):
         build_config({"theta": 1.0, "eta": 1.0, "output.format": "xml"})
+    with pytest.raises(ConfigError, match="theta"):
+        build_config({"theta": 5, "eta": 1.0})
+    with pytest.raises(ConfigError, match="eta"):
+        build_config({"theta": 1.0, "eta": -1})
+    with pytest.raises(ConfigError, match="omega"):
+        build_config({"theta": 1.0, "omega": 0})
+    with pytest.raises(ConfigError, match="steps"):
+        build_config({"theta": 1.0, "eta": 1.0, "steps": "x"})
+    with pytest.raises(ConfigError, match="tol.cyclicity"):
+        build_config({"theta": 1.0, "eta": 1.0, "tol.cyclicity": "x"})
+    with pytest.raises(ConfigError, match="tol.max_dim"):
+        build_config({"theta": 1.0, "eta": 1.0, "tol.max_dim": 8.5})
 
 
 def test_tolerance_overrides_reach_record():
@@ -116,6 +130,32 @@ def test_run_point_raises_steps_in_adiabatic_regime():
     assert row.deviation_from_exact <= 1e-5
 
 
+@pytest.mark.parametrize("n_periods", [2, 3])
+def test_run_point_multiple_periods_matches_exact(n_periods):
+    row = run_point(np.pi / 3, 0.5, base_steps=1024, n_periods=n_periods, deviation_target=1e-5)
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=0.5)
+    assert row.geom_phase_exact_plus == spin_model.geometric_phase_exact(params, +1, n_periods)
+    assert row.deviation_from_exact <= 1e-5
+    assert row.status == "ok"
+
+
+def test_row_over_deviation_target_is_flagged(monkeypatch):
+    # a step model that asks for too few steps (as at its cap) must not yield an ok row
+    monkeypatch.setattr(spin_model, "steps_for_phase_tolerance", lambda *args, **kwargs: 16)
+    row = run_point(np.pi / 3, 1.0, base_steps=256, deviation_target=1e-5)
+    assert row.deviation_from_exact > 1e-5
+    assert row.status == "over_target"
+    assert run_point(np.pi / 3, 1.0, base_steps=256).status == "ok"  # no target, nothing to miss
+
+
+def test_sweep_csv_bytes_are_pinned():
+    # SHA-256 of this sweep's CSV from before the two branches shared one
+    # propagation; the digest depends on numpy's floating-point build
+    rows = run_sweep(np.pi / 3, eta_grid(1e-3, 1e3, 12), base_steps=4096)
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == "5abcea3ecba5c414304c0f7a44df0204ecde9a3d35d6101cac8abf488b7e78a0"
+
+
 def test_sweep_theta_zero_all_trivial():
     rows = run_sweep(0.0, eta_grid(0.5, 2.0, 3), base_steps=256)
     for row in rows:
@@ -139,6 +179,15 @@ def test_sweep_survives_bad_row():
     assert by_eta[1.0].status == "ok"
     assert by_eta[-1.0].status.startswith("error:")
     assert np.isnan(by_eta[-1.0].geom_phase_plus)
+
+
+def test_sweep_does_not_swallow_bugs(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(sweep, "propagate", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(np.pi / 3, [1.0], base_steps=256)
 
 
 def test_csv_banner_header_and_roundtrip():
@@ -230,6 +279,22 @@ def test_cli_evolve_without_config_is_usage_error(tmp_path):
 def test_cli_bad_config_key_is_usage_error(tmp_path):
     res = run_cli("evolve", "--quiet", config_text="theta = 1.0\nbogus = 2\n", tmp_path=tmp_path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "theta = 5\neta = 1.0\n",
+        "theta = 1.0\neta = -1\n",
+        "theta = 1.0\neta = 1.0\nsteps = x\n",
+        "theta = 1.0\neta = 1.0\ntol.cyclicity = x\n",
+    ],
+    ids=["theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number"],
+)
+def test_cli_bad_config_value_is_usage_error(tmp_path, config_text):
+    res = run_cli("evolve", "--quiet", config_text=config_text, tmp_path=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
 
 
 def test_cli_coarse_grid_is_numerical_failure(tmp_path):
