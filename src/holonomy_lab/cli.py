@@ -16,8 +16,8 @@ from pathlib import Path
 from . import spin_model, sweep as sweep_mod, verify as verify_mod
 from .config import RunConfig, build_config, load_config, tolerance_overrides
 from .errors import ConfigError
-from .evolution import TimeGrid, fidelity, propagate
-from .phases import circular_distance, cyclic_geometric_phase
+from .evolution import fidelity
+from .phases import circular_distance
 from .tolerances import DEFAULT
 
 __all__ = ["main"]
@@ -59,16 +59,10 @@ def cmd_evolve(args) -> int:
     params = spin_model.ModelParams.from_eta(
         theta=config.theta, eta=eta, mu=config.mu, b_field=config.b_field, hbar=config.hbar
     )
-    steps = config.steps + (config.steps % 2)
-    grid = TimeGrid(t_end=config.n_periods * params.period, steps=steps)
-    sched = spin_model.schedule(params)
-    psi0 = spin_model.exact_solution(params, +1, 0.0)
-    traj = propagate(sched, psi0, grid, hbar=config.hbar, tol=tol)
-
-    err_estimate = spin_model.midpoint_phase_error_estimate(params, steps, config.n_periods)
-    route_tol = max(tol.two_route, 6.0 * err_estimate)
-    report = cyclic_geometric_phase(traj, sched, hbar=config.hbar, two_route_tol=route_tol, tol=tol)
-
+    (traj,), (report,) = sweep_mod._solve(
+        params, (+1,), config.steps, config.n_periods, deviation_target=None, tol=tol
+    )
+    grid = traj.grid
     exact = spin_model.exact_trajectory(params, +1, grid)
     fid = fidelity(traj, exact)
     exact_geom = spin_model.geometric_phase_exact(params, +1, config.n_periods)
@@ -82,7 +76,7 @@ def cmd_evolve(args) -> int:
             "eta": params.eta,
             "hbar": params.hbar,
             "n_periods": config.n_periods,
-            "steps": steps,
+            "steps": grid.steps,
             "tilt_alpha": tilt.alpha,
             "tilt_branch_denominator_negative": tilt.denominator_negative,
         },
@@ -106,7 +100,7 @@ def cmd_evolve(args) -> int:
         )
         vals = (
             params.eta, params.theta, tilt.alpha, report.total, report.dynamical,
-            report.geometric, exact_geom, payload["deviation_from_exact"], fid, steps,
+            report.geometric, exact_geom, payload["deviation_from_exact"], fid, grid.steps,
         )
         lines = [sweep_mod.CSV_BANNER, ",".join(cols), ",".join(sweep_mod.csv_value(v) for v in vals)]
         _emit(args, "\n".join(lines) + "\n")

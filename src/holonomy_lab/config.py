@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .spin_model import _MAX_STEPS
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -67,8 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.omega is not None and self.eta is not None:
             raise ConfigError("give exactly one of omega or eta, not both")
-        if self.steps < 16:
-            raise ConfigError(f"steps must be >= 16, got {self.steps}")
+        if not 16 <= self.steps <= _MAX_STEPS:
+            raise ConfigError(f"steps must lie in [16, {_MAX_STEPS}], got {self.steps}")
         if self.n_periods < 1:
             raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
         if self.output_format not in ("csv", "json"):
@@ -79,8 +80,8 @@ class RunConfig:
             (self.mu, "mu"), (self.b_field, "b_field"), (self.hbar, "hbar"),
             (self.omega, "omega"), (self.eta, "eta"),
         ):
-            if p is not None and not p > 0:
-                raise ConfigError(f"{name} must be positive, got {p}")
+            if p is not None and not 0 < p < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {p}")
 
     def require_single_point(self) -> float:
         """The eta of a single-point run; exactly one of omega/eta must be set."""
@@ -177,7 +178,15 @@ def tolerance_overrides(mapping: dict) -> dict:
         name = key[4:]
         if name not in tol_names:
             raise ConfigError(f"unknown tolerance {key!r}")
-        overrides[name] = _as_int(mapping, key) if name == "max_dim" else _as_float(mapping, key)
+        if name == "max_dim":
+            value = _as_int(mapping, key)
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        else:
+            value = _as_float(mapping, key)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
+        overrides[name] = value
     return overrides
 
 

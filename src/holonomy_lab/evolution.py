@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -118,12 +118,6 @@ class TrajectoryBlock(tuple):
         return self[0].dim
 
 
-def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(hams)
-    phases = np.exp(-1j * evals * (dt / hbar))
-    return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
-
-
 def _prefix_products(u: np.ndarray) -> np.ndarray:
     """p[k] = u[k] @ u[k-1] @ ... @ u[0], for a stack of square matrices.
 
@@ -189,15 +183,8 @@ def propagate(
     while pos < grid.steps:
         take = min(block, grid.steps - pos)
         hams = schedule.sample(mids[pos : pos + take])
-        defects = np.max(np.abs(hams - hams.conj().transpose(0, 2, 1)), axis=(1, 2))
-        scales = np.maximum(1.0, np.max(np.abs(hams), axis=(1, 2)))
-        bad = np.nonzero(defects > tol.hermiticity * scales)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise NonHermitianError(
-                f"Hamiltonian not Hermitian at t = {float(mids[pos + k])!r}: defect {defects[k]:.3e}"
-            )
-        prefixes = _prefix_products(_step_unitaries(hams, grid.dt, hbar))
+        hilbert._require_hermitian(hams, tol, times=mids[pos : pos + take])
+        prefixes = _prefix_products(hilbert._step_unitaries(hams, grid.dt, hbar))
         for row in states:
             np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
         pos += take
@@ -214,8 +201,7 @@ def expand_in_frame(traj: Trajectory, frame) -> np.ndarray:
     ts = traj.grid.nodes()
     coeffs = np.empty((ts.size, frame.count), dtype=complex)
     for n in range(frame.count):
-        vecs = frame.value_many(n, ts)
-        coeffs[:, n] = np.einsum("ki,ki->k", vecs.conj(), traj.states)
+        coeffs[:, n] = np.einsum("ki,ki->k", frame.value(n, ts).conj(), traj.states)
     return coeffs
 
 

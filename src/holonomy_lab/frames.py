@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, NormalizationDriftError
-from .hilbert import as_operator, hermiticity_defect, inner
+from .errors import DimensionMismatchError, NormalizationDriftError
+from .hilbert import _require_hermitian, as_operator, inner
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "connection",
     "parallel_transport_fix",
     "holonomy",
+    "adiabatic_berry_phase",
     "eff_hamiltonian_matrix",
     "orthonormality_defect",
     "constant_gauge",
@@ -46,16 +47,18 @@ class MovingFrame:
     """Time-parametrized orthonormal set of `count` vectors in dimension `dim`.
 
     Vectors are sampled lazily through `value_fn(n, t)`; no grid is baked in,
-    so one frame serves many grids. If `derivative_fn` is None, derivatives
-    fall back to a symmetric finite difference with step `fd_step` (callers
-    that know a grid should pass h = grid.dt / 8 explicitly). `period` is the
-    frame's period T, or None for aperiodic frames.
+    so one frame serves many grids. Callbacks take a frame index n and a
+    scalar or 1-d array of times t, and return an array that broadcasts to
+    shape(t) + (dim,). If `derivative_fn` is None, derivatives fall back to a
+    symmetric finite difference with step `fd_step` (default 1e-6 times the
+    period, or 1e-6 for an aperiodic frame). `period` is the frame's period
+    T, or None for aperiodic frames.
     """
 
     dim: int
     count: int
-    value_fn: Callable[[int, float], np.ndarray]
-    derivative_fn: Callable[[int, float], np.ndarray] | None = None
+    value_fn: Callable[[int, np.ndarray], np.ndarray]
+    derivative_fn: Callable[[int, np.ndarray], np.ndarray] | None = None
     period: float | None = None
     fd_step: float | None = None
 
@@ -65,38 +68,35 @@ class MovingFrame:
                 f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}"
             )
 
-    def _check_index(self, n: int) -> None:
+    def _sample(self, fn, n: int, t) -> np.ndarray:
         if not (0 <= n < self.count):
             raise IndexError(f"frame index {n} out of range [0, {self.count})")
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(np.asarray(fn(n, t), dtype=complex), t.shape + (self.dim,))
 
-    def value(self, n: int, t: float) -> np.ndarray:
-        self._check_index(n)
-        return np.asarray(self.value_fn(n, float(t)), dtype=complex)
+    def value(self, n: int, t) -> np.ndarray:
+        """v_n at scalar or array t, shape shape(t) + (dim,)."""
+        return self._sample(self.value_fn, n, t)
 
-    def value_many(self, n: int, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([self.value(n, t) for t in ts])
-
-    def default_fd_step(self) -> float:
-        if self.fd_step is not None:
-            return self.fd_step
-        return 1e-6 * (self.period if self.period else 1.0)
-
-    def derivative(self, n: int, t: float, h: float | None = None) -> np.ndarray:
+    def derivative(self, n: int, t) -> np.ndarray:
         """d/dt v_n at t: analytic callback when present, else symmetric difference."""
-        self._check_index(n)
         if self.derivative_fn is not None:
-            return np.asarray(self.derivative_fn(n, float(t)), dtype=complex)
-        step = h if h is not None else self.default_fd_step()
-        return (self.value(n, t + step) - self.value(n, t - step)) / (2.0 * step)
+            return self._sample(self.derivative_fn, n, t)
+        h = self.fd_step if self.fd_step is not None else 1e-6 * (self.period or 1.0)
+        t = np.asarray(t, dtype=float)
+        return (self.value(n, t + h) - self.value(n, t - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """Smooth per-index phase angles alpha(n, t), with optional analytic d/dt."""
+    """Smooth per-index phase angles alpha(n, t) and their time derivative dalpha(n, t).
 
-    alpha: Callable[[int, float], float]
-    dalpha: Callable[[int, float], float] | None = None
+    Both callbacks take a scalar or 1-d array t and return values that
+    broadcast to shape(t).
+    """
+
+    alpha: Callable[[int, np.ndarray], np.ndarray]
+    dalpha: Callable[[int, np.ndarray], np.ndarray]
     period: float | None = None
 
     def periodicity_defect(self, n: int) -> float:
@@ -104,7 +104,7 @@ class GaugeFunction:
         if self.period is None:
             raise ValueError("gauge has no period")
         jump = self.alpha(n, self.period) - self.alpha(n, 0.0)
-        return abs(jump - 2.0 * np.pi * round(jump / (2.0 * np.pi)))
+        return float(abs(jump - 2.0 * np.pi * round(jump / (2.0 * np.pi))))
 
 
 def constant_gauge(c: float, period: float | None = None) -> GaugeFunction:
@@ -128,19 +128,15 @@ def random_periodic_gauge(
     a0 = rng.uniform(-np.pi, np.pi)
     winding = int(rng.integers(-max_winding, max_winding + 1))
     w = 2.0 * np.pi / period
-    ks = np.arange(1, n_modes + 1)
+    kw = np.arange(1, n_modes + 1) * w
 
-    def alpha(n: int, t: float) -> float:
-        return float(
-            a0
-            + winding * w * t
-            + np.sum(a * np.cos(ks * w * t) + b * np.sin(ks * w * t))
-        )
+    def alpha(n: int, t) -> np.ndarray:
+        kwt = np.multiply.outer(t, kw)
+        return a0 + winding * w * t + np.sum(a * np.cos(kwt) + b * np.sin(kwt), axis=-1)
 
-    def dalpha(n: int, t: float) -> float:
-        return float(
-            winding * w + np.sum(ks * w * (-a * np.sin(ks * w * t) + b * np.cos(ks * w * t)))
-        )
+    def dalpha(n: int, t) -> np.ndarray:
+        kwt = np.multiply.outer(t, kw)
+        return winding * w + np.sum(kw * (-a * np.sin(kwt) + b * np.cos(kwt)), axis=-1)
 
     return GaugeFunction(alpha=alpha, dalpha=dalpha, period=period)
 
@@ -148,19 +144,19 @@ def random_periodic_gauge(
 def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
     """Frame with v_n replaced by e^{i alpha_n(t)} v_n; orthonormality is preserved exactly.
 
-    The derivative picks up the product-rule term i d(alpha_n)/dt; it stays
-    analytic only when both the frame derivative and d(alpha)/dt are supplied.
+    The derivative is the product rule e^{i alpha_n} (i d(alpha_n)/dt v_n + d/dt v_n),
+    with d/dt v_n from the original frame (analytic or finite difference).
     """
 
-    def value_fn(n: int, t: float) -> np.ndarray:
-        return np.exp(1j * gauge.alpha(n, t)) * frame.value(n, t)
+    def phase(n: int, t: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.asarray(gauge.alpha(n, t)))[..., None]
 
-    derivative_fn = None
-    if frame.derivative_fn is not None and gauge.dalpha is not None:
+    def value_fn(n: int, t: np.ndarray) -> np.ndarray:
+        return phase(n, t) * frame.value(n, t)
 
-        def derivative_fn(n: int, t: float) -> np.ndarray:
-            phase = np.exp(1j * gauge.alpha(n, t))
-            return phase * (1j * gauge.dalpha(n, t) * frame.value(n, t) + frame.derivative(n, t))
+    def derivative_fn(n: int, t: np.ndarray) -> np.ndarray:
+        rate = np.asarray(gauge.dalpha(n, t))[..., None]
+        return phase(n, t) * (1j * rate * frame.value(n, t) + frame.derivative(n, t))
 
     return MovingFrame(
         dim=frame.dim,
@@ -172,41 +168,25 @@ def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
     )
 
 
-def _connection_and_drift(frame: MovingFrame, n: int, t: float, h: float | None) -> tuple[float, float]:
-    v = frame.value(n, t)
-    dv = frame.derivative(n, t, h=h)
-    val = inner(v, 1j * dv)
-    return float(val.real), float(val.imag)
-
-
-def connection(
-    frame: MovingFrame,
-    n: int,
-    t: float,
-    h: float | None = None,
-    tol: Tolerances = DEFAULT,
-) -> float:
+def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
     """Connection A_n(t) = Re <v_n | i d/dt v_n>, an angular velocity in rad/time.
 
-    For a norm-preserving frame the inner product is purely real; its
-    imaginary part measures norm drift and is rejected above tolerance.
+    A scalar t gives a float, an array t an array of the same shape. For a
+    norm-preserving frame the inner product is purely real; its imaginary
+    part measures norm drift and is rejected above tolerance, naming the
+    first offending time.
     """
-    a, drift = _connection_and_drift(frame, n, t, h)
-    if abs(drift) > tol.connection_drift * max(1.0, abs(a)):
+    t = np.asarray(t, dtype=float)
+    val = np.einsum("...i,...i->...", frame.value(n, t).conj(), 1j * frame.derivative(n, t))
+    rate, drift = val.real, val.imag
+    bad = np.flatnonzero(np.abs(drift) > tol.connection_drift * np.maximum(1.0, np.abs(rate)))
+    if bad.size:
+        k = int(bad[0])
         raise NormalizationDriftError(
-            f"frame vector {n} norm drifts at t={t!r}: Im<v|i dv/dt> = {drift:.3e}"
+            f"frame vector {n} norm drifts at t={float(t.flat[k])!r}: "
+            f"Im<v|i dv/dt> = {float(drift.flat[k]):.3e}"
         )
-    return a
-
-
-def connection_many(
-    frame: MovingFrame,
-    n: int,
-    ts,
-    h: float | None = None,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
-    return np.array([connection(frame, n, t, h=h, tol=tol) for t in np.asarray(ts, dtype=float)])
+    return float(rate) if t.ndim == 0 else rate
 
 
 def parallel_transport_fix(
@@ -229,49 +209,46 @@ def parallel_transport_fix(
     if t_end is None:
         raise ValueError("parallel transport needs t_end for an aperiodic frame")
     ts = np.linspace(0.0, t_end, steps + 1)
-    fd_h = _grid_fd_step(frame, ts)
-    rates = connection_many(frame, n, ts, h=fd_h, tol=tol)
+    rates = connection(frame, n, ts, tol=tol)
     dt = ts[1] - ts[0]
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * dt)])
 
-    def alpha(m: int, t: float) -> float:
+    def alpha(m: int, t: np.ndarray):
         if m != n:
             return 0.0
-        k = int(np.clip(np.floor(t / dt), 0, steps - 1))
-        a_t = connection(frame, n, t, h=fd_h, tol=tol)
-        return float(cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + a_t))
+        k = np.clip(np.floor(t / dt), 0, steps - 1).astype(int)
+        return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + connection(frame, n, t, tol=tol))
 
-    def dalpha(m: int, t: float) -> float:
+    def dalpha(m: int, t: np.ndarray):
         if m != n:
             return 0.0
-        return connection(frame, n, t, h=fd_h, tol=tol)
+        return connection(frame, n, t, tol=tol)
 
-    return gauge_transform(
-        frame, GaugeFunction(alpha=alpha, dalpha=dalpha if frame.derivative_fn else None, period=frame.period)
-    )
+    return gauge_transform(frame, GaugeFunction(alpha=alpha, dalpha=dalpha, period=frame.period))
 
 
-def _grid_fd_step(frame: MovingFrame, ts: np.ndarray) -> float | None:
-    """Fallback finite-difference step for grid-sampling ops: grid step / 8."""
-    if frame.derivative_fn is not None:
-        return None
-    return float(ts[1] - ts[0]) / 8.0
+def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
+                          tol: Tolerances = DEFAULT) -> float:
+    """Connection integral of frame vector n over one period (trapezoid rule).
+
+    Returned unreduced: windings carry physical content here. For smooth
+    periodic frames the rule is spectrally accurate. Requires a periodic
+    frame.
+    """
+    if frame.period is None:
+        raise ValueError("the connection integral over one period requires a periodic frame")
+    ts = np.linspace(0.0, frame.period, steps + 1)
+    return float(np.trapezoid(connection(frame, n, ts, tol=tol), dx=ts[1] - ts[0]))
 
 
 def holonomy(frame: MovingFrame, n: int, steps: int = 4096, tol: Tolerances = DEFAULT) -> complex:
     """Gauge-invariant holonomy of vector n over one period.
 
-    Returns v_n(0)^H v_n(T) * exp(i Int_0^T A_n dt) with the integral by the
-    composite trapezoid rule; for smooth periodic frames the rule is
-    spectrally accurate. The modulus never exceeds 1 (up to round-off).
+    Returns v_n(0)^H v_n(T) * exp(i * adiabatic_berry_phase). The modulus
+    never exceeds 1 (up to round-off). Requires a periodic frame.
     """
-    if frame.period is None:
-        raise ValueError("holonomy requires a periodic frame")
-    ts = np.linspace(0.0, frame.period, steps + 1)
-    rates = connection_many(frame, n, ts, h=_grid_fd_step(frame, ts), tol=tol)
-    integral = float(np.trapezoid(rates, dx=ts[1] - ts[0]))
-    prefactor = inner(frame.value(n, 0.0), frame.value(n, frame.period))
-    return prefactor * np.exp(1j * integral)
+    integral = adiabatic_berry_phase(frame, n, steps=steps, tol=tol)
+    return inner(frame.value(n, 0.0), frame.value(n, frame.period)) * np.exp(1j * integral)
 
 
 def eff_hamiltonian_matrix(
@@ -279,7 +256,6 @@ def eff_hamiltonian_matrix(
     hamiltonian,
     t: float,
     hbar: float = 1.0,
-    h: float | None = None,
     tol: Tolerances = DEFAULT,
 ) -> np.ndarray:
     """Effective Hamiltonian over the frame: <v_n|H(t)|v_m> - <v_n| i hbar d/dt |v_m>.
@@ -296,20 +272,15 @@ def eff_hamiltonian_matrix(
     else:
         h_t = hamiltonian
     h_t = as_operator(h_t, dim=frame.dim, tol=tol)
-    defect = hermiticity_defect(h_t)
-    scale = max(1.0, float(np.max(np.abs(h_t))))
-    if defect > tol.hermiticity * scale:
-        raise NonHermitianError(f"H(t={t!r}) is not Hermitian: defect {defect:.3e}")
+    _require_hermitian(h_t[None], tol, times=[t])
     vecs = np.stack([frame.value(n, t) for n in range(frame.count)])
-    derivs = np.stack([frame.derivative(n, t, h=h) for n in range(frame.count)])
+    derivs = np.stack([frame.derivative(n, t) for n in range(frame.count)])
     return vecs.conj() @ h_t @ vecs.T - 1j * hbar * (vecs.conj() @ derivs.T)
 
 
 def orthonormality_defect(frame: MovingFrame, ts) -> float:
     """max over sampled times of max|V^H V - I| for the frame matrix V."""
-    worst = 0.0
-    for t in np.asarray(ts, dtype=float):
-        vecs = np.stack([frame.value(n, t) for n in range(frame.count)], axis=1)
-        gram = vecs.conj().T @ vecs
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(frame.count)))))
-    return worst
+    ts = np.asarray(ts, dtype=float)
+    vecs = np.stack([frame.value(n, ts) for n in range(frame.count)], axis=-1)
+    gram = vecs.conj().swapaxes(-1, -2) @ vecs
+    return float(np.max(np.abs(gram - np.eye(frame.count)), initial=0.0))

@@ -86,14 +86,26 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
-def _require_hermitian(h: np.ndarray, tol: Tolerances) -> None:
-    defect = hermiticity_defect(h)
-    scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
-    if defect > tol.hermiticity * scale:
+def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
+    """Raise NonHermitianError on the first matrix of a (k, dim, dim) stack with
+    max|H - H^H| > tol.hermiticity * max(1, max|H|), naming times[k] when given."""
+    defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    allowed = tol.hermiticity * np.maximum(1.0, np.max(np.abs(hams), axis=(-2, -1), initial=0.0))
+    bad = np.flatnonzero(defects > allowed)
+    if bad.size:
+        k = int(bad[0])
+        where = "" if times is None else f" at t = {float(times[k])!r}"
         raise NonHermitianError(
-            f"matrix is not Hermitian: max|H - H^H| = {defect:.3e} "
-            f"(allowed {tol.hermiticity * scale:.3e})"
+            f"Hamiltonian not Hermitian{where}: max|H - H^H| = {defects[k]:.3e} "
+            f"(allowed {allowed[k]:.3e})"
         )
+
+
+def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+    """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack, via eigh."""
+    evals, evecs = np.linalg.eigh(hams)
+    phases = np.exp(-1j * evals * (dt / hbar))
+    return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
 
 
 def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -102,10 +114,8 @@ def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -
     The eigendecomposition route keeps the result unitary to round-off, which
     matters more than speed for phase extraction at these dimensions.
     """
-    h = as_operator(h, tol=tol)
+    hams = as_operator(h, tol=tol)[None]
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    _require_hermitian(h, tol)
-    evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * (dt / hbar))
-    return (evecs * phases) @ evecs.conj().T
+    _require_hermitian(hams, tol)
+    return _step_unitaries(hams, dt, hbar)[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotCyclicError, OrthogonalEndpointsError
 from .evolution import HamiltonianSchedule, Trajectory
-from .frames import MovingFrame, connection_many
+from .frames import adiabatic_berry_phase
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -199,18 +199,3 @@ def noncyclic_geometric_phase(
         cyclic=bool(abs(abs(ov) - 1.0) <= tol.cyclicity),
         cyclic_tol=tol.cyclicity,
     )
-
-
-def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
-                          tol: Tolerances = DEFAULT) -> float:
-    """Connection integral of frame vector n over one period (trapezoid rule).
-
-    Returned unreduced: windings carry physical content here. Requires a
-    periodic frame.
-    """
-    if frame.period is None:
-        raise ValueError("adiabatic phase requires a periodic frame")
-    ts = np.linspace(0.0, frame.period, steps + 1)
-    fd_h = None if frame.derivative_fn is not None else float(ts[1] - ts[0]) / 8.0
-    rates = connection_many(frame, n, ts, h=fd_h, tol=tol)
-    return float(np.trapezoid(rates, dx=ts[1] - ts[0]))

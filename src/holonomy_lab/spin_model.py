@@ -267,12 +267,17 @@ def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: in
     return _SECULAR_ERROR_CALIBRATION * lead * total_t * dt**2 / 24.0
 
 
+# Largest step count of a propagation grid, for the sweep's step refinement
+# and for configured runs alike.
+_MAX_STEPS = 1 << 21
+
+
 def steps_for_phase_tolerance(
     params: ModelParams,
     phase_tol: float,
     n_periods: int = 1,
     min_steps: int = 16,
-    max_steps: int = 1 << 21,
+    max_steps: int = _MAX_STEPS,
 ) -> int:
     """Smallest even step count whose estimated phase error stays below phase_tol."""
     if phase_tol <= 0:

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import spin_model
-from .evolution import TimeGrid, propagate
-from .phases import circular_distance, cyclic_geometric_phase
+from .evolution import TimeGrid, TrajectoryBlock, propagate
+from .phases import PhaseReport, circular_distance, cyclic_geometric_phase
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -73,6 +73,39 @@ def csv_value(x) -> str:
     return str(x)
 
 
+def _solve(
+    params: spin_model.ModelParams,
+    branches: tuple[int, ...],
+    base_steps: int,
+    n_periods: int,
+    deviation_target: float | None,
+    tol: Tolerances,
+) -> tuple[TrajectoryBlock, list[PhaseReport]]:
+    """Propagate the exact initial states of `branches` as one block and report
+    each branch's cyclic phase.
+
+    `base_steps` is rounded up to even and is a floor; when
+    `deviation_target` is given the step count is raised until the estimated
+    integrator phase error sits a factor 3 below the target. The two-route
+    consistency check is widened to the same estimate, since both effects
+    share the secular error.
+    """
+    steps = base_steps + (base_steps % 2)
+    if deviation_target is not None:
+        steps = max(steps, spin_model.steps_for_phase_tolerance(params, deviation_target / 3.0, n_periods))
+    sched = spin_model.schedule(params)
+    grid = TimeGrid(t_end=n_periods * params.period, steps=steps)
+    err_estimate = spin_model.midpoint_phase_error_estimate(params, steps, n_periods)
+    route_tol = max(tol.two_route, 6.0 * err_estimate)
+    psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
+    trajs = propagate(sched, psi0, grid, hbar=params.hbar, tol=tol)
+    reports = [
+        cyclic_geometric_phase(traj, sched, hbar=params.hbar, two_route_tol=route_tol, tol=tol)
+        for traj in trajs
+    ]
+    return trajs, reports
+
+
 def run_point(
     theta: float,
     eta: float,
@@ -88,49 +121,29 @@ def run_point(
 
     Both branches are propagated as one block through the same step
     unitaries. `base_steps` is a floor; when `deviation_target` is given the
-    step count is raised until the estimated integrator phase error sits a
-    factor 3 below the target, and a row whose measured deviation still
-    exceeds the target (the estimate was optimistic, or the step count hit
-    its cap) gets status `over_target`. The internal two-route consistency
-    check is widened to the same estimate, since both effects share the
-    secular error.
+    step count is refined against it, and a row whose measured deviation
+    still exceeds the target (the estimate was optimistic, or the step count
+    hit its cap) gets status `over_target`.
     """
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
-    steps = base_steps + (base_steps % 2)
-    if deviation_target is not None:
-        steps = max(steps, spin_model.steps_for_phase_tolerance(params, deviation_target / 3.0, n_periods))
-    sched = spin_model.schedule(params)
-    grid = TimeGrid(t_end=n_periods * params.period, steps=steps)
-    err_estimate = spin_model.midpoint_phase_error_estimate(params, steps, n_periods)
-    route_tol = max(tol.two_route, 6.0 * err_estimate)
-    tilt = spin_model.tilt_angle(params)
-
-    branches = (+1, -1)
-    psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
-    trajs = propagate(sched, psi0, grid, hbar=hbar, tol=tol)
-    geom = {
-        branch: cyclic_geometric_phase(
-            traj, sched, hbar=hbar, two_route_tol=route_tol, tol=tol
-        ).geometric
-        for branch, traj in zip(branches, trajs)
-    }
-    exact_traj = spin_model.exact_trajectory(params, +1, grid)
+    trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, deviation_target, tol)
+    exact_traj = spin_model.exact_trajectory(params, +1, trajs.grid)
     endpoint_fid = float(abs(np.vdot(exact_traj.states[-1], trajs[0].states[-1])) ** 2)
 
     exact_plus = spin_model.geometric_phase_exact(params, +1, n_periods)
-    deviation = circular_distance(geom[+1], exact_plus)
+    deviation = circular_distance(reports[0].geometric, exact_plus)
     over = deviation_target is not None and deviation > deviation_target
     return SweepRow(
         eta=eta,
         theta=theta,
-        alpha=tilt.alpha,
-        geom_phase_plus=geom[+1],
-        geom_phase_minus=geom[-1],
+        alpha=spin_model.tilt_angle(params).alpha,
+        geom_phase_plus=reports[0].geometric,
+        geom_phase_minus=reports[1].geometric,
         geom_phase_exact_plus=exact_plus,
         berry_limit_plus=spin_model.berry_limit_phase(theta, +1),
         deviation_from_exact=deviation,
         endpoint_fidelity=endpoint_fid,
-        steps_used=steps,
+        steps_used=trajs.grid.steps,
         status="over_target" if over else "ok",
     )
 

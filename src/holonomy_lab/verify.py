@@ -18,7 +18,9 @@ import numpy as np
 from . import hilbert, spin_model
 from .evolution import TimeGrid, fidelity, propagate
 from .frames import (
-    connection_many,
+    GaugeFunction,
+    adiabatic_berry_phase,
+    connection,
     eff_hamiltonian_matrix,
     gauge_transform,
     holonomy,
@@ -26,11 +28,7 @@ from .frames import (
     parallel_transport_fix,
     random_periodic_gauge,
 )
-from .phases import (
-    adiabatic_berry_phase,
-    circular_distance,
-    cyclic_geometric_phase,
-)
+from .phases import circular_distance, cyclic_geometric_phase
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["CheckResult", "acceptance_checks", "extra_checks", "run_suite", "render_report"]
@@ -62,7 +60,7 @@ def _run_model(theta: float, eta: float, steps: int, branch: int = +1):
     return params, sched, grid, traj
 
 
-def check_oracle_fidelity(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_oracle_fidelity(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Propagated states reproduce the closed-form solution across the
     theta x eta grid at 4096 steps, within a 2 s budget."""
     thetas = (np.pi / 3,) if quick else THETAS
@@ -85,7 +83,7 @@ def check_oracle_fidelity(tol: Tolerances = DEFAULT, quick: bool = False) -> Che
     )
 
 
-def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Adiabatic regime reproduces the adiabatic-loop value pi (1 + cos theta)."""
     theta = np.pi / 3
     _, sched, _, traj = _run_model(theta, 1e-3, 8192)
@@ -94,7 +92,7 @@ def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckRe
     return CheckResult("berry_limit", dist <= 5e-3, dist, 5e-3, "theta=pi/3, eta=1e-3, steps=8192")
 
 
-def check_trivial_limit(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_trivial_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Fast-rotation regime gives a trivial geometric phase (0 mod 2 pi)."""
     _, sched, _, traj = _run_model(np.pi / 3, 1e3, 8192)
     report = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf, tol=tol)
@@ -102,7 +100,7 @@ def check_trivial_limit(tol: Tolerances = DEFAULT, quick: bool = False) -> Check
     return CheckResult("trivial_limit", dist <= 1e-4, dist, 1e-4, "theta=pi/3, eta=1e3, steps=8192")
 
 
-def check_sweep_triviality(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_sweep_triviality(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """The geometric phase interpolates smoothly and monotonically between the
     adiabatic and trivial limits over six decades of eta."""
     from .sweep import eta_grid, run_sweep
@@ -140,7 +138,7 @@ def check_sweep_triviality(tol: Tolerances = DEFAULT, quick: bool = False) -> Ch
     )
 
 
-def check_tilt_identity(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_tilt_identity(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Defining identity of the tilt angle across twelve decades of eta."""
     worst = 0.0
     for eta in np.logspace(-6, 6, 50):
@@ -151,7 +149,7 @@ def check_tilt_identity(tol: Tolerances = DEFAULT, quick: bool = False) -> Check
                        "50 points, eta in [1e-6, 1e6]")
 
 
-def check_diagonality(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_diagonality(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """The tilted frame diagonalizes the effective Hamiltonian at all times."""
     worst = 0.0
     for theta in THETAS:
@@ -168,8 +166,7 @@ def check_diagonality(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckRe
                        "12 parameter sets, 32 times each")
 
 
-def check_gauge_invariance(tol: Tolerances = DEFAULT, quick: bool = False,
-                           seed: int = 0) -> CheckResult:
+def check_gauge_invariance(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Holonomy and phase reports are blind to local gauge choices and to a
     constant ray phase on the initial state."""
     rng = np.random.default_rng(seed)
@@ -211,20 +208,20 @@ def check_gauge_invariance(tol: Tolerances = DEFAULT, quick: bool = False,
                        tol.gauge_invariance, f"{n_gauges} random periodic gauges")
 
 
-def check_parallel_transport(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_parallel_transport(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """After the parallel-transport fix the connection vanishes at interior nodes."""
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
     frame = spin_model.tilted_frame(params)
     steps = 512 if quick else 2048
     fixed = parallel_transport_fix(frame, 0, steps=steps, tol=tol)
     interior = np.linspace(0.0, params.period, steps + 1)[1:-1]
-    rates = connection_many(fixed, 0, interior, tol=tol)
+    rates = connection(fixed, 0, interior, tol=tol)
     worst = float(np.max(np.abs(rates))) / params.omega
     return CheckResult("parallel_transport", worst <= tol.parallel_transport, worst,
                        tol.parallel_transport, "relative to omega, interior nodes")
 
 
-def check_convergence_order(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_convergence_order(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """The propagator's trajectory error shrinks at second order in the step.
 
     Error metric: angular distance of the propagated state from the exact
@@ -248,7 +245,7 @@ def check_convergence_order(tol: Tolerances = DEFAULT, quick: bool = False) -> C
     )
 
 
-def check_two_route(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_two_route(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Decomposition route and connection route agree on the cyclic phase.
 
     Steps are chosen per point so the integrator's secular phase error sits
@@ -269,7 +266,7 @@ def check_two_route(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResu
                        f"{len(thetas) * len(etas)} grid points, adaptive steps")
 
 
-def check_unitarity_drift(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_unitarity_drift(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Norm drift over 10^4 propagation steps stays at round-off."""
     steps = 2000 if quick else 10000
     _, _, _, traj = _run_model(np.pi / 3, 1.0, steps)
@@ -278,8 +275,7 @@ def check_unitarity_drift(tol: Tolerances = DEFAULT, quick: bool = False) -> Che
                        tol.norm_preservation, f"{steps} steps")
 
 
-def check_expi_properties(tol: Tolerances = DEFAULT, quick: bool = False,
-                          seed: int = 0) -> CheckResult:
+def check_expi_properties(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Unitarity, the semigroup law, and inner-product preservation of the
     Hermitian exponential, on random Hermitian matrices up to dimension 8."""
     rng = np.random.default_rng(seed)
@@ -304,7 +300,7 @@ def check_expi_properties(tol: Tolerances = DEFAULT, quick: bool = False,
                        f"{draws} random Hermitian draws, dim <= 8")
 
 
-def check_frame_orthonormality(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_frame_orthonormality(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     worst = 0.0
     for theta in THETAS:
         for eta in ETAS:
@@ -315,11 +311,9 @@ def check_frame_orthonormality(tol: Tolerances = DEFAULT, quick: bool = False) -
                        tol.orthonormality, "model frames on 17-node grids")
 
 
-def check_gauge_covariance(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_gauge_covariance(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Under a local gauge the diagonal of the effective Hamiltonian shifts by
     hbar d(alpha)/dt and off-diagonal moduli are untouched."""
-    from .frames import GaugeFunction
-
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
     frame = spin_model.tilted_frame(params)
     sched = spin_model.schedule(params)
@@ -340,7 +334,7 @@ def check_gauge_covariance(tol: Tolerances = DEFAULT, quick: bool = False) -> Ch
                        "diagonal shift vs hbar d(alpha)/dt")
 
 
-def check_transport_holonomy(tol: Tolerances = DEFAULT, quick: bool = False) -> CheckResult:
+def check_transport_holonomy(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """For a parallel-transported frame the holonomy reduces to the bare
     endpoint overlap (the exponential factor is 1)."""
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
@@ -386,11 +380,8 @@ def extra_checks(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) 
 def _run(checks, tol: Tolerances, quick: bool, seed: int) -> list[CheckResult]:
     results = []
     for fn in checks:
-        kwargs = {"tol": tol, "quick": quick}
-        if "seed" in fn.__code__.co_varnames:
-            kwargs["seed"] = seed
         try:
-            results.append(fn(**kwargs))
+            results.append(fn(tol, quick, seed))
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check, not a crash of the suite
             results.append(CheckResult(fn.__name__, False, math.nan, math.nan, f"raised {exc!r}"))
     return results

@@ -6,8 +6,8 @@ from holonomy_lab.errors import NonHermitianError, NormalizationDriftError
 from holonomy_lab.frames import (
     GaugeFunction,
     MovingFrame,
+    adiabatic_berry_phase,
     connection,
-    connection_many,
     constant_gauge,
     eff_hamiltonian_matrix,
     gauge_transform,
@@ -17,6 +17,8 @@ from holonomy_lab.frames import (
     parallel_transport_fix,
     random_periodic_gauge,
 )
+from holonomy_lab.phases import circular_distance
+
 PARAMS = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
 DELTA = PARAMS.theta - spin_model.tilt_angle(PARAMS).alpha
 
@@ -27,8 +29,8 @@ def phase_winding_frame(rate, period=None):
     return MovingFrame(
         dim=2,
         count=1,
-        value_fn=lambda n, t: np.exp(-1j * rate * t) * u,
-        derivative_fn=lambda n, t: -1j * rate * np.exp(-1j * rate * t) * u,
+        value_fn=lambda n, t: np.exp(-1j * rate * t)[..., None] * u,
+        derivative_fn=lambda n, t: -1j * rate * np.exp(-1j * rate * t)[..., None] * u,
         period=period,
     )
 
@@ -154,7 +156,7 @@ def test_parallel_transport_zeroes_connection():
     frame = spin_model.tilted_frame(PARAMS)
     fixed = parallel_transport_fix(frame, 0, steps=512)
     interior = np.linspace(0.0, PARAMS.period, 513)[1:-1]
-    rates = connection_many(fixed, 0, interior)
+    rates = connection(fixed, 0, interior)
     assert np.max(np.abs(rates)) <= 1e-8 * PARAMS.omega
 
 
@@ -177,7 +179,7 @@ def test_holonomy_of_model_frame():
 
 
 def test_holonomy_without_analytic_derivative():
-    # finite-difference fallback (grid step / 8) reproduces the closed form
+    # finite-difference fallback (default fd_step) reproduces the closed form
     frame = spin_model.tilted_frame(PARAMS)
     fd_frame = MovingFrame(dim=2, count=2, value_fn=frame.value_fn, period=frame.period)
     expected = np.exp(1j * np.pi * (1 + np.cos(DELTA)))
@@ -258,3 +260,84 @@ def test_heff_gauge_covariance():
 def test_random_gauge_is_periodic_mod_two_pi(rng):
     gauge = random_periodic_gauge(3.7, rng)
     assert gauge.periodicity_defect(0) <= 1e-12
+
+
+# --- beyond the analytic spin-1/2 frame ----------------------------------------
+
+
+def fd_tilted_frame():
+    frame = spin_model.tilted_frame(PARAMS)
+    return MovingFrame(dim=2, count=2, value_fn=frame.value_fn, period=frame.period)
+
+
+def test_gauged_fd_frame_holonomy_matches_closed_form(rng):
+    # gauge and parallel transport of a frame with no analytic derivative
+    fd_frame = fd_tilted_frame()
+    exact = np.pi * (1 + np.cos(DELTA))
+    fixed = parallel_transport_fix(fd_frame, 0, steps=2048)
+    assert abs(holonomy(fixed, 0, steps=2048) - np.exp(1j * exact)) <= 1e-9
+    for _ in range(8):
+        gauged = gauge_transform(fd_frame, random_periodic_gauge(PARAMS.period, rng))
+        assert abs(holonomy(gauged, 0, steps=2048) - np.exp(1j * exact)) <= 1e-9
+        assert circular_distance(adiabatic_berry_phase(gauged, 0, steps=2048), exact) <= 1e-9
+
+
+def unitary_flow_frame(rng, dim, period=1.0):
+    """Columns of V(t) = exp(-i K t) U0 for random Hermitian K and unitary U0,
+    with the analytic derivative -i K V."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    k_evals, w = np.linalg.eigh(a + a.conj().T)
+    u0 = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    coeffs = w.conj().T @ u0  # column n of U0 in the eigenbasis of K
+
+    def value_fn(n, t):
+        return (np.exp(-1j * np.multiply.outer(t, k_evals)) * coeffs[:, n]) @ w.T
+
+    def derivative_fn(n, t):
+        return (-1j * k_evals * np.exp(-1j * np.multiply.outer(t, k_evals)) * coeffs[:, n]) @ w.T
+
+    frame = MovingFrame(dim=dim, count=dim, value_fn=value_fn, derivative_fn=derivative_fn, period=period)
+    return frame, (a + a.conj().T), u0
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_unitary_flow_frame_holonomy_gauge_invariant(dim):
+    rng = np.random.default_rng(100 + dim)
+    frame, k, u0 = unitary_flow_frame(rng, dim)
+    assert orthonormality_defect(frame, np.linspace(0.0, 1.0, 9)) <= 1e-12
+    n = dim - 1
+    # A_n = <v_n|K|v_n> is constant along the flow, so the Berry phase is T (U0^H K U0)_nn
+    berry = adiabatic_berry_phase(frame, n, steps=256)
+    assert berry == pytest.approx((u0.conj().T @ k @ u0)[n, n].real, rel=1e-12)
+    base = holonomy(frame, n, steps=256)
+    for _ in range(5):
+        gauged = gauge_transform(frame, random_periodic_gauge(frame.period, rng))
+        assert abs(holonomy(gauged, n, steps=256) - base) <= 1e-10
+        assert circular_distance(adiabatic_berry_phase(gauged, n, steps=256), berry) <= 1e-10
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_array_calls_equal_stacked_scalar_calls(rng, analytic):
+    frame = spin_model.tilted_frame(PARAMS) if analytic else fd_tilted_frame()
+    gauged = gauge_transform(frame, random_periodic_gauge(PARAMS.period, rng))
+    ts = np.linspace(-0.3, 1.7 * PARAMS.period, 23)
+    for n in range(2):
+        for method in (gauged.value, gauged.derivative):
+            stacked = np.stack([method(n, t) for t in ts])
+            assert method(n, ts).shape == (ts.size, 2)
+            assert np.allclose(method(n, ts), stacked, rtol=0, atol=1e-12)
+        stacked = np.array([connection(gauged, n, t) for t in ts])
+        assert np.allclose(connection(gauged, n, ts), stacked, rtol=0, atol=1e-12)
+
+
+def test_connection_drift_names_first_bad_time():
+    frame = MovingFrame(
+        dim=2,
+        count=1,
+        value_fn=lambda n, t: np.maximum(1.0, t)[..., None] * np.array([1.0, 0.0], dtype=complex),
+        derivative_fn=lambda n, t: (t > 1.0)[..., None] * np.array([1.0, 0.0], dtype=complex),
+        period=4.0,
+    )
+    assert np.all(connection(frame, 0, [0.0, 0.5]) == 0.0)
+    with pytest.raises(NormalizationDriftError, match=r"t=1\.5:"):
+        connection(frame, 0, [0.5, 1.5, 2.5])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from holonomy_lab import spin_model, sweep
+from holonomy_lab import cli, spin_model, sweep, verify
 from holonomy_lab.config import build_config, parse_config_text
 from holonomy_lab.errors import ConfigError
 from holonomy_lab.phases import circular_distance
@@ -97,6 +98,39 @@ def test_config_bounds():
         build_config({"theta": 1.0, "eta": 1.0, "tol.cyclicity": "x"})
     with pytest.raises(ConfigError, match="tol.max_dim"):
         build_config({"theta": 1.0, "eta": 1.0, "tol.max_dim": 8.5})
+
+
+@pytest.mark.parametrize(
+    "mapping, match",
+    [
+        ({"steps": 1e12}, "steps"),
+        ({"steps": (1 << 21) + 2}, "steps"),
+        ({"tol.cyclicity": -1}, "tol.cyclicity"),
+        ({"tol.two_route": 0}, "tol.two_route"),
+        ({"tol.hermiticity": float("inf")}, "tol.hermiticity"),
+        ({"tol.overlap_floor": float("nan")}, "tol.overlap_floor"),
+        ({"tol.max_dim": 0}, "tol.max_dim"),
+        ({"theta": float("nan")}, "theta"),
+        ({"mu": float("inf")}, "mu"),
+        ({"b_field": float("nan")}, "b_field"),
+        ({"hbar": float("inf")}, "hbar"),
+        ({"eta": float("inf")}, "eta"),
+        ({"eta": None, "omega": float("inf")}, "omega"),
+    ],
+)
+def test_config_rejects_unbounded_values(mapping, match):
+    base = {"theta": 1.0, "eta": 1.0}
+    base.update(mapping)
+    with pytest.raises(ConfigError, match=match):
+        build_config({k: v for k, v in base.items() if v is not None})
+
+
+def test_steps_cap_is_the_sweep_cap():
+    assert build_config({"theta": 1.0, "eta": 1.0, "steps": 1 << 21}).steps == 1 << 21
+    with pytest.raises(ConfigError, match="steps"):
+        build_config({"theta": 1.0, "eta": 1.0}, steps=(1 << 21) + 1)
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-9)
+    assert spin_model.steps_for_phase_tolerance(params, 1e-12) == 1 << 21
 
 
 def test_tolerance_overrides_reach_record():
@@ -235,6 +269,25 @@ def test_cli_evolve_json(tmp_path):
     assert circular_distance(report["geometric"], 5.86229169994112) <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "n_periods, fmt, digest",
+    [
+        (1, "json", "1d33f3e87d33392fe2bb526d3f1c3d40203b319bc8b73c7ba1a29342e8f01309"),
+        (1, "csv", "4e2d00f17feb7c9c34f065401bfc72561e9df2661ab487f37c495ee3f4388ba6"),
+        (3, "json", "f9dabf10317beb90ed6ea0f101cd90cf8795bf8c4dab2b91c5324481a6862227"),
+        (3, "csv", "d670be913b7a358f885b585398a32bd55df85ae2a20711f823defedde9b4065a"),
+    ],
+)
+def test_cli_evolve_bytes_are_pinned(tmp_path, n_periods, fmt, digest):
+    # SHA-256 of evolve output from before evolve shared the sweep's solve
+    # path; like the sweep digest, it depends on numpy's floating-point build
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"theta = 1.0471975511965976\neta = 0.5\nsteps = 2048\nn_periods = {n_periods}\n")
+    out = tmp_path / f"out.{fmt}"
+    assert cli.main(["evolve", "--config", str(cfg), "--format", fmt, "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_evolve_theta_zero_trivial(tmp_path):
     res = run_cli(
         "evolve", "--format", "json", "--quiet",
@@ -288,13 +341,28 @@ def test_cli_bad_config_key_is_usage_error(tmp_path):
         "theta = 1.0\neta = -1\n",
         "theta = 1.0\neta = 1.0\nsteps = x\n",
         "theta = 1.0\neta = 1.0\ntol.cyclicity = x\n",
+        "theta = 1.0\neta = 1.0\nsteps = 1e12\n",
+        "theta = 1.0\neta = 1.0\ntol.cyclicity = -1\n",
+        "theta = 1.0\neta = inf\n",
     ],
-    ids=["theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number"],
+    ids=[
+        "theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number",
+        "steps-over-cap", "negative-tolerance", "infinite-eta",
+    ],
 )
 def test_cli_bad_config_value_is_usage_error(tmp_path, config_text):
     res = run_cli("evolve", "--quiet", config_text=config_text, tmp_path=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
+
+
+def test_cli_steps_flag_over_cap_is_usage_error(tmp_path):
+    res = run_cli(
+        "evolve", "--quiet", "--steps", str(10**12),
+        config_text="theta = 1.0471975511965976\neta = 1.0\n", tmp_path=tmp_path,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "steps" in res.stderr
 
 
 def test_cli_coarse_grid_is_numerical_failure(tmp_path):
@@ -341,6 +409,11 @@ def test_cli_sweep_json_format(tmp_path):
 def test_cli_sweep_without_spec_is_usage_error(tmp_path):
     res = run_cli("sweep", "--quiet", config_text="theta = 0.5\neta = 1.0\n", tmp_path=tmp_path)
     assert res.returncode == 2
+
+
+def test_verify_checks_share_one_signature():
+    for fn in verify.ACCEPTANCE + verify.EXTRAS:
+        assert list(inspect.signature(fn).parameters) == ["tol", "quick", "seed"], fn.__name__
 
 
 @pytest.mark.slow
