@@ -129,7 +129,6 @@ def cmd_sweep(args) -> int:
         hbar=config.hbar,
         base_steps=config.steps,
         n_periods=config.n_periods,
-        deviation_target=tol.sweep_deviation,
         tol=tol,
     )
     text = sweep_mod.rows_to_csv(rows) if config.output_format == "csv" else sweep_mod.rows_to_json(rows)

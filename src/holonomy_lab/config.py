@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .spin_model import _MAX_STEPS
+from .spin_model import _MAX_STEPS, _MIN_STEPS
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -44,9 +44,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.points < 2:
             raise ConfigError(f"sweep.points must be >= 2, got {self.points}")
-        if not (0 < self.eta_min < self.eta_max):
+        if not (0 < self.eta_min < self.eta_max < math.inf):
             raise ConfigError(
-                f"need 0 < sweep.eta_min < sweep.eta_max, got {self.eta_min}, {self.eta_max}"
+                f"need 0 < sweep.eta_min < sweep.eta_max < inf, got {self.eta_min}, {self.eta_max}"
             )
 
 
@@ -68,8 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.omega is not None and self.eta is not None:
             raise ConfigError("give exactly one of omega or eta, not both")
-        if not 16 <= self.steps <= _MAX_STEPS:
-            raise ConfigError(f"steps must lie in [16, {_MAX_STEPS}], got {self.steps}")
+        if not _MIN_STEPS <= self.steps <= _MAX_STEPS:
+            raise ConfigError(f"steps must lie in [{_MIN_STEPS}, {_MAX_STEPS}], got {self.steps}")
         if self.n_periods < 1:
             raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
         if self.output_format not in ("csv", "json"):
@@ -82,6 +82,12 @@ class RunConfig:
         ):
             if p is not None and not 0 < p < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {p}")
+        if self.omega is not None:
+            eta = self.require_single_point()
+            if not 0 < eta < math.inf:
+                raise ConfigError(
+                    f"eta = omega / (2 mu b_field) must be positive and finite, got {eta}"
+                )
 
     def require_single_point(self) -> float:
         """The eta of a single-point run; exactly one of omega/eta must be set."""

@@ -7,8 +7,8 @@ and exactly unitary per step, which phase observables require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class TimeGrid:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
 
     @property
-    def t_start(self) -> float:
-        return 0.0
-
-    @property
     def dt(self) -> float:
         return self.t_end / self.steps
 
@@ -65,11 +61,7 @@ class HamiltonianSchedule:
 
     evaluate: Callable[[float], np.ndarray]
     dim: int
-    metadata: Mapping = field(default_factory=dict)
     evaluate_many: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.evaluate(t)
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         if self.evaluate_many is not None:

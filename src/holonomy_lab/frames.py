@@ -115,20 +115,16 @@ def linear_gauge(rate: float, period: float | None = None) -> GaugeFunction:
     return GaugeFunction(alpha=lambda n, t: rate * t, dalpha=lambda n, t: rate, period=period)
 
 
-def random_periodic_gauge(
-    period: float,
-    rng: np.random.Generator,
-    n_modes: int = 4,
-    scale: float = 1.0,
-    max_winding: int = 2,
-) -> GaugeFunction:
-    """Random smooth gauge, periodic mod 2 pi: Fourier series plus integer winding."""
-    a = rng.uniform(-scale, scale, size=n_modes)
-    b = rng.uniform(-scale, scale, size=n_modes)
+def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunction:
+    """Random smooth gauge, periodic mod 2 pi: an offset uniform in [-pi, pi),
+    four Fourier modes with coefficients uniform in [-1, 1), and an integer
+    winding in [-2, 2]."""
+    a = rng.uniform(-1.0, 1.0, size=4)
+    b = rng.uniform(-1.0, 1.0, size=4)
     a0 = rng.uniform(-np.pi, np.pi)
-    winding = int(rng.integers(-max_winding, max_winding + 1))
+    winding = int(rng.integers(-2, 3))
     w = 2.0 * np.pi / period
-    kw = np.arange(1, n_modes + 1) * w
+    kw = np.arange(1, a.size + 1) * w
 
     def alpha(n: int, t) -> np.ndarray:
         kwt = np.multiply.outer(t, kw)

@@ -21,7 +21,7 @@ agreement is a real consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,16 +80,16 @@ def _endpoint_overlap(traj: Trajectory) -> complex:
     return complex(np.vdot(traj.states[0], traj.states[-1]))
 
 
-def total_phase(traj: Trajectory, overlap_floor: float | None = None, tol: Tolerances = DEFAULT) -> float:
+def total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     """Principal argument of <psi(0)|psi(T)>, in (-pi, pi].
 
-    Undefined (raises) when the endpoints are orthogonal within the floor.
+    Undefined (raises) when the endpoints are orthogonal within tol.overlap_floor.
     """
-    floor = tol.overlap_floor if overlap_floor is None else overlap_floor
     ov = _endpoint_overlap(traj)
-    if abs(ov) <= floor:
+    if abs(ov) <= tol.overlap_floor:
         raise OrthogonalEndpointsError(
-            f"orthogonal endpoints: Pancharatnam phase undefined (|overlap| = {abs(ov):.3e} <= {floor:.3e})"
+            f"orthogonal endpoints: Pancharatnam phase undefined "
+            f"(|overlap| = {abs(ov):.3e} <= {tol.overlap_floor:.3e})"
         )
     return float(np.angle(ov))
 
@@ -102,8 +102,7 @@ def dynamical_phase(traj: Trajectory, schedule: HamiltonianSchedule, hbar: float
     return float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
 
 
-def cyclic_phase_from_connection(traj: Trajectory, overlap_floor: float | None = None,
-                                 tol: Tolerances = DEFAULT) -> float:
+def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     """Geometric phase of a cyclic trajectory from the connection of the
     phase-stripped loop, in [0, 2 pi).
 
@@ -113,7 +112,7 @@ def cyclic_phase_from_connection(traj: Trajectory, overlap_floor: float | None =
     Hamiltonian evaluation is involved.
     """
     steps = traj.grid.steps
-    base = total_phase(traj, overlap_floor=overlap_floor, tol=tol)
+    base = total_phase(traj, tol=tol)
 
     def chain(stride: int) -> float:
         seg = traj.states[::stride]
@@ -127,66 +126,19 @@ def cyclic_phase_from_connection(traj: Trajectory, overlap_floor: float | None =
     return mod_two_pi(r1)
 
 
-def cyclic_geometric_phase(
-    traj: Trajectory,
-    schedule: HamiltonianSchedule,
-    hbar: float = 1.0,
-    cyclic_tol: float | None = None,
-    two_route_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
-) -> PhaseReport:
-    """Geometric phase of a cyclic trajectory (total + dynamical, mod 2 pi).
-
-    Cyclicity requires | |<psi(0)|psi(T)>| - 1 | <= cyclic_tol. The result is
-    cross-checked against the connection-route value; a disagreement beyond
-    two_route_tol raises, since it signals an under-resolved trajectory.
-    Pass two_route_tol=math.inf to record the gap without enforcing it.
-    """
-    c_tol = tol.cyclicity if cyclic_tol is None else cyclic_tol
-    r_tol = tol.two_route if two_route_tol is None else two_route_tol
-    ov = _endpoint_overlap(traj)
-    defect = abs(abs(ov) - 1.0)
-    if defect > c_tol:
-        raise NotCyclicError(
-            f"not cyclic at tolerance {c_tol:.3e}: | |overlap| - 1 | = {defect:.3e}"
-        )
-    total = float(np.angle(ov))
-    dyn = dynamical_phase(traj, schedule, hbar=hbar)
-    raw = total + dyn
-    geometric = mod_two_pi(raw)
-    direct = cyclic_phase_from_connection(traj, tol=tol)
-    gap = circular_distance(geometric, direct)
-    if gap > r_tol:
-        raise ValueError(
-            f"geometric-phase routes disagree by {gap:.3e} rad (allowed {r_tol:.3e}); "
-            f"decomposition gave {geometric:.9f}, connection route gave {direct:.9f}"
-        )
-    return PhaseReport(
-        total=total,
-        dynamical=dyn,
-        geometric=geometric,
-        geometric_raw=raw,
-        endpoint_overlap_modulus=min(abs(ov), 1.0),
-        cyclic=True,
-        cyclic_tol=c_tol,
-        route_agreement=gap,
-    )
-
-
 def noncyclic_geometric_phase(
     traj: Trajectory,
     schedule: HamiltonianSchedule,
     hbar: float = 1.0,
-    overlap_floor: float | None = None,
     tol: Tolerances = DEFAULT,
 ) -> PhaseReport:
     """Pancharatnam geometric phase for a not-necessarily-cyclic trajectory.
 
     arg<psi(0)|psi(T)> + dynamical, mod 2 pi; defined whenever the endpoint
-    overlap clears the floor. Coincides with the cyclic result when the
-    trajectory happens to be cyclic.
+    overlap clears tol.overlap_floor. On a cyclic trajectory it is the
+    Aharonov-Anandan phase, which cyclic_geometric_phase builds on.
     """
-    total = total_phase(traj, overlap_floor=overlap_floor, tol=tol)
+    total = total_phase(traj, tol=tol)
     ov = _endpoint_overlap(traj)
     dyn = dynamical_phase(traj, schedule, hbar=hbar)
     raw = total + dyn
@@ -199,3 +151,33 @@ def noncyclic_geometric_phase(
         cyclic=bool(abs(abs(ov) - 1.0) <= tol.cyclicity),
         cyclic_tol=tol.cyclicity,
     )
+
+
+def cyclic_geometric_phase(
+    traj: Trajectory,
+    schedule: HamiltonianSchedule,
+    hbar: float = 1.0,
+    tol: Tolerances = DEFAULT,
+) -> PhaseReport:
+    """Geometric phase of a cyclic trajectory (total + dynamical, mod 2 pi).
+
+    Cyclicity requires | |<psi(0)|psi(T)>| - 1 | <= tol.cyclicity; the phase
+    is then the noncyclic (Pancharatnam) one. It is cross-checked against the
+    connection-route value; a disagreement beyond tol.two_route raises, since
+    it signals an under-resolved trajectory. Pass
+    tol.replace(two_route=math.inf) to record the gap without enforcing it.
+    """
+    defect = abs(abs(_endpoint_overlap(traj)) - 1.0)
+    if defect > tol.cyclicity:
+        raise NotCyclicError(
+            f"not cyclic at tolerance {tol.cyclicity:.3e}: | |overlap| - 1 | = {defect:.3e}"
+        )
+    report = noncyclic_geometric_phase(traj, schedule, hbar=hbar, tol=tol)
+    direct = cyclic_phase_from_connection(traj, tol=tol)
+    gap = circular_distance(report.geometric, direct)
+    if gap > tol.two_route:
+        raise ValueError(
+            f"geometric-phase routes disagree by {gap:.3e} rad (allowed {tol.two_route:.3e}); "
+            f"decomposition gave {report.geometric:.9f}, connection route gave {direct:.9f}"
+        )
+    return replace(report, route_agreement=gap)

@@ -19,6 +19,7 @@ eta -> infinity. Everything else in the library is validated against this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,41 +126,26 @@ def tilt_identity_residual(params: ModelParams) -> float:
     return float(abs(lhs - rhs))
 
 
-def hamiltonian(params: ModelParams, t: float) -> np.ndarray:
-    """-mu hbar B n(t).sigma with n(t) on the cone of polar angle theta."""
-    st, ct = np.sin(params.theta), np.cos(params.theta)
-    phi = params.omega * t
-    scale = -params.mu * params.hbar * params.b_field
-    return scale * (st * np.cos(phi) * SIGMA_X + st * np.sin(phi) * SIGMA_Y + ct * SIGMA_Z)
+def hamiltonian(params: ModelParams, t) -> np.ndarray:
+    """-mu hbar B n(t).sigma with n(t) on the cone of polar angle theta.
 
-
-def _hamiltonian_many(params: ModelParams, ts: np.ndarray) -> np.ndarray:
+    A scalar t gives one (2, 2) matrix, an array of times a stack of shape
+    shape(t) + (2, 2).
+    """
     st, ct = np.sin(params.theta), np.cos(params.theta)
-    phi = params.omega * np.asarray(ts, dtype=float)
+    phi = params.omega * np.asarray(t, dtype=float)
     scale = -params.mu * params.hbar * params.b_field
-    out = np.empty((phi.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = scale * ct
-    out[:, 1, 1] = -scale * ct
-    out[:, 0, 1] = scale * st * np.exp(-1j * phi)
-    out[:, 1, 0] = scale * st * np.exp(1j * phi)
+    out = np.empty(phi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = scale * ct
+    out[..., 1, 1] = -scale * ct
+    out[..., 0, 1] = scale * st * np.exp(-1j * phi)
+    out[..., 1, 0] = scale * st * np.exp(1j * phi)
     return out
 
 
 def schedule(params: ModelParams) -> HamiltonianSchedule:
-    return HamiltonianSchedule(
-        evaluate=lambda t: hamiltonian(params, t),
-        evaluate_many=lambda ts: _hamiltonian_many(params, ts),
-        dim=2,
-        metadata={
-            "model": "rotating-spin-half",
-            "mu": params.mu,
-            "b_field": params.b_field,
-            "omega": params.omega,
-            "theta": params.theta,
-            "hbar": params.hbar,
-            "eta": params.eta,
-        },
-    )
+    h = partial(hamiltonian, params)
+    return HamiltonianSchedule(evaluate=h, evaluate_many=h, dim=2)
 
 
 def _basis_vector(theta: float, alpha: float, omega: float, branch: int, t) -> np.ndarray:
@@ -267,22 +253,18 @@ def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: in
     return _SECULAR_ERROR_CALIBRATION * lead * total_t * dt**2 / 24.0
 
 
-# Largest step count of a propagation grid, for the sweep's step refinement
-# and for configured runs alike.
+# Fewest and most steps of a propagation grid, for the sweep's step
+# refinement and for configured runs alike.
+_MIN_STEPS = 16
 _MAX_STEPS = 1 << 21
 
 
-def steps_for_phase_tolerance(
-    params: ModelParams,
-    phase_tol: float,
-    n_periods: int = 1,
-    min_steps: int = 16,
-    max_steps: int = _MAX_STEPS,
-) -> int:
-    """Smallest even step count whose estimated phase error stays below phase_tol."""
+def steps_for_phase_tolerance(params: ModelParams, phase_tol: float, n_periods: int = 1) -> int:
+    """Smallest even step count in [_MIN_STEPS, _MAX_STEPS] whose estimated
+    phase error stays below phase_tol."""
     if phase_tol <= 0:
         raise ValueError(f"phase_tol must be positive, got {phase_tol}")
     coeff = midpoint_phase_error_estimate(params, steps=1, n_periods=n_periods)
-    needed = int(np.ceil(np.sqrt(coeff / phase_tol))) if coeff > 0 else min_steps
+    needed = int(np.ceil(np.sqrt(coeff / phase_tol))) if coeff > 0 else _MIN_STEPS
     needed += needed % 2
-    return int(np.clip(needed, min_steps, max_steps))
+    return int(np.clip(needed, _MIN_STEPS, _MAX_STEPS))

@@ -85,10 +85,10 @@ def _solve(
     each branch's cyclic phase.
 
     `base_steps` is rounded up to even and is a floor; when
-    `deviation_target` is given the step count is raised until the estimated
-    integrator phase error sits a factor 3 below the target. The two-route
-    consistency check is widened to the same estimate, since both effects
-    share the secular error.
+    `deviation_target` is given (sweep rows pass tol.sweep_deviation) the step
+    count is raised until the estimated integrator phase error sits a factor
+    3 below the target. The two-route consistency check is widened to the
+    same estimate, since both effects share the secular error.
     """
     steps = base_steps + (base_steps % 2)
     if deviation_target is not None:
@@ -96,11 +96,11 @@ def _solve(
     sched = spin_model.schedule(params)
     grid = TimeGrid(t_end=n_periods * params.period, steps=steps)
     err_estimate = spin_model.midpoint_phase_error_estimate(params, steps, n_periods)
-    route_tol = max(tol.two_route, 6.0 * err_estimate)
+    route_tol = tol.replace(two_route=max(tol.two_route, 6.0 * err_estimate))
     psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
     trajs = propagate(sched, psi0, grid, hbar=params.hbar, tol=tol)
     reports = [
-        cyclic_geometric_phase(traj, sched, hbar=params.hbar, two_route_tol=route_tol, tol=tol)
+        cyclic_geometric_phase(traj, sched, hbar=params.hbar, tol=route_tol)
         for traj in trajs
     ]
     return trajs, reports
@@ -114,25 +114,23 @@ def run_point(
     hbar: float = 1.0,
     base_steps: int = 4096,
     n_periods: int = 1,
-    deviation_target: float | None = None,
     tol: Tolerances = DEFAULT,
 ) -> SweepRow:
     """One sweep row: propagate both branches at eta and compare to the closed form.
 
     Both branches are propagated as one block through the same step
-    unitaries. `base_steps` is a floor; when `deviation_target` is given the
-    step count is refined against it, and a row whose measured deviation
-    still exceeds the target (the estimate was optimistic, or the step count
-    hit its cap) gets status `over_target`.
+    unitaries. `base_steps` is a floor; the step count is refined against
+    tol.sweep_deviation, and a row whose measured deviation still exceeds it
+    (the estimate was optimistic, or the step count hit its cap) gets status
+    `over_target`.
     """
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
-    trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, deviation_target, tol)
+    trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, tol.sweep_deviation, tol)
     exact_traj = spin_model.exact_trajectory(params, +1, trajs.grid)
     endpoint_fid = float(abs(np.vdot(exact_traj.states[-1], trajs[0].states[-1])) ** 2)
 
     exact_plus = spin_model.geometric_phase_exact(params, +1, n_periods)
     deviation = circular_distance(reports[0].geometric, exact_plus)
-    over = deviation_target is not None and deviation > deviation_target
     return SweepRow(
         eta=eta,
         theta=theta,
@@ -144,7 +142,7 @@ def run_point(
         deviation_from_exact=deviation,
         endpoint_fidelity=endpoint_fid,
         steps_used=trajs.grid.steps,
-        status="over_target" if over else "ok",
+        status="over_target" if deviation > tol.sweep_deviation else "ok",
     )
 
 
@@ -166,7 +164,6 @@ def run_sweep(
     hbar: float = 1.0,
     base_steps: int = 4096,
     n_periods: int = 1,
-    deviation_target: float | None = None,
     tol: Tolerances = DEFAULT,
 ) -> list[SweepRow]:
     """Independent rows, ascending in eta. Row failures land in `status`.
@@ -174,8 +171,6 @@ def run_sweep(
     A row that raises ValueError (every library error) or ArithmeticError
     becomes an `error:` row; any other exception is a bug and propagates.
     """
-    if deviation_target is None:
-        deviation_target = tol.sweep_deviation
     rows = []
     for eta in sorted(float(e) for e in np.asarray(etas)):
         try:
@@ -188,7 +183,6 @@ def run_sweep(
                     hbar=hbar,
                     base_steps=base_steps,
                     n_periods=n_periods,
-                    deviation_target=deviation_target,
                     tol=tol,
                 )
             )

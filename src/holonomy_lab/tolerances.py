@@ -20,7 +20,6 @@ class Tolerances:
     normalized_state: float = 1e-12   # | ||psi|| - 1 |
     orthonormality: float = 1e-10     # frame Gram defect at grid nodes
     connection_drift: float = 1e-9    # imaginary part of <v| i dv/dt>
-    heff_hermiticity: float = 1e-9    # vs matrix scale
     norm_preservation: float = 1e-10  # trajectory norm drift
     cyclicity: float = 1e-8           # | |<psi(0)|psi(T)>| - 1 |
     overlap_floor: float = 1e-6       # endpoint overlap below this: no Pancharatnam phase

@@ -87,7 +87,7 @@ def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int 
     """Adiabatic regime reproduces the adiabatic-loop value pi (1 + cos theta)."""
     theta = np.pi / 3
     _, sched, _, traj = _run_model(theta, 1e-3, 8192)
-    report = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf, tol=tol)
+    report = cyclic_geometric_phase(traj, sched, tol=tol.replace(two_route=math.inf))
     dist = circular_distance(report.geometric, spin_model.berry_limit_phase(theta, +1))
     return CheckResult("berry_limit", dist <= 5e-3, dist, 5e-3, "theta=pi/3, eta=1e-3, steps=8192")
 
@@ -95,7 +95,7 @@ def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int 
 def check_trivial_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Fast-rotation regime gives a trivial geometric phase (0 mod 2 pi)."""
     _, sched, _, traj = _run_model(np.pi / 3, 1e3, 8192)
-    report = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf, tol=tol)
+    report = cyclic_geometric_phase(traj, sched, tol=tol.replace(two_route=math.inf))
     dist = circular_distance(report.geometric, 0.0)
     return CheckResult("trivial_limit", dist <= 1e-4, dist, 1e-4, "theta=pi/3, eta=1e3, steps=8192")
 
@@ -107,8 +107,7 @@ def check_sweep_triviality(tol: Tolerances = DEFAULT, quick: bool = False, seed:
 
     points = 40 if quick else 200
     theta = np.pi / 3
-    rows = run_sweep(theta, eta_grid(1e-3, 1e3, points), base_steps=4096,
-                     deviation_target=tol.sweep_deviation, tol=tol)
+    rows = run_sweep(theta, eta_grid(1e-3, 1e3, points), base_steps=4096, tol=tol)
     problems = []
     bad_rows = [r for r in rows if r.status != "ok"]
     if bad_rows:
@@ -190,13 +189,12 @@ def check_gauge_invariance(tol: Tolerances = DEFAULT, quick: bool = False, seed:
     sched = spin_model.schedule(params)
     grid = TimeGrid(t_end=params.period, steps=2048)
     psi0 = spin_model.exact_solution(params, +1, 0.0)
-    base = cyclic_geometric_phase(propagate(sched, psi0, grid), sched,
-                                  two_route_tol=math.inf, tol=tol)
+    record_gap = tol.replace(two_route=math.inf)
+    base = cyclic_geometric_phase(propagate(sched, psi0, grid), sched, tol=record_gap)
     for _ in range(3):
         c = rng.uniform(-np.pi, np.pi)
         shifted = cyclic_geometric_phase(
-            propagate(sched, np.exp(1j * c) * psi0, grid), sched,
-            two_route_tol=math.inf, tol=tol,
+            propagate(sched, np.exp(1j * c) * psi0, grid), sched, tol=record_gap
         )
         worst = max(
             worst,
@@ -260,7 +258,7 @@ def check_two_route(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 
             params = spin_model.ModelParams.from_eta(theta=theta, eta=eta)
             steps = max(4096, spin_model.steps_for_phase_tolerance(params, tol.two_route / 3.0))
             _, sched, _, traj = _run_model(theta, eta, steps)
-            report = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf, tol=tol)
+            report = cyclic_geometric_phase(traj, sched, tol=tol.replace(two_route=math.inf))
             worst = max(worst, report.route_agreement)
     return CheckResult("two_route_agreement", worst <= tol.two_route, worst, tol.two_route,
                        f"{len(thetas) * len(etas)} grid points, adaptive steps")

@@ -30,7 +30,6 @@ def test_grid_validation():
         TimeGrid(t_end=-1.0, steps=4)
     grid = TimeGrid(t_end=2.0, steps=8)
     assert grid.dt == 0.25
-    assert grid.t_start == 0.0
     assert grid.nodes().shape == (9,)
     assert grid.midpoints()[0] == pytest.approx(0.125)
 
@@ -197,7 +196,7 @@ def test_block_matches_single_state_calls_on_random_schedule(rng, monkeypatch, s
 
 def test_block_rows_may_be_strided(rng):
     sched = random_periodic_schedule(rng, 4)
-    psis = np.linalg.eigh(sched(0.0))[1].T  # rows are eigenvector columns
+    psis = np.linalg.eigh(sched.evaluate(0.0))[1].T  # rows are eigenvector columns
     assert not psis[0].flags.contiguous
     assert_block_equals_single_calls(sched, psis, TimeGrid(t_end=1.0, steps=32))
 

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonomy_lab import spin_model
 from holonomy_lab.errors import NotCyclicError, OrthogonalEndpointsError
@@ -17,6 +19,7 @@ from holonomy_lab.phases import (
     total_phase,
 )
 from holonomy_lab.spin_model import SIGMA_Z
+from holonomy_lab.tolerances import DEFAULT
 
 # Half-period Pancharatnam phase of the + branch at theta=pi/3, eta=1,
 # frozen from an independent dense-grid oracle (closed-form states sampled on
@@ -134,7 +137,7 @@ def test_cyclic_phase_static_eigenstate_vanishes():
 @pytest.mark.parametrize("branch", [+1, -1])
 def test_cyclic_phase_of_model_both_branches(branch):
     params, sched, _, traj = model_run(branch=branch)
-    report = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf)
+    report = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=math.inf))
     delta = params.theta - spin_model.tilt_angle(params).alpha
     expected = mod_two_pi(np.pi * (1 + branch * np.cos(delta)))
     assert circular_distance(report.geometric, expected) <= 1e-5
@@ -145,11 +148,11 @@ def test_cyclic_phase_of_model_both_branches(branch):
 
 def test_cyclic_phase_invariant_under_constant_ray_phase():
     params, sched, grid, traj = model_run(steps=2048)
-    base = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf)
+    base = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=math.inf))
     shifted_traj = propagate(
         sched, np.exp(1j * 0.9) * spin_model.exact_solution(params, +1, 0.0), grid
     )
-    shifted = cyclic_geometric_phase(shifted_traj, sched, two_route_tol=math.inf)
+    shifted = cyclic_geometric_phase(shifted_traj, sched, tol=DEFAULT.replace(two_route=math.inf))
     assert circular_distance(shifted.geometric, base.geometric) <= 1e-10
     assert circular_distance(shifted.total, base.total) <= 1e-10
     assert abs(shifted.dynamical - base.dynamical) <= 1e-10
@@ -165,12 +168,12 @@ def test_cyclic_rejects_half_period():
 
 def test_two_routes_agree_on_well_resolved_run():
     params, sched, _, traj = model_run(steps=8192, eta=1.0)
-    report = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf)
+    report = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=math.inf))
     direct = cyclic_phase_from_connection(traj)
     assert circular_distance(report.geometric, direct) == pytest.approx(report.route_agreement)
     assert report.route_agreement <= 4e-8  # secular error at 8192 steps, well under 2pi*1e-8 at 16k
     # enforcing path: the check passes at the matching tolerance
-    cyclic_geometric_phase(traj, sched, two_route_tol=1e-7)
+    cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=1e-7))
 
 
 def test_route_mismatch_raises_on_coarse_run():
@@ -178,15 +181,45 @@ def test_route_mismatch_raises_on_coarse_run():
     # integrator's secular error, far above the demanded agreement
     params, sched, _, traj = model_run(steps=256, eta=1.0)
     with pytest.raises(ValueError, match="routes disagree"):
-        cyclic_geometric_phase(traj, sched, two_route_tol=1e-12)
+        cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=1e-12))
 
 
 def test_noncyclic_matches_cyclic_on_cyclic_input():
     _, sched, _, traj = model_run(steps=2048)
-    cyc = cyclic_geometric_phase(traj, sched, two_route_tol=math.inf)
+    cyc = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=math.inf))
     non = noncyclic_geometric_phase(traj, sched)
     assert abs(non.geometric - cyc.geometric) <= 1e-10
     assert non.cyclic
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), ray=st.floats(-np.pi, np.pi))
+def test_cyclic_is_noncyclic_on_random_cyclic_trajectories(dim, seed, ray):
+    # H(t) = H0 + H1 cos t + H2 sin t; an eigenvector of the one-period
+    # propagator U(T) starts a cyclic trajectory
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    h0, h1, h2 = (a + a.conj().swapaxes(-1, -2)) / (2 * np.sqrt(dim))
+
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        return h0 + h1 * np.cos(ts) + h2 * np.sin(ts)
+
+    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
+    grid = TimeGrid(t_end=2 * np.pi, steps=128)
+    u_end = np.stack([traj.states[-1] for traj in propagate(sched, np.eye(dim), grid)], axis=1)
+    psi0 = np.linalg.eig(u_end)[1][:, 0]
+    record_gap = DEFAULT.replace(two_route=math.inf)
+    reports = []
+    for c in (0.0, ray):
+        traj = propagate(sched, np.exp(1j * c) * psi0, grid)
+        cyc = cyclic_geometric_phase(traj, sched, tol=record_gap)
+        assert replace(cyc, route_agreement=None) == noncyclic_geometric_phase(traj, sched)
+        reports.append(cyc)
+    base, shifted = reports
+    assert circular_distance(shifted.geometric, base.geometric) <= 1e-10
+    assert circular_distance(shifted.total, base.total) <= 1e-10
+    assert abs(shifted.dynamical - base.dynamical) <= 1e-10
 
 
 def test_noncyclic_short_duration_limit():

@@ -5,6 +5,7 @@ from holonomy_lab import spin_model
 from holonomy_lab.evolution import TimeGrid, fidelity, propagate
 from holonomy_lab.phases import circular_distance
 from holonomy_lab.spin_model import SIGMA_X, SIGMA_Z, ModelParams
+from holonomy_lab.tolerances import DEFAULT
 
 
 def test_params_validation():
@@ -39,8 +40,9 @@ def test_hamiltonian_trace_det_and_batch():
     scale = p.mu * p.hbar * p.b_field
     ts = np.linspace(0.0, p.period, 7)
     batch = spin_model.schedule(p).sample(ts)
+    assert np.array_equal(batch, spin_model.hamiltonian(p, ts))  # array t: one stacked call
     for t, h in zip(ts, batch):
-        assert np.allclose(h, spin_model.hamiltonian(p, t), atol=1e-15)
+        assert np.array_equal(h, spin_model.hamiltonian(p, t))
         assert np.trace(h) == pytest.approx(0.0, abs=1e-15)
         assert np.linalg.det(h) == pytest.approx(-(scale**2), rel=1e-12)
         evals = np.linalg.eigvalsh(h)
@@ -209,7 +211,7 @@ def test_propagation_reproduces_exact_phase_at_sample_points():
         sched = spin_model.schedule(p)
         for branch in (+1, -1):
             traj = propagate(sched, spin_model.exact_solution(p, branch, 0.0), grid)
-            report = cyclic_geometric_phase(traj, sched, two_route_tol=np.inf)
+            report = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=np.inf))
             assert circular_distance(report.geometric, spin_model.geometric_phase_exact(p, branch)) <= 1e-6
             assert fidelity(traj, spin_model.exact_trajectory(p, branch, grid)) >= 1 - 1e-8
 
@@ -223,7 +225,7 @@ def test_step_heuristic_tracks_measured_error():
         grid = TimeGrid(t_end=p.period, steps=steps)
         sched = spin_model.schedule(p)
         traj = propagate(sched, spin_model.exact_solution(p, +1, 0.0), grid)
-        report = cyclic_geometric_phase(traj, sched, two_route_tol=np.inf)
+        report = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=np.inf))
         measured = circular_distance(report.geometric, spin_model.geometric_phase_exact(p, +1))
         estimate = spin_model.midpoint_phase_error_estimate(p, steps)
         assert measured <= estimate

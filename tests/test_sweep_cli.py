@@ -116,6 +116,8 @@ def test_config_bounds():
         ({"hbar": float("inf")}, "hbar"),
         ({"eta": float("inf")}, "eta"),
         ({"eta": None, "omega": float("inf")}, "omega"),
+        ({"sweep.eta_min": 1e-3, "sweep.eta_max": float("inf"), "sweep.points": 4}, "sweep.eta_max"),
+        ({"eta": None, "omega": 1e308, "mu": 1e-10}, "eta = omega"),
     ],
 )
 def test_config_rejects_unbounded_values(mapping, match):
@@ -149,7 +151,7 @@ def test_cli_override_precedence():
 
 
 def test_run_point_matches_exact():
-    row = run_point(np.pi / 3, 1.0, base_steps=1024, deviation_target=1e-5)
+    row = run_point(np.pi / 3, 1.0, base_steps=1024)
     assert row.status == "ok"
     assert row.deviation_from_exact <= 1e-5
     assert row.endpoint_fidelity >= 1 - 1e-8
@@ -159,14 +161,14 @@ def test_run_point_matches_exact():
 
 
 def test_run_point_raises_steps_in_adiabatic_regime():
-    row = run_point(np.pi / 3, 1e-3, base_steps=4096, deviation_target=1e-5)
+    row = run_point(np.pi / 3, 1e-3, base_steps=4096)
     assert row.steps_used > 4096
     assert row.deviation_from_exact <= 1e-5
 
 
 @pytest.mark.parametrize("n_periods", [2, 3])
 def test_run_point_multiple_periods_matches_exact(n_periods):
-    row = run_point(np.pi / 3, 0.5, base_steps=1024, n_periods=n_periods, deviation_target=1e-5)
+    row = run_point(np.pi / 3, 0.5, base_steps=1024, n_periods=n_periods)
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=0.5)
     assert row.geom_phase_exact_plus == spin_model.geometric_phase_exact(params, +1, n_periods)
     assert row.deviation_from_exact <= 1e-5
@@ -176,10 +178,9 @@ def test_run_point_multiple_periods_matches_exact(n_periods):
 def test_row_over_deviation_target_is_flagged(monkeypatch):
     # a step model that asks for too few steps (as at its cap) must not yield an ok row
     monkeypatch.setattr(spin_model, "steps_for_phase_tolerance", lambda *args, **kwargs: 16)
-    row = run_point(np.pi / 3, 1.0, base_steps=256, deviation_target=1e-5)
+    row = run_point(np.pi / 3, 1.0, base_steps=256)
     assert row.deviation_from_exact > 1e-5
     assert row.status == "over_target"
-    assert run_point(np.pi / 3, 1.0, base_steps=256).status == "ok"  # no target, nothing to miss
 
 
 def test_sweep_csv_bytes_are_pinned():
@@ -204,7 +205,7 @@ def test_sweep_rows_sorted_and_isolated():
     assert all(r.status == "ok" for r in rows)
     # rows share no state: each equals an independent single-point run
     for row in rows:
-        assert row == run_point(np.pi / 3, row.eta, base_steps=512, deviation_target=1e-5)
+        assert row == run_point(np.pi / 3, row.eta, base_steps=512)
 
 
 def test_sweep_survives_bad_row():
@@ -335,23 +336,27 @@ def test_cli_bad_config_key_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config_text",
+    "command, config_text",
     [
-        "theta = 5\neta = 1.0\n",
-        "theta = 1.0\neta = -1\n",
-        "theta = 1.0\neta = 1.0\nsteps = x\n",
-        "theta = 1.0\neta = 1.0\ntol.cyclicity = x\n",
-        "theta = 1.0\neta = 1.0\nsteps = 1e12\n",
-        "theta = 1.0\neta = 1.0\ntol.cyclicity = -1\n",
-        "theta = 1.0\neta = inf\n",
+        ("evolve", "theta = 5\neta = 1.0\n"),
+        ("evolve", "theta = 1.0\neta = -1\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\nsteps = x\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\ntol.cyclicity = x\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\nsteps = 1e12\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\ntol.cyclicity = -1\n"),
+        ("evolve", "theta = 1.0\neta = inf\n"),
+        ("evolve", "theta = 1.0\nomega = 1e308\nmu = 1e-10\n"),
+        ("sweep", "theta = 1.0\nsweep.eta_min = 1e-3\nsweep.eta_max = inf\nsweep.points = 4\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\ntol.heff_hermiticity = 1\n"),
     ],
     ids=[
         "theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number",
-        "steps-over-cap", "negative-tolerance", "infinite-eta",
+        "steps-over-cap", "negative-tolerance", "infinite-eta", "overflowing-eta",
+        "infinite-sweep-bound", "removed-tolerance",
     ],
 )
-def test_cli_bad_config_value_is_usage_error(tmp_path, config_text):
-    res = run_cli("evolve", "--quiet", config_text=config_text, tmp_path=tmp_path)
+def test_cli_bad_config_value_is_usage_error(tmp_path, command, config_text):
+    res = run_cli(command, "--quiet", config_text=config_text, tmp_path=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
 
