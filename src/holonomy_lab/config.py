@@ -88,6 +88,15 @@ class RunConfig:
                 raise ConfigError(
                     f"eta = omega / (2 mu b_field) must be positive and finite, got {eta}"
                 )
+        etas = {"eta": self.eta}
+        if self.sweep is not None:
+            etas.update({"sweep.eta_min": self.sweep.eta_min, "sweep.eta_max": self.sweep.eta_max})
+        for name, eta in etas.items():
+            if eta is None:
+                continue
+            omega = 2.0 * self.mu * self.b_field * eta  # as spin_model.ModelParams.from_eta has it
+            if not 0 < omega < math.inf:
+                raise ConfigError(f"omega = 2 mu b_field {name} must be positive and finite, got {omega}")
 
     def require_single_point(self) -> float:
         """The eta of a single-point run; exactly one of omega/eta must be set."""

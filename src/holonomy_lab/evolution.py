@@ -110,27 +110,36 @@ class TrajectoryBlock(tuple):
         return self[0].dim
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of square matrices; at dim 2 the four entries are
+    formed elementwise, which avoids matmul's per-matrix overhead."""
+    if a.shape[-1] != 2:
+        return np.matmul(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
 def _prefix_products(u: np.ndarray) -> np.ndarray:
     """p[k] = u[k] @ u[k-1] @ ... @ u[0], for a stack of square matrices.
 
-    Work-efficient recursive scan (about 2n batched matmuls) instead of a
+    Work-efficient recursive scan (about 2n batched products) instead of a
     Python loop. The balanced re-association keeps unitary round-off growth
     logarithmic in the step count.
     """
     n = u.shape[0]
-    if n <= 2:
-        out = u.copy()
-        if n == 2:
-            out[1] = u[1] @ u[0]
-        return out
+    if n <= 1:
+        return u.copy()
     m = n // 2
-    scanned = _prefix_products(np.matmul(u[1 : 2 * m : 2], u[0 : 2 * m : 2]))
+    scanned = _prefix_products(_matmul(u[1 : 2 * m : 2], u[0 : 2 * m : 2]))
     out = np.empty_like(u)
     out[0] = u[0]
     out[1 : 2 * m : 2] = scanned
-    out[2 : 2 * m : 2] = np.matmul(u[2 : 2 * m : 2], scanned[:-1])
+    out[2 : 2 * m : 2] = _matmul(u[2 : 2 * m : 2], scanned[:-1])
     if n % 2:
-        out[-1] = u[-1] @ scanned[-1]
+        out[-1:] = _matmul(u[-1:], scanned[-1:])
     return out
 
 
@@ -154,7 +163,7 @@ def propagate(
     row exactly. Global error is O(dt^2) against the exact flow; each step is
     exactly unitary, so the norm is preserved to round-off. Raises
     NonHermitianError naming the offending midpoint if the schedule is not
-    Hermitian there.
+    Hermitian or not finite there.
     """
     psis = np.asarray(psi0, dtype=complex)
     if psis.ndim not in (1, 2) or psis.size == 0:

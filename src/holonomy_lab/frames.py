@@ -257,9 +257,9 @@ def eff_hamiltonian_matrix(
     """Effective Hamiltonian over the frame: <v_n|H(t)|v_m> - <v_n| i hbar d/dt |v_m>.
 
     `hamiltonian` may be a schedule object (anything with .evaluate), a
-    callable t -> matrix, or a static matrix. Hermitian input is required;
-    the output is Hermitian whenever the frame is orthonormal and its
-    derivatives are consistent.
+    callable t -> matrix, or a static matrix. Finite Hermitian input is
+    required (NonHermitianError names t otherwise); the output is Hermitian
+    whenever the frame is orthonormal and its derivatives are consistent.
     """
     if hasattr(hamiltonian, "evaluate"):
         h_t = hamiltonian.evaluate(t)
@@ -267,8 +267,10 @@ def eff_hamiltonian_matrix(
         h_t = hamiltonian(t)
     else:
         h_t = hamiltonian
-    h_t = as_operator(h_t, dim=frame.dim, tol=tol)
+    h_t = np.asarray(h_t, dtype=complex)
+    # screened before as_operator's finiteness check, so a non-finite H names t
     _require_hermitian(h_t[None], tol, times=[t])
+    h_t = as_operator(h_t, dim=frame.dim, tol=tol)
     vecs = np.stack([frame.value(n, t) for n in range(frame.count)])
     derivs = np.stack([frame.derivative(n, t) for n in range(frame.count)])
     return vecs.conj() @ h_t @ vecs.T - 1j * hbar * (vecs.conj() @ derivs.T)

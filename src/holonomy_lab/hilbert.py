@@ -87,14 +87,22 @@ def unitarity_defect(u) -> float:
 
 
 def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
-    """Raise NonHermitianError on the first matrix of a (k, dim, dim) stack with
-    max|H - H^H| > tol.hermiticity * max(1, max|H|), naming times[k] when given."""
-    defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-    allowed = tol.hermiticity * np.maximum(1.0, np.max(np.abs(hams), axis=(-2, -1), initial=0.0))
-    bad = np.flatnonzero(defects > allowed)
+    """Raise NonHermitianError on the first matrix of a (k, dim, dim) stack that
+    has a non-finite entry or max|H - H^H| > tol.hermiticity * max(1, max|H|),
+    naming times[k] when given."""
+    if hams.ndim != 3 or hams.shape[1] != hams.shape[2]:
+        raise DimensionMismatchError(f"Hamiltonians must be square, got shape {hams.shape[1:]}")
+    scale = np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf; the finiteness test below reports it
+        defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    allowed = tol.hermiticity * np.maximum(1.0, scale)
+    # NaN fails every comparison, so finiteness is tested on its own
+    bad = np.flatnonzero(~np.isfinite(scale) | (defects > allowed))
     if bad.size:
         k = int(bad[0])
         where = "" if times is None else f" at t = {float(times[k])!r}"
+        if not np.isfinite(scale[k]):
+            raise NonHermitianError(f"Hamiltonian not finite{where}: max|H| = {scale[k]}")
         raise NonHermitianError(
             f"Hamiltonian not Hermitian{where}: max|H - H^H| = {defects[k]:.3e} "
             f"(allowed {allowed[k]:.3e})"
@@ -102,17 +110,43 @@ def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
 
 
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack, via eigh."""
-    evals, evecs = np.linalg.eigh(hams)
-    phases = np.exp(-1j * evals * (dt / hbar))
-    return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
+    """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack.
+
+    Like eigh, both branches read only the lower triangle and the real
+    diagonal. At dim 2 the closed form of H = h0 I + h.sigma is
+    exp(-i h0 tau) [cos(r tau) I - i (sin(r tau) / r) h.sigma] with r = |h|
+    and tau = dt / hbar, elementwise over the stack; other dims go through
+    eigh.
+    """
+    if hams.shape[-2:] != (2, 2):
+        evals, evecs = np.linalg.eigh(hams)
+        phases = np.exp(-1j * evals * (dt / hbar))
+        return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
+    tau = dt / hbar
+    h00, h11, h10 = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
+    hz = 0.5 * (h00 - h11)
+    r = np.hypot(hz, np.abs(h10))
+    r_tau = r * tau
+    # sin(r tau) / r, which is tau where r tau is 0
+    sinc = np.full_like(r, tau)
+    np.divide(np.sin(r_tau), r, out=sinc, where=r_tau != 0.0)
+    phase = np.exp(-0.5j * tau * (h00 + h11))
+    diag = phase * np.cos(r_tau)
+    rot = -1j * sinc * phase
+    out = np.empty(hams.shape, dtype=complex)
+    out[..., 0, 0] = diag + rot * hz
+    out[..., 1, 1] = diag - rot * hz
+    out[..., 1, 0] = rot * h10
+    out[..., 0, 1] = rot * h10.conj()
+    return out
 
 
 def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Unitary exp(-i H dt / hbar) of a Hermitian H, via eigendecomposition.
+    """Unitary exp(-i H dt / hbar) of a finite Hermitian H.
 
-    The eigendecomposition route keeps the result unitary to round-off, which
-    matters more than speed for phase extraction at these dimensions.
+    Dim 2 takes the closed-form SU(2) exponential, other dims the
+    eigendecomposition (see _step_unitaries). Both keep the result unitary to
+    round-off, which phase extraction needs.
     """
     hams = as_operator(h, tol=tol)[None]
     if not np.isfinite(dt):

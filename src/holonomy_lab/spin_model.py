@@ -138,8 +138,9 @@ def hamiltonian(params: ModelParams, t) -> np.ndarray:
     out = np.empty(phi.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = scale * ct
     out[..., 1, 1] = -scale * ct
-    out[..., 0, 1] = scale * st * np.exp(-1j * phi)
-    out[..., 1, 0] = scale * st * np.exp(1j * phi)
+    lower = scale * st * np.exp(1j * phi)
+    out[..., 1, 0] = lower
+    out[..., 0, 1] = lower.conj()
     return out
 
 

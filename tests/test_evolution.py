@@ -16,6 +16,7 @@ from holonomy_lab.evolution import (
 )
 from holonomy_lab.frames import gauge_transform, linear_gauge
 from holonomy_lab.spin_model import SIGMA_Z
+from holonomy_lab.tolerances import DEFAULT
 
 
 def static_schedule(h):
@@ -64,6 +65,22 @@ def test_propagate_aborts_on_non_hermitian_with_offending_time():
         propagate(bad, np.array([1.0, 0.0]), grid)
 
 
+@pytest.mark.parametrize(
+    "dim, entry, value",
+    [(2, (0, 0), np.nan), (2, (1, 0), np.inf), (2, (0, 1), complex(0.0, -np.inf)), (3, (2, 2), np.nan)],
+    ids=["nan-diagonal", "inf-lower", "inf-upper", "nan-dim3"],
+)
+def test_propagate_rejects_non_finite_hamiltonian(dim, entry, value):
+    # NaN fails every comparison, so a screen built on comparisons alone lets it through
+    good = np.diag(np.arange(1.0, dim + 1)).astype(complex)
+    bad = good.copy()
+    bad[entry] = value
+    sched = HamiltonianSchedule(evaluate=lambda t: good if t < 0.5 else bad, dim=dim)
+    psi0 = np.eye(dim)[0]
+    with pytest.raises(NonHermitianError, match=r"not finite at t = 0\.53125:"):
+        propagate(sched, psi0, TimeGrid(t_end=1.0, steps=16))
+
+
 def test_propagated_matches_exact_solution():
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
     grid = TimeGrid(t_end=params.period, steps=4096)
@@ -75,9 +92,10 @@ def test_propagated_matches_exact_solution():
 
 def test_norm_preserved_over_many_steps():
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
-    grid = TimeGrid(t_end=params.period, steps=10000)
-    traj = propagate(spin_model.schedule(params), spin_model.exact_solution(params, +1, 0.0), grid)
-    assert traj.norm_drift() <= 1e-10
+    for steps in (10000, 1 << 20):
+        grid = TimeGrid(t_end=params.period, steps=steps)
+        traj = propagate(spin_model.schedule(params), spin_model.exact_solution(params, +1, 0.0), grid)
+        assert traj.norm_drift() <= DEFAULT.norm_preservation
 
 
 def test_second_order_convergence():
@@ -155,6 +173,27 @@ def test_expand_dimension_mismatch():
     frame = MovingFrame(dim=3, count=3, value_fn=lambda n, t: vecs[n])
     with pytest.raises(DimensionMismatchError):
         expand_in_frame(traj, frame)
+
+
+def random_unitaries(rng, n, dim):
+    return np.linalg.qr(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))[0]
+
+
+def test_dim2_product_matches_matmul(rng):
+    a, b = random_unitaries(rng, 1000, 2), random_unitaries(rng, 1000, 2)
+    assert np.max(np.abs(evolution._matmul(a, b) - np.matmul(a, b))) <= 1e-15
+    a, b = random_unitaries(rng, 10, 3), random_unitaries(rng, 10, 3)
+    assert np.array_equal(evolution._matmul(a, b), np.matmul(a, b))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_prefix_products_match_sequential_products(rng, dim):
+    for n in (1, 2, 3, 7, 100):
+        u = random_unitaries(rng, n, dim)
+        expected = [u[0]]
+        for k in range(1, n):
+            expected.append(u[k] @ expected[-1])
+        assert np.max(np.abs(evolution._prefix_products(u) - expected)) <= 1e-13
 
 
 # --- block propagation --------------------------------------------------------

@@ -236,6 +236,9 @@ def test_heff_rejects_non_hermitian_hamiltonian():
     frame = spin_model.tilted_frame(PARAMS)
     with pytest.raises(NonHermitianError):
         eff_hamiltonian_matrix(frame, np.array([[0, 1], [0, 0]], dtype=complex), 0.0)
+    for value in (np.nan, np.inf):
+        with pytest.raises(NonHermitianError, match=r"not finite at t = 0\.25:"):
+            eff_hamiltonian_matrix(frame, lambda t: np.diag([value, 1.0]), 0.25)
 
 
 def test_heff_gauge_covariance():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holonomy_lab import hilbert
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
 from holonomy_lab.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def random_hermitian(rng, dim):
@@ -60,6 +64,32 @@ def test_expi_rejects_non_hermitian():
 def test_expi_rejects_non_finite_dt():
     with pytest.raises(ValueError):
         hilbert.expi_hermitian(SIGMA_Z, dt=np.inf)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    coeffs=arrays(np.float64, (6, 4), elements=st.floats(-1.0, 1.0)),
+    kind=st.sampled_from(["general", "diagonal", "scalar"]),
+    log_scale=st.floats(-3.0, 3.0),
+    log_norm_tau=st.floats(-6.0, 3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    hbar=st.floats(0.1, 10.0),
+)
+def test_dim2_step_unitaries_match_eigh(coeffs, kind, log_scale, log_norm_tau, sign, hbar):
+    # H = h0 I + h.sigma; diagonal means hx = hy = 0, scalar means H = h0 I (r = 0)
+    if kind != "general":
+        coeffs[:, 1:3] = 0.0
+    if kind == "scalar":
+        coeffs[:, 3] = 0.0
+    hams = 10.0**log_scale * np.einsum("ka,aij->kij", coeffs, PAULI)
+    norms = np.linalg.norm(hams, ord=2, axis=(-2, -1))
+    dt = sign * hbar * 10.0**log_norm_tau / (norms.max() or 1.0)  # max ||H|| |tau| up to 1e3
+    u = hilbert._step_unitaries(hams, dt, hbar)
+    tau = dt / hbar
+    evals, evecs = np.linalg.eigh(hams)
+    expected = evecs @ (np.exp(-1j * evals * tau)[:, :, None] * evecs.conj().swapaxes(-1, -2))
+    errors = np.max(np.abs(u - expected), axis=(-2, -1))
+    assert np.all(errors <= 1e-14 * np.maximum(1.0, norms * abs(tau)))
 
 
 def test_hermiticity_defect_examples():

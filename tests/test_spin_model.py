@@ -41,6 +41,12 @@ def test_hamiltonian_trace_det_and_batch():
     ts = np.linspace(0.0, p.period, 7)
     batch = spin_model.schedule(p).sample(ts)
     assert np.array_equal(batch, spin_model.hamiltonian(p, ts))  # array t: one stacked call
+    # one exponential serves both off-diagonal entries: the upper is the exact
+    # conjugate of the lower, and both equal the two-exponential form
+    assert np.array_equal(batch[:, 0, 1], batch[:, 1, 0].conj())
+    amplitude = -p.mu * p.hbar * p.b_field * np.sin(p.theta)
+    assert np.array_equal(batch[:, 1, 0], amplitude * np.exp(1j * p.omega * ts))
+    assert np.array_equal(batch[:, 0, 1], amplitude * np.exp(-1j * p.omega * ts))
     for t, h in zip(ts, batch):
         assert np.array_equal(h, spin_model.hamiltonian(p, t))
         assert np.trace(h) == pytest.approx(0.0, abs=1e-15)

@@ -3,6 +3,7 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,8 @@ def test_config_bounds():
         ({"eta": None, "omega": float("inf")}, "omega"),
         ({"sweep.eta_min": 1e-3, "sweep.eta_max": float("inf"), "sweep.points": 4}, "sweep.eta_max"),
         ({"eta": None, "omega": 1e308, "mu": 1e-10}, "eta = omega"),
+        ({"eta": 1e300, "mu": 1e10}, "omega = 2 mu b_field eta "),
+        ({"mu": 1e10, "sweep.eta_min": 1e-3, "sweep.eta_max": 1e300, "sweep.points": 4}, "sweep.eta_max"),
     ],
 )
 def test_config_rejects_unbounded_values(mapping, match):
@@ -184,11 +187,31 @@ def test_row_over_deviation_target_is_flagged(monkeypatch):
 
 
 def test_sweep_csv_bytes_are_pinned():
-    # SHA-256 of this sweep's CSV from before the two branches shared one
-    # propagation; the digest depends on numpy's floating-point build
+    # SHA-256 of this sweep's CSV since dim-2 steps took the closed-form
+    # exponential; the digest depends on numpy's floating-point build
     rows = run_sweep(np.pi / 3, eta_grid(1e-3, 1e3, 12), base_steps=4096)
     digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
-    assert digest == "5abcea3ecba5c414304c0f7a44df0204ecde9a3d35d6101cac8abf488b7e78a0"
+    assert digest == "0ed06c4199dc2b2788c0528a3a736a968482f181193dcf198b46850aee8c4009"
+
+
+# The same sweep's CSV at commit 6f5c38c, when dim-2 steps went through eigh
+# and the scan through batched matmul
+SWEEP_FIXTURE = Path(__file__).parent / "data" / "sweep_12rows_6f5c38c.csv"
+
+
+def test_sweep_stays_within_round_off_of_eigh_kernel_fixture():
+    # the propagator's round-off may move the phase columns by a tenth of the
+    # 1e-5 row budget and the fidelity by 1e-9; nothing else may move
+    old_rows = rows_from_csv(SWEEP_FIXTURE.read_text())
+    new_rows = run_sweep(np.pi / 3, eta_grid(1e-3, 1e3, 12), base_steps=4096)
+    assert len(new_rows) == len(old_rows) == 12
+    for old, new in zip(old_rows, new_rows):
+        for name in ("eta", "theta", "alpha", "geom_phase_exact_plus", "berry_limit_plus", "steps_used", "status"):
+            assert getattr(new, name) == getattr(old, name), name
+        assert circular_distance(new.geom_phase_plus, old.geom_phase_plus) <= 1e-6
+        assert circular_distance(new.geom_phase_minus, old.geom_phase_minus) <= 1e-6
+        assert abs(new.deviation_from_exact - old.deviation_from_exact) <= 1e-6
+        assert abs(new.endpoint_fidelity - old.endpoint_fidelity) <= 1e-9
 
 
 def test_sweep_theta_zero_all_trivial():
@@ -273,15 +296,16 @@ def test_cli_evolve_json(tmp_path):
 @pytest.mark.parametrize(
     "n_periods, fmt, digest",
     [
-        (1, "json", "1d33f3e87d33392fe2bb526d3f1c3d40203b319bc8b73c7ba1a29342e8f01309"),
-        (1, "csv", "4e2d00f17feb7c9c34f065401bfc72561e9df2661ab487f37c495ee3f4388ba6"),
-        (3, "json", "f9dabf10317beb90ed6ea0f101cd90cf8795bf8c4dab2b91c5324481a6862227"),
-        (3, "csv", "d670be913b7a358f885b585398a32bd55df85ae2a20711f823defedde9b4065a"),
+        (1, "json", "b83407260afe482c6a0b8629f97c53ca8d740b1d3af7529d42dbeff3f38d84d7"),
+        (1, "csv", "af49b2ab0aa99257e1bbfebf38005067e9ca9772a3a50e4f34287807c2864699"),
+        (3, "json", "70414ac847d53215d85c9576a4d7d187d5471b207ecdab5eaea5e32674024ca4"),
+        (3, "csv", "ae12e157d9fbac4ae34a34357b683718f172d9d9b2a5afa054e937a8c87e27b9"),
     ],
+    ids=["1-json", "1-csv", "3-json", "3-csv"],
 )
 def test_cli_evolve_bytes_are_pinned(tmp_path, n_periods, fmt, digest):
-    # SHA-256 of evolve output from before evolve shared the sweep's solve
-    # path; like the sweep digest, it depends on numpy's floating-point build
+    # SHA-256 of evolve output since dim-2 steps took the closed-form
+    # exponential; like the sweep digest, it depends on numpy's floating-point build
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"theta = 1.0471975511965976\neta = 0.5\nsteps = 2048\nn_periods = {n_periods}\n")
     out = tmp_path / f"out.{fmt}"
@@ -348,11 +372,13 @@ def test_cli_bad_config_key_is_usage_error(tmp_path):
         ("evolve", "theta = 1.0\nomega = 1e308\nmu = 1e-10\n"),
         ("sweep", "theta = 1.0\nsweep.eta_min = 1e-3\nsweep.eta_max = inf\nsweep.points = 4\n"),
         ("evolve", "theta = 1.0\neta = 1.0\ntol.heff_hermiticity = 1\n"),
+        ("evolve", "theta = 1.0\neta = 1e300\nmu = 1e10\n"),
+        ("sweep", "theta = 1.0\nmu = 1e10\nsweep.eta_min = 1e-3\nsweep.eta_max = 1e300\nsweep.points = 4\n"),
     ],
     ids=[
         "theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number",
         "steps-over-cap", "negative-tolerance", "infinite-eta", "overflowing-eta",
-        "infinite-sweep-bound", "removed-tolerance",
+        "infinite-sweep-bound", "removed-tolerance", "overflowing-omega", "overflowing-sweep-omega",
     ],
 )
 def test_cli_bad_config_value_is_usage_error(tmp_path, command, config_text):
