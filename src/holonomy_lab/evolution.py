@@ -64,9 +64,22 @@ class HamiltonianSchedule:
     evaluate_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
+        """H at each of the times ts, as a (len(ts), dim, dim) complex stack.
+
+        Raises DimensionMismatchError when the callbacks return matrices of
+        another shape than (dim, dim).
+        """
+        ts = np.asarray(ts)
         if self.evaluate_many is not None:
-            return np.asarray(self.evaluate_many(np.asarray(ts, dtype=float)), dtype=complex)
-        return np.stack([np.asarray(self.evaluate(t), dtype=complex) for t in np.asarray(ts)])
+            hams = np.asarray(self.evaluate_many(ts.astype(float, copy=False)), dtype=complex)
+        else:
+            hams = np.stack([np.asarray(self.evaluate(t), dtype=complex) for t in ts])
+        if hams.shape != (len(ts), self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"schedule of dimension {self.dim} returned samples of shape {hams.shape} "
+                f"for {len(ts)} times"
+            )
+        return hams
 
 
 @dataclass(frozen=True)
@@ -112,10 +125,12 @@ class TrajectoryBlock(tuple):
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over stacks of square matrices; at dim 2 the four entries are
-    formed elementwise, which avoids matmul's per-matrix overhead."""
+    formed elementwise into a complex component-major stack
+    (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
+    strided writes."""
     if a.shape[-1] != 2:
         return np.matmul(a, b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = hilbert._empty_2x2(np.broadcast_shapes(a.shape, b.shape)[:-2])
     for i in range(2):
         for j in range(2):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]

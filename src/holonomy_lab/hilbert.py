@@ -86,15 +86,38 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
+def _hermiticity_defects(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max|H - H^H| and max|H| for each matrix of a (k, dim, dim) stack.
+
+    At dim 2, when every entry is finite, both come from one pass over the
+    four entries: the defect is the largest of |H01 - conj(H10)|, 2|Im H00|
+    and 2|Im H11| (|H10 - conj(H01)| equals the first, and the finite real
+    parts of the diagonal cancel exactly), the scale the largest |Hij|. Both
+    are bit-equal to the general formula, which every other stack takes, a
+    dim-2 one with a non-finite entry included: there a non-finite Re Hii
+    gives a NaN defect, not 2|Im Hii|.
+    """
+    if hams.shape[1:] == (2, 2):
+        h00, h01, h10, h11 = hams[:, 0, 0], hams[:, 0, 1], hams[:, 1, 0], hams[:, 1, 1]
+        scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.maximum(np.abs(h10), np.abs(h11)))
+        if np.isfinite(scale).all():
+            defects = np.abs(h01 - h10.conj())
+            np.maximum(defects, 2.0 * np.abs(h00.imag), out=defects)
+            np.maximum(defects, 2.0 * np.abs(h11.imag), out=defects)
+            return defects, scale
+    with np.errstate(invalid="ignore"):  # inf - inf; the caller's finiteness test reports it
+        defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    return defects, np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
+
+
 def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
     """Raise NonHermitianError on the first matrix of a (k, dim, dim) stack that
     has a non-finite entry or max|H - H^H| > tol.hermiticity * max(1, max|H|),
-    naming times[k] when given."""
+    naming times[k] when given. Dim-2 stacks are screened in one pass over
+    their entries (see _hermiticity_defects)."""
     if hams.ndim != 3 or hams.shape[1] != hams.shape[2]:
         raise DimensionMismatchError(f"Hamiltonians must be square, got shape {hams.shape[1:]}")
-    scale = np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf; the finiteness test below reports it
-        defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    defects, scale = _hermiticity_defects(hams)
     allowed = tol.hermiticity * np.maximum(1.0, scale)
     # NaN fails every comparison, so finiteness is tested on its own
     bad = np.flatnonzero(~np.isfinite(scale) | (defects > allowed))
@@ -109,14 +132,23 @@ def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
         )
 
 
+def _empty_2x2(lead: tuple[int, ...]) -> np.ndarray:
+    """Uninitialised complex stack of logical shape lead + (2, 2), stored
+    component-major: a view of a (2, 2) + lead buffer, so each of the four
+    entries is contiguous over the stack and elementwise 2x2 arithmetic reads
+    and writes whole runs. np.empty_like keeps the layout."""
+    buf = np.empty((2, 2) + tuple(lead), dtype=complex)
+    return buf.transpose(tuple(range(2, buf.ndim)) + (0, 1))  # np.moveaxis, without its overhead
+
+
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack.
 
     Like eigh, both branches read only the lower triangle and the real
     diagonal. At dim 2 the closed form of H = h0 I + h.sigma is
     exp(-i h0 tau) [cos(r tau) I - i (sin(r tau) / r) h.sigma] with r = |h|
-    and tau = dt / hbar, elementwise over the stack; other dims go through
-    eigh.
+    and tau = dt / hbar, elementwise over the stack, and the result is a
+    component-major stack (see _empty_2x2); other dims go through eigh.
     """
     if hams.shape[-2:] != (2, 2):
         evals, evecs = np.linalg.eigh(hams)
@@ -133,7 +165,7 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     phase = np.exp(-0.5j * tau * (h00 + h11))
     diag = phase * np.cos(r_tau)
     rot = -1j * sinc * phase
-    out = np.empty(hams.shape, dtype=complex)
+    out = _empty_2x2(hams.shape[:-2])
     out[..., 0, 0] = diag + rot * hz
     out[..., 1, 1] = diag - rot * hz
     out[..., 1, 0] = rot * h10

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotCyclicError, OrthogonalEndpointsError
+from .errors import DimensionMismatchError, NotCyclicError, OrthogonalEndpointsError
 from .evolution import HamiltonianSchedule, Trajectory
 from .frames import adiabatic_berry_phase
 from .tolerances import DEFAULT, Tolerances
@@ -94,10 +94,30 @@ def total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     return float(np.angle(ov))
 
 
-def dynamical_phase(traj: Trajectory, schedule: HamiltonianSchedule, hbar: float = 1.0) -> float:
-    """(1/hbar) * Int <psi(t)|H(t)|psi(t)> dt by the trapezoid rule on the grid."""
-    ts = traj.grid.nodes()
-    hams = schedule.sample(ts)
+def _node_hamiltonians(traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray) -> np.ndarray:
+    """H on the trajectory's grid nodes: sampled from a schedule, or given as
+    a (steps+1, dim, dim) stack of those samples, whose shape is checked."""
+    if isinstance(schedule, HamiltonianSchedule):
+        return schedule.sample(traj.grid.nodes())
+    hams = np.asarray(schedule, dtype=complex)
+    expected = (traj.grid.steps + 1, traj.dim, traj.dim)
+    if hams.shape != expected:
+        raise DimensionMismatchError(
+            f"node Hamiltonians must have shape {expected} for this trajectory, got {hams.shape}"
+        )
+    return hams
+
+
+def dynamical_phase(
+    traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray, hbar: float = 1.0
+) -> float:
+    """(1/hbar) * Int <psi(t)|H(t)|psi(t)> dt by the trapezoid rule on the grid.
+
+    `schedule` is the HamiltonianSchedule, or its samples on the grid nodes
+    as a (steps+1, dim, dim) stack, so that trajectories on one grid can
+    share a single sampling; both give the same bits.
+    """
+    hams = _node_hamiltonians(traj, schedule)
     energies = np.einsum("ki,kij,kj->k", traj.states.conj(), hams, traj.states).real
     return float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
 
@@ -128,7 +148,7 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
 
 def noncyclic_geometric_phase(
     traj: Trajectory,
-    schedule: HamiltonianSchedule,
+    schedule: HamiltonianSchedule | np.ndarray,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT,
 ) -> PhaseReport:
@@ -137,6 +157,7 @@ def noncyclic_geometric_phase(
     arg<psi(0)|psi(T)> + dynamical, mod 2 pi; defined whenever the endpoint
     overlap clears tol.overlap_floor. On a cyclic trajectory it is the
     Aharonov-Anandan phase, which cyclic_geometric_phase builds on.
+    `schedule` may be the node samples, as in dynamical_phase.
     """
     total = total_phase(traj, tol=tol)
     ov = _endpoint_overlap(traj)
@@ -155,7 +176,7 @@ def noncyclic_geometric_phase(
 
 def cyclic_geometric_phase(
     traj: Trajectory,
-    schedule: HamiltonianSchedule,
+    schedule: HamiltonianSchedule | np.ndarray,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT,
 ) -> PhaseReport:
@@ -166,6 +187,7 @@ def cyclic_geometric_phase(
     connection-route value; a disagreement beyond tol.two_route raises, since
     it signals an under-resolved trajectory. Pass
     tol.replace(two_route=math.inf) to record the gap without enforcing it.
+    `schedule` may be the node samples, as in dynamical_phase.
     """
     defect = abs(abs(_endpoint_overlap(traj)) - 1.0)
     if defect > tol.cyclicity:

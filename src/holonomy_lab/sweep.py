@@ -99,8 +99,9 @@ def _solve(
     route_tol = tol.replace(two_route=max(tol.two_route, 6.0 * err_estimate))
     psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
     trajs = propagate(sched, psi0, grid, hbar=params.hbar, tol=tol)
+    node_hams = sched.sample(grid.nodes())  # shared by every branch's dynamical phase
     reports = [
-        cyclic_geometric_phase(traj, sched, hbar=params.hbar, tol=route_tol)
+        cyclic_geometric_phase(traj, node_hams, hbar=params.hbar, tol=route_tol)
         for traj in trajs
     ]
     return trajs, reports
@@ -126,8 +127,8 @@ def run_point(
     """
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
     trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, tol.sweep_deviation, tol)
-    exact_traj = spin_model.exact_trajectory(params, +1, trajs.grid)
-    endpoint_fid = float(abs(np.vdot(exact_traj.states[-1], trajs[0].states[-1])) ** 2)
+    exact_end = spin_model.exact_solution(params, +1, trajs.grid.nodes()[-1:])[0]
+    endpoint_fid = float(abs(np.vdot(exact_end, trajs[0].states[-1])) ** 2)
 
     exact_plus = spin_model.geometric_phase_exact(params, +1, n_periods)
     deviation = circular_distance(reports[0].geometric, exact_plus)

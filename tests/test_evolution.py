@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_lab import evolution, spin_model
+from holonomy_lab import evolution, hilbert, spin_model
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
 from holonomy_lab.evolution import (
     HamiltonianSchedule,
@@ -15,6 +15,7 @@ from holonomy_lab.evolution import (
     propagate,
 )
 from holonomy_lab.frames import gauge_transform, linear_gauge
+from holonomy_lab.phases import dynamical_phase
 from holonomy_lab.spin_model import SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
 
@@ -186,6 +187,15 @@ def test_dim2_product_matches_matmul(rng):
     assert np.array_equal(evolution._matmul(a, b), np.matmul(a, b))
 
 
+def test_dim2_stacks_are_component_major(rng):
+    # each of the four entries is contiguous over the stack, and the scan keeps that
+    a = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    u = hilbert._step_unitaries(a + a.conj().swapaxes(-1, -2), 0.1, 1.0)
+    for stack in (u, evolution._matmul(u, u), evolution._prefix_products(u)):
+        assert stack.shape == (50, 2, 2)
+        assert all(stack[:, i, j].flags.c_contiguous for i in range(2) for j in range(2))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_prefix_products_match_sequential_products(rng, dim):
     for n in (1, 2, 3, 7, 100):
@@ -257,3 +267,26 @@ def test_block_input_errors():
     for shape in ((0, 2), (1, 2, 2)):
         with pytest.raises(DimensionMismatchError, match="block"):
             propagate(sched, np.ones(shape), grid)
+
+
+@pytest.mark.parametrize(
+    "dim, returned",
+    [(2, np.eye(3)), (3, np.eye(2)), (2, np.ones((2, 2, 2)))],
+    ids=["dim2-returns-3x3", "dim3-returns-2x2", "dim2-returns-a-stack-per-time"],
+)
+@pytest.mark.parametrize("vectorized", [False, True], ids=["evaluate", "evaluate_many"])
+def test_sample_shape_mismatch_names_schedule_dim(dim, returned, vectorized):
+    h = np.asarray(returned, dtype=complex)
+    sched = HamiltonianSchedule(
+        evaluate=lambda t: h,
+        dim=dim,
+        evaluate_many=(lambda ts: np.broadcast_to(h, (len(ts),) + h.shape)) if vectorized else None,
+    )
+    grid = TimeGrid(t_end=1.0, steps=8)
+    psi0 = np.eye(dim)[0]
+    match = f"schedule of dimension {dim} returned samples of shape"
+    with pytest.raises(DimensionMismatchError, match=match):
+        propagate(sched, psi0, grid)
+    traj = Trajectory(grid=grid, states=np.tile(psi0, (grid.steps + 1, 1)))
+    with pytest.raises(DimensionMismatchError, match=match):
+        dynamical_phase(traj, sched)

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from holonomy_lab import hilbert
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
 from holonomy_lab.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from holonomy_lab.tolerances import DEFAULT
 
 PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -154,3 +155,72 @@ def test_non_finite_strided_input_rejected():
         hilbert.as_state(a[:, 0])
     with pytest.raises(ValueError, match="non-finite"):
         hilbert.as_operator(a.T)
+
+
+def general_defects(hams):
+    """max|H - H^H| and max|H| per matrix by the formula every dim other than 2 takes."""
+    with np.errstate(invalid="ignore"):
+        defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    return defects, np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
+
+
+def pad_to_dim3(hams):
+    """The same matrices bordered by zeros, so the screen takes its general path."""
+    out = np.zeros(hams.shape[:-2] + (3, 3), dtype=complex)
+    out[..., :2, :2] = hams
+    return out
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, 1.0),
+              complex(np.nan, 0.0), complex(np.inf, np.nan), complex(-np.inf, -np.inf)]
+
+
+def dim2_screen_stacks(rng):
+    """Random Hermitian and non-Hermitian dim-2 stacks, then stacks with a
+    non-finite value in each of the four entries, some behind a non-Hermitian
+    matrix."""
+    k = 2000
+    a = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    a *= 10.0 ** rng.uniform(-300, 300, size=(k, 1, 1))
+    hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    yield "hermitian", hermitian
+    yield "general", a
+    # anti-Hermitian parts straddling tol.hermiticity * max(1, max|H|)
+    near = hermitian / np.max(np.abs(hermitian), axis=(-2, -1), keepdims=True)
+    near = near + 1j * 1e-12 * rng.uniform(0.0, 2.0, size=(k, 1, 1)) * np.eye(2)
+    yield "near-threshold", near
+    base = hermitian[:12] / np.max(np.abs(hermitian[:12]), axis=(-2, -1), keepdims=True)
+    for i in range(2):
+        for j in range(2):
+            for bad in NON_FINITE:
+                for behind in (False, True):
+                    h = base.copy()
+                    h[7, i, j] = bad
+                    h[9, j, i] = bad
+                    if behind:
+                        h[4, 0, 1] += 1e-3
+                    yield f"H{i}{j}={bad}{'-behind' if behind else ''}", h
+
+
+def test_dim2_screen_values_equal_general_formula(rng):
+    for name, hams in dim2_screen_stacks(rng):
+        defects, scale = hilbert._hermiticity_defects(hams)
+        expected_defects, expected_scale = general_defects(hams)
+        assert np.array_equal(defects, expected_defects, equal_nan=True), name
+        assert np.array_equal(scale, expected_scale, equal_nan=True), name
+
+
+def test_dim2_screen_raises_as_general_screen(rng):
+    for name, hams in dim2_screen_stacks(rng):
+        times = np.linspace(0.0, 1.0, len(hams))
+        outcomes = []
+        for stack in (hams, pad_to_dim3(hams)):
+            try:
+                hilbert._require_hermitian(stack, DEFAULT, times=times)
+                outcomes.append(None)
+            except NonHermitianError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], name
+        if name.startswith("H"):
+            first_bad = 4 if name.endswith("-behind") else 7
+            assert f"at t = {float(times[first_bad])!r}:" in outcomes[0][1], name

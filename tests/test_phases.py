@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonomy_lab import spin_model
-from holonomy_lab.errors import NotCyclicError, OrthogonalEndpointsError
+from holonomy_lab.errors import DimensionMismatchError, NotCyclicError, OrthogonalEndpointsError
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, Trajectory, propagate
 from holonomy_lab.phases import (
     adiabatic_berry_phase,
@@ -220,6 +220,45 @@ def test_cyclic_is_noncyclic_on_random_cyclic_trajectories(dim, seed, ray):
     assert circular_distance(shifted.geometric, base.geometric) <= 1e-10
     assert circular_distance(shifted.total, base.total) <= 1e-10
     assert abs(shifted.dynamical - base.dynamical) <= 1e-10
+
+
+def test_phases_from_node_samples_equal_schedule_path(rng):
+    # spin model, both branches as one block, cyclic and noncyclic reports
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=0.2)
+    sched = spin_model.schedule(params)
+    grid = TimeGrid(t_end=params.period, steps=2048)
+    psi0 = np.stack([spin_model.exact_solution(params, b, 0.0) for b in (+1, -1)])
+    node_hams = sched.sample(grid.nodes())
+    record_gap = DEFAULT.replace(two_route=math.inf)
+    for traj in propagate(sched, psi0, grid):
+        assert dynamical_phase(traj, node_hams) == dynamical_phase(traj, sched)
+        assert noncyclic_geometric_phase(traj, node_hams) == noncyclic_geometric_phase(traj, sched)
+        assert cyclic_geometric_phase(traj, node_hams, tol=record_gap) == cyclic_geometric_phase(
+            traj, sched, tol=record_gap
+        )
+    # random dim-4 schedule from a generic (noncyclic) start, hbar != 1
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    h0, h1, h2 = (a + a.conj().swapaxes(-1, -2)) / 4
+
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        return h0 + h1 * np.cos(ts) + h2 * np.sin(2 * ts)
+
+    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=4)
+    grid = TimeGrid(t_end=1.5, steps=300)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    traj = propagate(sched, psi / np.linalg.norm(psi), grid, hbar=0.7)
+    node_hams = sched.sample(grid.nodes())
+    assert dynamical_phase(traj, node_hams, hbar=0.7) == dynamical_phase(traj, sched, hbar=0.7)
+    assert noncyclic_geometric_phase(traj, node_hams, hbar=0.7) == noncyclic_geometric_phase(
+        traj, sched, hbar=0.7
+    )
+    # a stack that is not (steps+1, dim, dim) is refused
+    for bad in (node_hams[:-1], node_hams[:, :3, :3], node_hams[0]):
+        with pytest.raises(DimensionMismatchError, match="node Hamiltonians must have shape"):
+            dynamical_phase(traj, bad)
+        with pytest.raises(DimensionMismatchError):
+            noncyclic_geometric_phase(traj, bad)
 
 
 def test_noncyclic_short_duration_limit():

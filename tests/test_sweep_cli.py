@@ -194,6 +194,15 @@ def test_sweep_csv_bytes_are_pinned():
     assert digest == "0ed06c4199dc2b2788c0528a3a736a968482f181193dcf198b46850aee8c4009"
 
 
+def test_full_default_sweep_csv_bytes_are_pinned():
+    # SHA-256 of the 200-row default grid that the sweep-adiabatic benchmark
+    # runs, so every one of its rows (up to 59,048 steps) is held to its bytes;
+    # the digest depends on numpy's floating-point build
+    rows = run_sweep(np.pi / 3, eta_grid(1e-3, 1e3, 200), base_steps=4096)
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == "3b1bcc0c17dd004713cdc402f24a7fe2d7efc4c1f9dfce21b0e6373f91a8444b"
+
+
 # The same sweep's CSV at commit 6f5c38c, when dim-2 steps went through eigh
 # and the scan through batched matmul
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "sweep_12rows_6f5c38c.csv"
