@@ -35,6 +35,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        # bool is an int subclass; numpy integers are accepted
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not (self.t_end > 0.0 and np.isfinite(self.t_end)):

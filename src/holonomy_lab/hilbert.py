@@ -83,6 +83,8 @@ def hermiticity_defect(m) -> float:
 def unitarity_defect(u) -> float:
     """max|U^H U - I|."""
     a = np.asarray(u, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"operator must be square, got shape {a.shape}")
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
@@ -148,13 +150,19 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     diagonal. At dim 2 the closed form of H = h0 I + h.sigma is
     exp(-i h0 tau) [cos(r tau) I - i (sin(r tau) / r) h.sigma] with r = |h|
     and tau = dt / hbar, elementwise over the stack, and the result is a
-    component-major stack (see _empty_2x2); other dims go through eigh.
+    component-major stack (see _empty_2x2). Other dims go through eigh,
+    H = V diag(lambda) V^H: the eigenvectors scaled by their phases,
+    V diag(exp(-i lambda tau)), times V^H in one batched matmul, with the
+    conjugate written into eigh's own buffer. Raises ValueError unless hbar
+    is positive and finite.
     """
+    if not (hbar > 0.0 and np.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    tau = dt / hbar
     if hams.shape[-2:] != (2, 2):
         evals, evecs = np.linalg.eigh(hams)
-        phases = np.exp(-1j * evals * (dt / hbar))
-        return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
-    tau = dt / hbar
+        scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
+        return np.matmul(scaled, np.conjugate(evecs, out=evecs).swapaxes(-1, -2))
     h00, h11, h10 = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
     hz = 0.5 * (h00 - h11)
     r = np.hypot(hz, np.abs(h10))
@@ -177,8 +185,10 @@ def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -
     """Unitary exp(-i H dt / hbar) of a finite Hermitian H.
 
     Dim 2 takes the closed-form SU(2) exponential, other dims the
-    eigendecomposition (see _step_unitaries). Both keep the result unitary to
-    round-off, which phase extraction needs.
+    eigendecomposition, assembled as the phase-scaled eigenvectors times their
+    conjugate transpose in one matmul (see _step_unitaries). Both keep the
+    result unitary to round-off, which phase extraction needs. Raises
+    ValueError unless dt is finite and hbar positive and finite.
     """
     hams = as_operator(h, tol=tol)[None]
     if not np.isfinite(dt):

@@ -115,8 +115,11 @@ def dynamical_phase(
 
     `schedule` is the HamiltonianSchedule, or its samples on the grid nodes
     as a (steps+1, dim, dim) stack, so that trajectories on one grid can
-    share a single sampling; both give the same bits.
+    share a single sampling; both give the same bits. Raises ValueError
+    unless hbar is positive and finite.
     """
+    if not (hbar > 0.0 and np.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     hams = _node_hamiltonians(traj, schedule)
     energies = np.einsum("ki,kij,kj->k", traj.states.conj(), hams, traj.states).real
     return float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)

@@ -36,6 +36,30 @@ def test_grid_validation():
     assert grid.midpoints()[0] == pytest.approx(0.125)
 
 
+@pytest.mark.parametrize("steps", [2.5, 4.0, True, "4"])
+def test_grid_rejects_non_integer_steps(steps):
+    with pytest.raises(ValueError, match="integer"):
+        TimeGrid(t_end=1.0, steps=steps)
+
+
+def test_grid_accepts_numpy_integer_steps():
+    grid = TimeGrid(t_end=1.0, steps=np.int64(4))
+    assert grid.nodes()[-1] == 1.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+def test_bad_hbar_rejected_by_propagate_and_dynamical_phase(dim, hbar):
+    sched = static_schedule(np.diag(np.arange(dim, dtype=float)))
+    grid = TimeGrid(t_end=1.0, steps=8)
+    psi0 = np.eye(dim)[0]
+    with pytest.raises(ValueError, match="hbar"):
+        propagate(sched, psi0, grid, hbar=hbar)
+    traj = propagate(sched, psi0, grid)
+    with pytest.raises(ValueError, match="hbar"):
+        dynamical_phase(traj, sched, hbar=hbar)
+
+
 def test_zero_hamiltonian_freezes_state():
     grid = TimeGrid(t_end=3.0, steps=32)
     psi0 = np.array([0.6, 0.8j])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holonomy_lab import hilbert
@@ -91,6 +91,53 @@ def test_dim2_step_unitaries_match_eigh(coeffs, kind, log_scale, log_norm_tau, s
     expected = evecs @ (np.exp(-1j * evals * tau)[:, :, None] * evecs.conj().swapaxes(-1, -2))
     errors = np.max(np.abs(u - expected), axis=(-2, -1))
     assert np.all(errors <= 1e-14 * np.maximum(1.0, norms * abs(tau)))
+
+
+def einsum_step_unitaries(hams, dt, hbar):
+    """V diag(exp(-i lambda dt / hbar)) V^H as one three-operand einsum, the
+    assembly that dims other than 2 used before the batched matmul."""
+    evals, evecs = np.linalg.eigh(hams)
+    phases = np.exp(-1j * evals * (dt / hbar))
+    return np.einsum("kij,kj,klj->kil", evecs, phases, evecs.conj())
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.integers(3, 8),
+    count=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    log_norm_tau=st.floats(-6.0, 3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    hbar=st.floats(0.1, 10.0),
+)
+@example(dim=32, count=4, seed=7, log_scale=0.5, log_norm_tau=3.0, sign=-1.0, hbar=0.1)
+def test_step_unitaries_match_einsum_assembly(dim, count, seed, log_scale, log_norm_tau, sign, hbar):
+    rng = np.random.default_rng(seed)
+    hams = 10.0**log_scale * np.stack([random_hermitian(rng, dim) for _ in range(count)])
+    before = hams.copy()
+    norms = np.linalg.norm(hams, ord=2, axis=(-2, -1))
+    dt = sign * hbar * 10.0**log_norm_tau / norms.max()  # max ||H|| |tau| up to 1e3
+    u = hilbert._step_unitaries(hams, dt, hbar)
+    assert np.array_equal(hams, before)
+    # measured at most 3.5 eps over 3000 draws (dim 32 included); 16 eps leaves headroom
+    errors = np.max(np.abs(u - einsum_step_unitaries(hams, dt, hbar)), axis=(-2, -1))
+    assert np.all(errors <= 16 * np.finfo(float).eps * np.maximum(1.0, norms * abs(dt / hbar)))
+    assert max(hilbert.unitarity_defect(m) for m in u) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_expi_rejects_bad_hbar(rng, dim, hbar):
+    with pytest.raises(ValueError, match="hbar"):
+        hilbert.expi_hermitian(random_hermitian(rng, dim), 0.1, hbar=hbar)
+
+
+def test_unitarity_defect_requires_square_matrix():
+    with pytest.raises(DimensionMismatchError, match="square"):
+        hilbert.unitarity_defect([1, 0])
+    with pytest.raises(DimensionMismatchError, match="square"):
+        hilbert.unitarity_defect(np.zeros((2, 3)))
 
 
 def test_hermiticity_defect_examples():
