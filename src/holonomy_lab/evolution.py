@@ -7,6 +7,7 @@ and exactly unitary per step, which phase observables require.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,8 +41,8 @@ class TimeGrid:
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (isinstance(self.t_end, numbers.Real) and self.t_end > 0.0 and np.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
 
     @property
     def dt(self) -> float:
@@ -127,12 +128,15 @@ class TrajectoryBlock(tuple):
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of square matrices; at dim 2 the four entries are
-    formed elementwise into a complex component-major stack
-    (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
-    strided writes."""
+    """a @ b over two equal-length stacks of square complex matrices.
+
+    At dim 2 the four entries are formed elementwise into a component-major
+    stack (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
+    strided writes. Other dims take np.matmul over slices of the stacks on
+    idle CPUs (hilbert._map_stack), bit-identical to one call.
+    """
     if a.shape[-1] != 2:
-        return np.matmul(a, b)
+        return hilbert._map_stack(np.matmul, np.empty(a.shape, dtype=complex), a, b)
     out = hilbert._empty_2x2(np.broadcast_shapes(a.shape, b.shape)[:-2])
     for i in range(2):
         for j in range(2):
@@ -179,10 +183,15 @@ def propagate(
     Hamiltonian samples, step unitaries and their prefix products are shared
     by all rows, and each row equals the single-state propagation of that
     row exactly. Global error is O(dt^2) against the exact flow; each step is
-    exactly unitary, so the norm is preserved to round-off. Raises
-    NonHermitianError naming the offending midpoint if the schedule is not
-    Hermitian or not finite there.
+    exactly unitary, so the norm is preserved to round-off. Above dim 2 the
+    step exponentials and the scan's products run over slices of each stack
+    on the CPUs the BLAS leaves idle (see hilbert._map_stack); every result is
+    bit-identical to a one-worker run, and schedule callbacks are called on
+    the calling thread only. Raises ValueError before any sampling unless
+    hbar is positive and finite, and NonHermitianError naming the offending
+    midpoint if the schedule is not Hermitian or not finite there.
     """
+    hilbert._require_hbar(hbar)
     psis = np.asarray(psi0, dtype=complex)
     if psis.ndim not in (1, 2) or psis.size == 0:
         raise DimensionMismatchError(

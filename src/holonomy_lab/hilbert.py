@@ -1,10 +1,17 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 State vectors are 1-d complex numpy arrays, operators are square complex
-matrices. Everything here is a pure function; nothing is mutated.
+matrices. Everything here is a pure function; nothing passed in is mutated.
+The only state is a thread pool, built on first use, over which large stacks
+above dim 2 are exponentiated and multiplied (see _map_stack).
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import os
+import threading
 
 import numpy as np
 
@@ -143,6 +150,111 @@ def _empty_2x2(lead: tuple[int, ...]) -> np.ndarray:
     return buf.transpose(tuple(range(2, buf.ndim)) + (0, 1))  # np.moveaxis, without its overhead
 
 
+def _require_hbar(hbar) -> None:
+    if not (hbar > 0.0 and np.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
+# Stack kernels run over contiguous slices of a stack's leading axis, one per
+# worker (see _map_stack). The pool is built on first use and dropped in a
+# forked child, whose copy would have no threads behind it.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+# each slice is walked in pieces of about this many complex elements, so no
+# thread holds a large temporary (glibc keeps freed buffers in per-thread arenas)
+_PIECE_ELEMENTS = 1 << 16
+# a stack is split only into slices of at least this many d^3 multiply-adds
+# (k d^3 for k matrices of dim d): below it, the thread hand-off and the BLAS
+# calls that two threads cannot overlap cost more than the second CPU saves
+_SLICE_WORK = 1 << 21
+
+
+def _drop_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on, floor-divided by the BLAS's own thread
+    count, at least 1. The thread count is read from the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
+    positive integer; with none, the BLAS takes every CPU and so 1 worker is
+    left. OPENBLAS_NUM_THREADS=1 gives one worker per CPU."""
+    cpus = _cpu_count()
+    blas_threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, cpus // blas_threads)
+
+
+def _executor():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor  # costly import, off the setup path
+
+            _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="holonomy-lab")
+        return _POOL
+
+
+def _run_in_pieces(kernel, out: np.ndarray, stacks) -> None:
+    step = max(1, _PIECE_ELEMENTS // math.prod(out.shape[1:]))
+    for lo in range(0, len(out), step):
+        kernel(*[a[lo : lo + step] for a in stacks], out=out[lo : lo + step])
+
+
+def _map_stack(kernel, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
+    """Run kernel(*pieces, out=out_piece) over pieces of the leading axis of
+    `stacks` and of the caller's `out`, a stack of square matrices that the
+    kernel fills, and return `out`.
+
+    The kernel must act on each matrix on its own, so a result does not
+    depend on how the stack is cut: it is bit-identical for any worker count.
+    The axis is split into up to _worker_count() contiguous slices of at least
+    _SLICE_WORK d^3 multiply-adds each. The first slice runs on the calling
+    thread, the others on the pool, and every slice finishes before the
+    first exception, in slice order, is re-raised. With one worker, one
+    matrix or too little work, the kernel runs inline and the pool is never
+    built.
+    """
+    n = len(out)
+    workers = min(n, out.size * out.shape[-1] // _SLICE_WORK)  # k d^3 // _SLICE_WORK
+    if workers > 1:
+        workers = min(workers, _worker_count())
+    if workers < 2:
+        _run_in_pieces(kernel, out, stacks)
+        return out
+    cuts = [n * i // workers for i in range(workers + 1)]
+    parts = [(out[lo:hi], [a[lo:hi] for a in stacks]) for lo, hi in zip(cuts, cuts[1:])]
+    pool = _executor()
+    futures = [pool.submit(_run_in_pieces, kernel, *part) for part in parts[1:]]
+    try:
+        _run_in_pieces(kernel, *parts[0])
+    finally:
+        errors = [future.exception() for future in futures]  # waits for every slice
+    for error in errors:
+        if error is not None:
+            raise error
+    return out
+
+
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack.
 
@@ -153,16 +265,21 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     component-major stack (see _empty_2x2). Other dims go through eigh,
     H = V diag(lambda) V^H: the eigenvectors scaled by their phases,
     V diag(exp(-i lambda tau)), times V^H in one batched matmul, with the
-    conjugate written into eigh's own buffer. Raises ValueError unless hbar
-    is positive and finite.
+    conjugate written into eigh's own buffer. That branch runs over slices of
+    the stack on idle CPUs, and over small pieces within each slice, with
+    results bit-identical to one pass (see _map_stack). Raises ValueError
+    unless hbar is positive and finite.
     """
-    if not (hbar > 0.0 and np.isfinite(hbar)):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    _require_hbar(hbar)
     tau = dt / hbar
     if hams.shape[-2:] != (2, 2):
-        evals, evecs = np.linalg.eigh(hams)
-        scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
-        return np.matmul(scaled, np.conjugate(evecs, out=evecs).swapaxes(-1, -2))
+
+        def kernel(h, out):
+            evals, evecs = np.linalg.eigh(h)
+            scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
+            np.matmul(scaled, np.conjugate(evecs, out=evecs).swapaxes(-1, -2), out=out)
+
+        return _map_stack(kernel, np.empty(hams.shape, dtype=complex), hams)
     h00, h11, h10 = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
     hz = 0.5 * (h00 - h11)
     r = np.hypot(hz, np.abs(h10))
@@ -188,10 +305,10 @@ def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -
     eigendecomposition, assembled as the phase-scaled eigenvectors times their
     conjugate transpose in one matmul (see _step_unitaries). Both keep the
     result unitary to round-off, which phase extraction needs. Raises
-    ValueError unless dt is finite and hbar positive and finite.
+    ValueError unless dt is a real finite scalar and hbar positive and finite.
     """
     hams = as_operator(h, tol=tol)[None]
-    if not np.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    if not (isinstance(dt, numbers.Real) and np.isfinite(dt)):
+        raise ValueError(f"dt must be a real finite scalar, got {dt!r}")
     _require_hermitian(hams, tol)
     return _step_unitaries(hams, dt, hbar)[0]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import hilbert
 from .errors import DimensionMismatchError, NotCyclicError, OrthogonalEndpointsError
 from .evolution import HamiltonianSchedule, Trajectory
 from .frames import adiabatic_berry_phase
@@ -118,8 +119,7 @@ def dynamical_phase(
     share a single sampling; both give the same bits. Raises ValueError
     unless hbar is positive and finite.
     """
-    if not (hbar > 0.0 and np.isfinite(hbar)):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    hilbert._require_hbar(hbar)
     hams = _node_hamiltonians(traj, schedule)
     energies = np.einsum("ki,kij,kj->k", traj.states.conj(), hams, traj.states).real
     return float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -36,6 +37,12 @@ def test_grid_validation():
     assert grid.midpoints()[0] == pytest.approx(0.125)
 
 
+@pytest.mark.parametrize("t_end", [1j, "2"])
+def test_grid_rejects_t_end_that_is_not_a_real_number(t_end):
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        TimeGrid(t_end=t_end, steps=4)
+
+
 @pytest.mark.parametrize("steps", [2.5, 4.0, True, "4"])
 def test_grid_rejects_non_integer_steps(steps):
     with pytest.raises(ValueError, match="integer"):
@@ -58,6 +65,20 @@ def test_bad_hbar_rejected_by_propagate_and_dynamical_phase(dim, hbar):
     traj = propagate(sched, psi0, grid)
     with pytest.raises(ValueError, match="hbar"):
         dynamical_phase(traj, sched, hbar=hbar)
+
+
+@pytest.mark.parametrize("hbar", [np.nan, 0.0])
+def test_propagate_checks_hbar_before_sampling(hbar):
+    calls = []
+
+    def many(ts):
+        calls.append(len(ts))
+        return np.broadcast_to(SIGMA_Z, (len(ts), 2, 2))
+
+    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], dim=2, evaluate_many=many)
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        propagate(sched, np.eye(2)[0], TimeGrid(t_end=1.0, steps=2**21), hbar=hbar)
+    assert calls == []
 
 
 def test_zero_hamiltonian_freezes_state():
@@ -314,3 +335,74 @@ def test_sample_shape_mismatch_names_schedule_dim(dim, returned, vectorized):
     traj = Trajectory(grid=grid, states=np.tile(psi0, (grid.steps + 1, 1)))
     with pytest.raises(DimensionMismatchError, match=match):
         dynamical_phase(traj, sched)
+
+
+# --- pooled stack kernels -----------------------------------------------------
+
+
+def all_states(result):
+    trajs = result if isinstance(result, TrajectoryBlock) else [result]
+    return np.stack([traj.states for traj in trajs])
+
+
+@pytest.mark.parametrize("workers", [2, 3, None], ids=["2", "3", "this-machine"])
+@pytest.mark.parametrize("dim", [3, 8, 17, 64])
+def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
+    # None keeps this machine's worker count, so a multi-CPU run with one BLAS
+    # thread uses the real pool
+    pooled = (lambda: workers) if workers else hilbert._worker_count
+    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)  # split every stack of two or more
+    sched = random_periodic_schedule(rng, dim)
+    psis = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    # steps 1, 2 and workers + 1 give stacks of that many matrices; 50 steps
+    # with a 20-step scan block give three blocks
+    cases = [(psis[0], 1, None), (psis, 2, None), (psis[1], pooled() + 1, None),
+             (psis, 50, None), (psis, 50, dim * dim * 20)]
+    for psi, steps, scan_elements in cases:
+        if scan_elements is not None:
+            monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
+        grid = TimeGrid(t_end=2 * np.pi, steps=steps)
+        monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
+        expected = all_states(propagate(sched, psi, grid))
+        monkeypatch.setattr(hilbert, "_worker_count", pooled)
+        assert np.array_equal(all_states(propagate(sched, psi, grid)), expected), (steps, scan_elements)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("dim", [3, 8, 17, 64])
+def test_pooled_matmul_equals_one_worker(rng, monkeypatch, workers, dim):
+    monkeypatch.setattr(hilbert, "_worker_count", lambda: workers)
+    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
+    monkeypatch.setattr(hilbert, "_PIECE_ELEMENTS", 3 * dim * dim)  # several pieces per slice
+    for count in (0, 1, 2, workers + 1, 40):
+        a, b = random_unitaries(rng, count, dim), random_unitaries(rng, count, dim)
+        # contiguous stacks, and strided ones as the scan passes them
+        for x, y in ((a, b), (a[1::2], b[0 : 2 * (count // 2) : 2])):
+            assert np.array_equal(evolution._matmul(x, y), np.matmul(x, y)), count
+
+
+def propagate_in_child(sched, psi, grid, expected):
+    if not np.array_equal(propagate(sched, psi, grid).states, expected):
+        raise SystemExit(3)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_forked_child_propagates_after_parent_built_the_pool(rng, monkeypatch):
+    monkeypatch.setattr(hilbert, "_worker_count", lambda: 2)
+    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
+    sched = random_periodic_schedule(rng, 8)
+    psi = np.eye(8)[0]
+    grid = TimeGrid(t_end=2 * np.pi, steps=64)
+    expected = propagate(sched, psi, grid).states
+    assert hilbert._POOL is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=propagate_in_child, args=(sched, psi, grid, expected)
+    )
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child hung on the parent's pool")
+    assert child.exitcode == 0

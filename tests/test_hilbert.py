@@ -1,3 +1,9 @@
+import concurrent.futures
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,6 +71,13 @@ def test_expi_rejects_non_hermitian():
 def test_expi_rejects_non_finite_dt():
     with pytest.raises(ValueError):
         hilbert.expi_hermitian(SIGMA_Z, dt=np.inf)
+
+
+@pytest.mark.parametrize("dt", [1j, np.complex128(0.1), "0.1"])
+def test_expi_rejects_dt_that_is_not_a_real_scalar(dt):
+    # np.isfinite(1j) is true: a complex dt used to give a non-unitary matrix
+    with pytest.raises(ValueError, match="dt must be a real finite scalar"):
+        hilbert.expi_hermitian(np.diag([1.0, 2.0, 3.0]), dt)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -271,3 +284,136 @@ def test_dim2_screen_raises_as_general_screen(rng):
         if name.startswith("H"):
             first_bad = 4 if name.endswith("-behind") else 7
             assert f"at t = {float(times[first_bad])!r}:" in outcomes[0][1], name
+
+
+# --- stack kernels over slices on a thread pool -------------------------------
+
+
+@pytest.mark.parametrize(
+    "env, workers",
+    [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+        ({"GOTO_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4),
+    ],
+)
+def test_worker_count_is_cpus_over_blas_threads(monkeypatch, env, workers):
+    monkeypatch.setattr(hilbert, "_cpu_count", lambda: 4)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert hilbert._worker_count() == workers
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(hilbert.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(hilbert.os, "cpu_count", lambda: 3)
+    assert hilbert._cpu_count() == 3
+
+
+@pytest.mark.parametrize("raising", [(0,), (1,), (1, 2)], ids=["inline-slice", "pool-slice", "two-slices"])
+def test_map_stack_reraises_first_error_after_every_slice_finished(monkeypatch, raising):
+    monkeypatch.setattr(hilbert, "_worker_count", lambda: 3)
+    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
+    finished, threads = [], {}
+
+    def kernel(a, out):
+        index = int(a[0]) // 2  # slices of two rows each
+        threads[index] = threading.current_thread().name
+        if index in raising:
+            raise ZeroDivisionError(f"slice {index}")
+        time.sleep(0.1 * (index + 1))  # the last slice finishes last
+        out[...] = a
+        finished.append(index)
+
+    with pytest.raises(ZeroDivisionError, match=f"slice {raising[0]}"):
+        hilbert._map_stack(kernel, np.empty(6), np.arange(6.0))
+    assert sorted(finished) == sorted(set(range(3)) - set(raising))
+    assert threads[0] == threading.current_thread().name
+    assert all(threads[i].startswith("holonomy-lab") for i in (1, 2))
+
+
+@pytest.mark.parametrize("dim, count, inline", [(64, 15, True), (64, 16, False), (16, 1023, True), (16, 1024, False)])
+def test_map_stack_splits_only_stacks_with_enough_work(monkeypatch, dim, count, inline):
+    # two slices need 2 * _SLICE_WORK = 2^22 multiply-adds: count * dim^3
+    monkeypatch.setattr(hilbert, "_worker_count", lambda: 2)
+    threads = set()
+
+    def kernel(a, out):
+        threads.add(threading.current_thread().name)
+
+    hilbert._map_stack(kernel, np.empty((count, dim, dim)), np.empty((count, dim, dim)))
+    assert (threads == {threading.current_thread().name}) == inline
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 8, 17, 64])
+@pytest.mark.parametrize("piece_elements", [None, 3], ids=["default-pieces", "small-pieces"])
+def test_pooled_step_unitaries_equal_one_worker(rng, monkeypatch, workers, dim, piece_elements):
+    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)  # split every stack of two or more
+    if piece_elements is not None:
+        monkeypatch.setattr(hilbert, "_PIECE_ELEMENTS", piece_elements * dim * dim)
+    for count in (1, 2, workers + 1, 40):
+        hams = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+        monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
+        expected = hilbert._step_unitaries(hams, 0.3, 1.0)
+        monkeypatch.setattr(hilbert, "_worker_count", lambda: workers)
+        assert np.array_equal(hilbert._step_unitaries(hams, 0.3, 1.0), expected), count
+
+
+def test_concurrent_callers_build_one_pool_and_get_their_own_results(rng, monkeypatch):
+    # more callers and workers than CPUs, and a short switch interval, so the
+    # pool's creation and the slices' writes interleave as much as they can;
+    # a slow CPU count (read only while the pool is built) widens the race
+    built = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(hilbert, "_POOL", None)
+    monkeypatch.setattr(hilbert, "_cpu_count", lambda: time.sleep(0.05) or 4)
+    monkeypatch.setattr(hilbert, "_worker_count", lambda: 3)
+    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
+    stacks = [np.stack([random_hermitian(rng, 5) for _ in range(30)]) for _ in range(6)]
+    results = {}
+
+    def call(i):
+        for _ in range(20):
+            results[i] = hilbert._step_unitaries(stacks[i], 0.1, 1.0)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(stacks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in built:
+            pool.shutdown(wait=False)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 1
+    monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
+    for i, h in enumerate(stacks):
+        assert np.array_equal(results[i], hilbert._step_unitaries(h, 0.1, 1.0)), i
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the pool's import is deferred to its first use: it costs start-up time
+    code = "import sys, holonomy_lab.cli; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
