@@ -3,6 +3,12 @@
 The propagator is the exponential-midpoint rule: each step applies the exact
 unitary of the Hamiltonian frozen at the step midpoint. Second order accurate
 and exactly unitary per step, which phase observables require.
+
+The grid is walked in blocks of steps, each sampled, screened and
+exponentiated at once. At dim 2 a block's states come from a prefix scan of
+its step unitaries; above dim 2 each step unitary is applied to the state in
+turn, so unitary round-off grows linearly in the step count there, against
+logarithmically in the scan.
 """
 
 from __future__ import annotations
@@ -132,11 +138,11 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     At dim 2 the four entries are formed elementwise into a component-major
     stack (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
-    strided writes. Other dims take np.matmul over slices of the stacks on
-    idle CPUs (hilbert._map_stack), bit-identical to one call.
+    strided writes. Other dims take plain np.matmul; only the dim-2 scan
+    calls this in propagate.
     """
     if a.shape[-1] != 2:
-        return hilbert._map_stack(np.matmul, np.empty(a.shape, dtype=complex), a, b)
+        return np.matmul(a, b)
     out = hilbert._empty_2x2(np.broadcast_shapes(a.shape, b.shape)[:-2])
     for i in range(2):
         for j in range(2):
@@ -149,7 +155,8 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
 
     Work-efficient recursive scan (about 2n batched products) instead of a
     Python loop. The balanced re-association keeps unitary round-off growth
-    logarithmic in the step count.
+    logarithmic in the step count. propagate scans dim-2 stacks only, whose
+    elementwise products make the 2n products cheaper than n steps in turn.
     """
     n = u.shape[0]
     if n <= 1:
@@ -165,8 +172,20 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
     return out
 
 
-# steps per scan block, scaled down with dimension to bound peak memory
+# complex elements per stack of a block, so steps per block scale as 1 / dim^2
+# and peak memory stays bounded. The dim-2 scan gets cheaper per step the
+# longer its block. Above dim 2 steps apply in turn, and 2^18 elements (4 MB
+# per stack) ran the dense-driven benchmark faster than 2^21, at less than
+# half the peak memory
 _SCAN_BLOCK_ELEMENTS = 1 << 21
+_STEP_BLOCK_ELEMENTS = 1 << 18
+
+
+def _block_steps(dim: int) -> int:
+    """Grid points per sampled block at this dim, at least 16; propagate's
+    midpoints and phases.dynamical_phase's nodes are cut by this one rule."""
+    elements = _SCAN_BLOCK_ELEMENTS if dim == 2 else _STEP_BLOCK_ELEMENTS
+    return max(16, elements // (dim * dim))
 
 
 def propagate(
@@ -180,16 +199,23 @@ def propagate(
 
     A 1-d psi0 gives one Trajectory. A block of initial states, shape
     (m, dim), gives a TrajectoryBlock with one Trajectory per row: the
-    Hamiltonian samples, step unitaries and their prefix products are shared
-    by all rows, and each row equals the single-state propagation of that
-    row exactly. Global error is O(dt^2) against the exact flow; each step is
-    exactly unitary, so the norm is preserved to round-off. Above dim 2 the
-    step exponentials and the scan's products run over slices of each stack
-    on the CPUs the BLAS leaves idle (see hilbert._map_stack); every result is
-    bit-identical to a one-worker run, and schedule callbacks are called on
-    the calling thread only. Raises ValueError before any sampling unless
-    hbar is positive and finite, and NonHermitianError naming the offending
-    midpoint if the schedule is not Hermitian or not finite there.
+    Hamiltonian samples and step unitaries are shared by all rows, and each
+    row equals the single-state propagation of that row exactly. Global
+    error is O(dt^2) against the exact flow; each step is exactly unitary,
+    so the norm is preserved to round-off.
+
+    The grid is walked in blocks of midpoints (see _block_steps). At dim 2 a
+    block's step unitaries are prefix-scanned and the products applied to
+    each row's block start, so round-off grows logarithmically in the steps.
+    Above dim 2 each row applies the block's step unitaries one after
+    another, with one matrix-vector product per step, so round-off grows
+    linearly in the steps and the states do not depend on the block size.
+    The step exponentials run over slices of each stack on the CPUs the BLAS
+    leaves idle (see hilbert._map_stack), bit-identical to a one-worker run;
+    schedule callbacks are called on the calling thread only. Raises
+    ValueError before any sampling unless hbar is a positive finite real
+    number, and NonHermitianError naming the offending midpoint if the
+    schedule is not Hermitian or not finite there.
     """
     hilbert._require_hbar(hbar)
     psis = np.asarray(psi0, dtype=complex)
@@ -206,16 +232,20 @@ def propagate(
     mids = grid.midpoints()
     states = np.empty((len(rows), grid.steps + 1, dim), dtype=complex)
     states[:, 0] = rows
-    block = max(16, _SCAN_BLOCK_ELEMENTS // (dim * dim))
-    pos = 0
-    while pos < grid.steps:
+    block = _block_steps(dim)
+    for pos in range(0, grid.steps, block):
         take = min(block, grid.steps - pos)
         hams = schedule.sample(mids[pos : pos + take])
         hilbert._require_hermitian(hams, tol, times=mids[pos : pos + take])
-        prefixes = _prefix_products(hilbert._step_unitaries(hams, grid.dt, hbar))
-        for row in states:
-            np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
-        pos += take
+        unitaries = hilbert._step_unitaries(hams, grid.dt, hbar)
+        if dim == 2:
+            prefixes = _prefix_products(unitaries)
+            for row in states:
+                np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
+        else:
+            for row in states:
+                for k in range(take):
+                    np.matmul(unitaries[k], row[pos + k], out=row[pos + k + 1])
     trajs = [Trajectory(grid=grid, states=row) for row in states]
     return trajs[0] if psis.ndim == 1 else TrajectoryBlock(trajs)
 

@@ -3,7 +3,7 @@
 State vectors are 1-d complex numpy arrays, operators are square complex
 matrices. Everything here is a pure function; nothing passed in is mutated.
 The only state is a thread pool, built on first use, over which large stacks
-above dim 2 are exponentiated and multiplied (see _map_stack).
+above dim 2 are exponentiated (see _map_stack).
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def _empty_2x2(lead: tuple[int, ...]) -> np.ndarray:
 
 
 def _require_hbar(hbar) -> None:
-    if not (hbar > 0.0 and np.isfinite(hbar)):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    if not (isinstance(hbar, numbers.Real) and hbar > 0.0 and np.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
 
 
 # Stack kernels run over contiguous slices of a stack's leading axis, one per
@@ -232,7 +232,9 @@ def _map_stack(kernel, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     thread, the others on the pool, and every slice finishes before the
     first exception, in slice order, is re-raised. With one worker, one
     matrix or too little work, the kernel runs inline and the pool is never
-    built.
+    built. Its one user is the eigh branch of _step_unitaries: above dim 2
+    propagate applies step unitaries in turn, with no stack products left to
+    split.
     """
     n = len(out)
     workers = min(n, out.size * out.shape[-1] // _SLICE_WORK)  # k d^3 // _SLICE_WORK

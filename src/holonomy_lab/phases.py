@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatchError, NotCyclicError, OrthogonalEndpointsError
-from .evolution import HamiltonianSchedule, Trajectory
+from .errors import DimensionMismatchError, NonHermitianError, NotCyclicError, OrthogonalEndpointsError
+from .evolution import HamiltonianSchedule, Trajectory, _block_steps
 from .frames import adiabatic_berry_phase
 from .tolerances import DEFAULT, Tolerances
 
@@ -47,9 +47,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def mod_two_pi(x: float) -> float:
-    """Reduce to [0, 2 pi)."""
+    """Reduce to [0, 2 pi); NaN stays NaN."""
     r = float(x) % TWO_PI
-    return r if r < TWO_PI else 0.0
+    return 0.0 if r >= TWO_PI else r
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -95,18 +95,31 @@ def total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     return float(np.angle(ov))
 
 
-def _node_hamiltonians(traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray) -> np.ndarray:
-    """H on the trajectory's grid nodes: sampled from a schedule, or given as
-    a (steps+1, dim, dim) stack of those samples, whose shape is checked."""
+def _node_energies(traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray) -> np.ndarray:
+    """<psi_k|H(t_k)|psi_k> on the trajectory's grid nodes, complex.
+
+    `schedule` is sampled in blocks of nodes cut by propagate's rule (see
+    evolution._block_steps), so no full node stack is held; a
+    (steps+1, dim, dim) stack of the node samples is used as given, after a
+    shape check. Each node's energy is the same einsum either way.
+    """
+    states = traj.states
     if isinstance(schedule, HamiltonianSchedule):
-        return schedule.sample(traj.grid.nodes())
+        ts = traj.grid.nodes()
+        energies = np.empty(ts.size, dtype=complex)
+        block = _block_steps(schedule.dim)
+        for lo in range(0, ts.size, block):
+            hi = lo + block
+            hams = schedule.sample(ts[lo:hi])
+            np.einsum("ki,kij,kj->k", states[lo:hi].conj(), hams, states[lo:hi], out=energies[lo:hi])
+        return energies
     hams = np.asarray(schedule, dtype=complex)
     expected = (traj.grid.steps + 1, traj.dim, traj.dim)
     if hams.shape != expected:
         raise DimensionMismatchError(
             f"node Hamiltonians must have shape {expected} for this trajectory, got {hams.shape}"
         )
-    return hams
+    return np.einsum("ki,kij,kj->k", states.conj(), hams, states)
 
 
 def dynamical_phase(
@@ -114,15 +127,26 @@ def dynamical_phase(
 ) -> float:
     """(1/hbar) * Int <psi(t)|H(t)|psi(t)> dt by the trapezoid rule on the grid.
 
-    `schedule` is the HamiltonianSchedule, or its samples on the grid nodes
-    as a (steps+1, dim, dim) stack, so that trajectories on one grid can
-    share a single sampling; both give the same bits. Raises ValueError
-    unless hbar is positive and finite.
+    `schedule` is the HamiltonianSchedule, sampled on the grid nodes in
+    blocks as propagate samples its midpoints, or its samples on the nodes as
+    a (steps+1, dim, dim) stack, so that trajectories on one grid can share a
+    single sampling; both give the same bits. Raises ValueError unless hbar
+    is a positive finite real number, and NonHermitianError naming the first
+    node whose energy is not finite.
     """
     hilbert._require_hbar(hbar)
-    hams = _node_hamiltonians(traj, schedule)
-    energies = np.einsum("ki,kij,kj->k", traj.states.conj(), hams, traj.states).real
-    return float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
+    energies = _node_energies(traj, schedule).real
+    phase = float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
+    if not math.isfinite(phase):
+        # a non-finite energy makes the sum non-finite, so only then are the
+        # nodes searched; finite energies whose sum overflows are not refused
+        bad = np.flatnonzero(~np.isfinite(energies))
+        if bad.size:
+            k = int(bad[0])
+            raise NonHermitianError(
+                f"energy <psi|H|psi> not finite at t = {float(traj.grid.nodes()[k])!r}: {energies[k]}"
+            )
+    return phase
 
 
 def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:

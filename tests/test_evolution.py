@@ -55,7 +55,7 @@ def test_grid_accepts_numpy_integer_steps():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, 1j, np.complex128(1.0), "a", None])
 def test_bad_hbar_rejected_by_propagate_and_dynamical_phase(dim, hbar):
     sched = static_schedule(np.diag(np.arange(dim, dtype=float)))
     grid = TimeGrid(t_end=1.0, steps=8)
@@ -272,6 +272,11 @@ def assert_block_equals_single_calls(sched, psis, grid):
         assert np.array_equal(traj.states, propagate(sched, psi, grid).states)
 
 
+def all_states(result):
+    trajs = result if isinstance(result, TrajectoryBlock) else [result]
+    return np.stack([traj.states for traj in trajs])
+
+
 def test_block_matches_single_state_calls_on_spin_model():
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-2)
     grid = TimeGrid(t_end=params.period, steps=4096)
@@ -283,9 +288,36 @@ def test_block_matches_single_state_calls_on_spin_model():
 def test_block_matches_single_state_calls_on_random_schedule(rng, monkeypatch, scan_elements):
     if scan_elements is not None:
         monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
+        monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", scan_elements)
     psis = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     assert_block_equals_single_calls(random_periodic_schedule(rng, 8), psis, TimeGrid(t_end=2 * np.pi, steps=50))
+
+
+@pytest.mark.parametrize("dim", [3, 8, 17, 64])
+def test_states_above_dim2_do_not_depend_on_block_size(rng, monkeypatch, dim):
+    # steps apply in turn above dim 2, so 16-step blocks, the default size and
+    # one block for the whole grid give the same bits, for one state and a block
+    sched = random_periodic_schedule(rng, dim)
+    psis = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    grid = TimeGrid(t_end=2 * np.pi, steps=100)
+    results = []
+    for elements in (dim * dim * 16, evolution._STEP_BLOCK_ELEMENTS, dim * dim * grid.steps):
+        monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", elements)
+        results.append((all_states(propagate(sched, psis[0], grid)), all_states(propagate(sched, psis, grid))))
+    for single, block in results[1:]:
+        assert np.array_equal(single, results[0][0])
+        assert np.array_equal(block, results[0][1])
+
+
+@pytest.mark.parametrize("dim, steps", [(3, 10**5), (8, 5 * 10**4)])
+def test_norm_drift_above_dim2_over_long_grids(rng, dim, steps):
+    # round-off grows linearly in the steps when they apply in turn
+    sched = random_periodic_schedule(rng, dim)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    traj = propagate(sched, psi / np.linalg.norm(psi), TimeGrid(t_end=2 * np.pi, steps=steps))
+    assert traj.norm_drift() <= DEFAULT.norm_preservation
 
 
 def test_block_rows_may_be_strided(rng):
@@ -340,11 +372,6 @@ def test_sample_shape_mismatch_names_schedule_dim(dim, returned, vectorized):
 # --- pooled stack kernels -----------------------------------------------------
 
 
-def all_states(result):
-    trajs = result if isinstance(result, TrajectoryBlock) else [result]
-    return np.stack([traj.states for traj in trajs])
-
-
 @pytest.mark.parametrize("workers", [2, 3, None], ids=["2", "3", "this-machine"])
 @pytest.mark.parametrize("dim", [3, 8, 17, 64])
 def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
@@ -356,12 +383,13 @@ def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
     psis = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     # steps 1, 2 and workers + 1 give stacks of that many matrices; 50 steps
-    # with a 20-step scan block give three blocks
+    # with a 20-step block give three blocks
     cases = [(psis[0], 1, None), (psis, 2, None), (psis[1], pooled() + 1, None),
              (psis, 50, None), (psis, 50, dim * dim * 20)]
     for psi, steps, scan_elements in cases:
         if scan_elements is not None:
             monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
+            monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", scan_elements)
         grid = TimeGrid(t_end=2 * np.pi, steps=steps)
         monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
         expected = all_states(propagate(sched, psi, grid))

@@ -140,7 +140,7 @@ def test_step_unitaries_match_einsum_assembly(dim, count, seed, log_scale, log_n
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, -np.inf, 1j, np.complex128(1.0), "a", None])
 def test_expi_rejects_bad_hbar(rng, dim, hbar):
     with pytest.raises(ValueError, match="hbar"):
         hilbert.expi_hermitian(random_hermitian(rng, dim), 0.1, hbar=hbar)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonomy_lab import spin_model
-from holonomy_lab.errors import DimensionMismatchError, NotCyclicError, OrthogonalEndpointsError
+from holonomy_lab import evolution, spin_model
+from holonomy_lab.errors import DimensionMismatchError, NonHermitianError, NotCyclicError, OrthogonalEndpointsError
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, Trajectory, propagate
 from holonomy_lab.phases import (
     adiabatic_berry_phase,
@@ -77,6 +77,10 @@ def test_mod_two_pi_range():
         # unreduced and reduced values differ by an exact multiple of 2 pi
         k = round((x - r) / (2 * np.pi))
         assert abs((x - r) - 2 * np.pi * k) <= 1e-12
+
+
+def test_mod_two_pi_keeps_nan():
+    assert math.isnan(mod_two_pi(math.nan))
 
 
 def test_total_phase_of_constructed_trajectory():
@@ -259,6 +263,48 @@ def test_phases_from_node_samples_equal_schedule_path(rng):
             dynamical_phase(traj, bad)
         with pytest.raises(DimensionMismatchError):
             noncyclic_geometric_phase(traj, bad)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 17])
+def test_dynamical_phase_sampled_in_blocks_equals_node_stack(rng, monkeypatch, dim):
+    # 16-node blocks over 49 nodes: three full blocks and a one-node tail
+    monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", 16 * dim * dim)
+    monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", 16 * dim * dim)
+    a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    h0, h1, h2 = a + a.conj().swapaxes(-1, -2)
+    calls = []
+
+    def many(ts):
+        calls.append(len(ts))
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        return h0 + h1 * np.cos(ts) + h2 * np.sin(ts)
+
+    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
+    grid = TimeGrid(t_end=2.0, steps=48)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    traj = propagate(sched, psi / np.linalg.norm(psi), grid)
+    node_hams = sched.sample(grid.nodes())
+    calls.clear()
+    for hbar in (1.0, 0.7):
+        assert dynamical_phase(traj, sched, hbar=hbar) == dynamical_phase(traj, node_hams, hbar=hbar)
+    assert calls == [16, 16, 16, 1] * 2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_node_energy_raises_naming_its_time(dim):
+    # midpoints never reach t = 0, so the run propagates; its phases must not
+    h = np.diag(np.arange(dim, dtype=float))
+    sched = HamiltonianSchedule(evaluate=lambda t: h * math.nan if t == 0.0 else h, dim=dim)
+    grid = TimeGrid(t_end=1.0, steps=16)
+    traj = propagate(sched, np.eye(dim)[0], grid)
+    match = r"not finite at t = 0\.0:"
+    for source in (sched, sched.sample(grid.nodes())):
+        with pytest.raises(NonHermitianError, match=match):
+            dynamical_phase(traj, source)
+        with pytest.raises(NonHermitianError, match=match):
+            cyclic_geometric_phase(traj, source)
+        with pytest.raises(NonHermitianError, match=match):
+            noncyclic_geometric_phase(traj, source)
 
 
 def test_noncyclic_short_duration_limit():
