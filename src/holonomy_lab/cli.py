@@ -1,8 +1,9 @@
 """Command-line front end: evolve, sweep, verify.
 
 Exit codes: 0 success, 1 numerical/invariant failure, 2 usage or config
-error. Machine-readable output goes to --out or stdout; human-readable
-progress goes to stderr and is silenced by --quiet.
+error. Machine-readable output goes to --out, else the config's output.path,
+else stdout; human-readable progress goes to stderr and is silenced by --quiet.
+Each subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -28,21 +29,19 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(args, text: str) -> None:
-    out = args.out
-    if out is None and args.config_mapping.get("output.path"):
-        out = args.config_mapping["output.path"]
-    if out:
-        Path(out).write_text(text)
-        _say(args, f"wrote {out}")
+def _emit(args, path: str | None, text: str) -> None:
+    """Write text to the resolved output path (--out over output.path), or to
+    stdout when there is none or it is empty."""
+    if path:
+        Path(path).write_text(text)
+        _say(args, f"wrote {path}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _build_config(args, *, need_config: bool) -> RunConfig:
+def _build_config(args) -> RunConfig:
     mapping = load_config(args.config) if args.config else {}
-    args.config_mapping = mapping
-    if need_config and not mapping:
+    if not mapping:
         raise ConfigError("this command needs --config with at least theta and omega or eta")
     return build_config(
         mapping,
@@ -53,7 +52,7 @@ def _build_config(args, *, need_config: bool) -> RunConfig:
 
 
 def cmd_evolve(args) -> int:
-    config = _build_config(args, need_config=True)
+    config = _build_config(args)
     eta = config.require_single_point()
     tol = config.tolerances()
     params = spin_model.ModelParams.from_eta(
@@ -92,7 +91,7 @@ def cmd_evolve(args) -> int:
         "deviation_from_exact": circular_distance(report.geometric, exact_geom),
     }
     if config.output_format == "json":
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, config.output_path, json.dumps(payload, indent=2))
     else:
         cols = (
             "eta", "theta", "alpha", "total", "dynamical", "geometric",
@@ -103,7 +102,7 @@ def cmd_evolve(args) -> int:
             report.geometric, exact_geom, payload["deviation_from_exact"], fid, grid.steps,
         )
         lines = [sweep_mod.CSV_BANNER, ",".join(cols), ",".join(sweep_mod.csv_value(v) for v in vals)]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, config.output_path, "\n".join(lines) + "\n")
     _say(
         args,
         f"geometric phase {report.geometric:.9f} rad "
@@ -114,7 +113,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _build_config(args, need_config=True)
+    config = _build_config(args)
     if config.sweep is None:
         raise ConfigError("sweep command needs sweep.eta_min, sweep.eta_max, sweep.points")
     tol = config.tolerances()
@@ -132,7 +131,7 @@ def cmd_sweep(args) -> int:
         tol=tol,
     )
     text = sweep_mod.rows_to_csv(rows) if config.output_format == "csv" else sweep_mod.rows_to_json(rows)
-    _emit(args, text)
+    _emit(args, config.output_path, text)
     n_bad = sum(r.status != "ok" for r in rows)
     _say(args, f"{len(rows)} rows, {n_bad} failed")
     return 0
@@ -140,16 +139,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     # verify accepts either a full run config or a tolerance-only one
-    tol = DEFAULT
+    tol, path = DEFAULT, args.out
     if args.config:
         mapping = load_config(args.config)
-        args.config_mapping = mapping
         if any(not key.startswith("tol.") for key in mapping):
-            tol = build_config(mapping).tolerances()
+            config = build_config(mapping, output_path=args.out)
+            tol, path = config.tolerances(), config.output_path
         else:
             tol = DEFAULT.replace(**tolerance_overrides(mapping))
     results = verify_mod.run_suite(tol=tol, quick=args.quick, seed=args.seed)
-    _emit(args, verify_mod.render_report(results) + "\n")
+    _emit(args, path, verify_mod.render_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -168,19 +167,19 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="key = value or JSON config file")
         p.add_argument("--out", metavar="PATH", help="write machine-readable output here")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-        p.add_argument("--steps", type=int, default=None, help="override grid steps")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized gauge checks")
-        p.add_argument("--quiet", action="store_true", help="suppress progress messages")
         if name == "verify":
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized gauge checks")
             p.add_argument("--quick", action="store_true", help="reduced, faster check suite")
+        else:
+            p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+            p.add_argument("--steps", type=int, default=None, help="override grid steps")
+        p.add_argument("--quiet", action="store_true", help="suppress progress messages")
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    args.config_mapping = {}
     try:
         return args.fn(args)
     except ConfigError as exc:

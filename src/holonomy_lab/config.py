@@ -234,7 +234,9 @@ def build_config(mapping: dict, **cli_overrides) -> RunConfig:
             log=_as_bool(mapping, "sweep.log") if "sweep.log" in mapping else True,
         )
     if "output.path" in mapping:
-        kwargs["output_path"] = str(mapping["output.path"])
+        if not isinstance(mapping["output.path"], str):
+            raise ConfigError(f"output.path must be a string, got {mapping['output.path']!r}")
+        kwargs["output_path"] = mapping["output.path"]
     if "output.format" in mapping:
         kwargs["output_format"] = str(mapping["output.format"])
 

@@ -134,16 +134,13 @@ class TrajectoryBlock(tuple):
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over two equal-length stacks of square complex matrices.
+    """a @ b over two equal-length stacks of 2x2 complex matrices.
 
-    At dim 2 the four entries are formed elementwise into a component-major
-    stack (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
-    strided writes. Other dims take plain np.matmul; only the dim-2 scan
-    calls this in propagate.
+    The four entries are formed elementwise into a component-major stack
+    (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
+    strided writes.
     """
-    if a.shape[-1] != 2:
-        return np.matmul(a, b)
-    out = hilbert._empty_2x2(np.broadcast_shapes(a.shape, b.shape)[:-2])
+    out = hilbert._empty_2x2(a.shape[:-2])
     for i in range(2):
         for j in range(2):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
@@ -151,12 +148,12 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _prefix_products(u: np.ndarray) -> np.ndarray:
-    """p[k] = u[k] @ u[k-1] @ ... @ u[0], for a stack of square matrices.
+    """p[k] = u[k] @ u[k-1] @ ... @ u[0], for a stack of 2x2 matrices.
 
     Work-efficient recursive scan (about 2n batched products) instead of a
     Python loop. The balanced re-association keeps unitary round-off growth
-    logarithmic in the step count. propagate scans dim-2 stacks only, whose
-    elementwise products make the 2n products cheaper than n steps in turn.
+    logarithmic in the step count, and the elementwise products (see _matmul)
+    make the 2n products cheaper than n steps in turn.
     """
     n = u.shape[0]
     if n <= 1:

@@ -80,11 +80,12 @@ def check_normalized(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """max|M - M^H|, zero for exactly Hermitian input."""
+    """max|M - M^H|, zero for exactly Hermitian input, by the propagation
+    screen's formula (see _hermiticity_defects)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"operator must be square, got shape {a.shape}")
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(_hermiticity_defects(a[None])[0][0])
 
 
 def unitarity_defect(u) -> float:
@@ -214,15 +215,15 @@ def _executor():
         return _POOL
 
 
-def _run_in_pieces(kernel, out: np.ndarray, stacks) -> None:
+def _run_in_pieces(kernel, out: np.ndarray, stack: np.ndarray) -> None:
     step = max(1, _PIECE_ELEMENTS // math.prod(out.shape[1:]))
     for lo in range(0, len(out), step):
-        kernel(*[a[lo : lo + step] for a in stacks], out=out[lo : lo + step])
+        kernel(stack[lo : lo + step], out=out[lo : lo + step])
 
 
-def _map_stack(kernel, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
-    """Run kernel(*pieces, out=out_piece) over pieces of the leading axis of
-    `stacks` and of the caller's `out`, a stack of square matrices that the
+def _map_stack(kernel, out: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Run kernel(piece, out=out_piece) over pieces of the leading axis of
+    `stack` and of the caller's `out`, a stack of square matrices that the
     kernel fills, and return `out`.
 
     The kernel must act on each matrix on its own, so a result does not
@@ -232,19 +233,17 @@ def _map_stack(kernel, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     thread, the others on the pool, and every slice finishes before the
     first exception, in slice order, is re-raised. With one worker, one
     matrix or too little work, the kernel runs inline and the pool is never
-    built. Its one user is the eigh branch of _step_unitaries: above dim 2
-    propagate applies step unitaries in turn, with no stack products left to
-    split.
+    built. Its one user is the eigh branch of _step_unitaries.
     """
     n = len(out)
     workers = min(n, out.size * out.shape[-1] // _SLICE_WORK)  # k d^3 // _SLICE_WORK
     if workers > 1:
         workers = min(workers, _worker_count())
     if workers < 2:
-        _run_in_pieces(kernel, out, stacks)
+        _run_in_pieces(kernel, out, stack)
         return out
     cuts = [n * i // workers for i in range(workers + 1)]
-    parts = [(out[lo:hi], [a[lo:hi] for a in stacks]) for lo, hi in zip(cuts, cuts[1:])]
+    parts = [(out[lo:hi], stack[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     pool = _executor()
     futures = [pool.submit(_run_in_pieces, kernel, *part) for part in parts[1:]]
     try:

@@ -156,6 +156,10 @@ def test_unitarity_defect_requires_square_matrix():
 def test_hermiticity_defect_examples():
     assert hilbert.hermiticity_defect(SIGMA_Y) == 0
     assert hilbert.hermiticity_defect(np.array([[0, 1], [0, 0]])) == 1
+    # non-finite entries, without a RuntimeWarning: inf - inf on the diagonal is NaN
+    assert np.isnan(hilbert.hermiticity_defect(np.diag([np.inf, 0.0, 0.0])))
+    assert hilbert.hermiticity_defect(np.array([[0, np.inf], [0, 0]])) == np.inf
+    assert np.isnan(hilbert.hermiticity_defect(np.array([[0, np.nan], [0, 0]])))
 
 
 def test_hermiticity_defect_doubles_antihermitian_part(rng):

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,13 +25,19 @@ from holonomy_lab.sweep import (
 )
 
 
-def run_cli(*args, config_text=None, tmp_path=None):
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args, config_text=None, tmp_path=None, cwd=None):
+    """The CLI in a child process, which finds the package from any working directory."""
     cmd = [sys.executable, "-m", "holonomy_lab.cli", *args]
     if config_text is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text)
         cmd += ["--config", str(cfg)]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
 
 
 # --- config parsing ---------------------------------------------------------
@@ -383,17 +390,25 @@ def test_cli_bad_config_key_is_usage_error(tmp_path):
         ("evolve", "theta = 1.0\neta = 1.0\ntol.heff_hermiticity = 1\n"),
         ("evolve", "theta = 1.0\neta = 1e300\nmu = 1e10\n"),
         ("sweep", "theta = 1.0\nmu = 1e10\nsweep.eta_min = 1e-3\nsweep.eta_max = 1e300\nsweep.points = 4\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\noutput.path = 123\n"),
+        ("evolve", "theta = 1.0\neta = 1.0\noutput.path = true\n"),
+        ("sweep", "theta = 1.0\nsweep.eta_min = 0.5\nsweep.eta_max = 2.0\nsweep.points = 2\noutput.path = 123\n"),
+        ("sweep", "theta = 1.0\nsweep.eta_min = 0.5\nsweep.eta_max = 2.0\nsweep.points = 2\noutput.path = true\n"),
     ],
     ids=[
         "theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number",
         "steps-over-cap", "negative-tolerance", "infinite-eta", "overflowing-eta",
         "infinite-sweep-bound", "removed-tolerance", "overflowing-omega", "overflowing-sweep-omega",
+        "evolve-numeric-output-path", "evolve-boolean-output-path",
+        "sweep-numeric-output-path", "sweep-boolean-output-path",
     ],
 )
 def test_cli_bad_config_value_is_usage_error(tmp_path, command, config_text):
-    res = run_cli(command, "--quiet", config_text=config_text, tmp_path=tmp_path)
+    # run where a relative output path would land, which must stay empty
+    res = run_cli(command, "--quiet", config_text=config_text, tmp_path=tmp_path, cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_cli_steps_flag_over_cap_is_usage_error(tmp_path):
@@ -449,6 +464,46 @@ def test_cli_sweep_json_format(tmp_path):
 def test_cli_sweep_without_spec_is_usage_error(tmp_path):
     res = run_cli("sweep", "--quiet", config_text="theta = 0.5\neta = 1.0\n", tmp_path=tmp_path)
     assert res.returncode == 2
+
+
+# --- output path and per-command flags -----------------------------------------
+
+EVOLVE_CONFIG = "theta = 1.0471975511965976\neta = 1.0\nsteps = 2048\n"
+SWEEP_CONFIG = "theta = 1.0471975511965976\nsteps = 256\nsweep.eta_min = 0.5\nsweep.eta_max = 2.0\nsweep.points = 3\n"
+
+
+@pytest.mark.parametrize(
+    "command, config_text", [("evolve", EVOLVE_CONFIG), ("sweep", SWEEP_CONFIG)], ids=["evolve", "sweep"]
+)
+def test_cli_writes_to_config_output_path_unless_out_flag_given(tmp_path, capsys, command, config_text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text + f"output.path = {tmp_path / 'config.csv'}\n")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "flag.csv"), "--quiet"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flag.csv", "run.cfg"]
+    assert cli.main([command, "--config", str(cfg), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+@pytest.mark.slow
+def test_cli_verify_honours_full_config_output_path(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EVOLVE_CONFIG + f"output.path = {target}\n")
+    assert cli.main(["verify", "--quick", "--config", str(cfg), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert "PASS" in target.read_text() and "FAIL" not in target.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", "--seed", "1"], ["sweep", "--seed", "1"], ["verify", "--steps", "16"], ["verify", "--format", "json"]],
+    ids=["evolve-seed", "sweep-seed", "verify-steps", "verify-format"],
+)
+def test_cli_unread_flag_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_checks_share_one_signature():
