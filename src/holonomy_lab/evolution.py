@@ -1,14 +1,16 @@
 """Norm-preserving propagation of the time-dependent Schroedinger equation.
 
-The propagator is the exponential-midpoint rule: each step applies the exact
-unitary of the Hamiltonian frozen at the step midpoint. Second order accurate
-and exactly unitary per step, which phase observables require.
+The propagator is the exponential-midpoint rule: each step applies the
+exponential of the Hamiltonian frozen at the step midpoint. Second order
+accurate and unitary per step to round-off, which phase observables require:
+below dim 16 the step exponential is a unitary from its eigendecomposition
+(or closed form), from dim 16 up it is applied to the state by a Taylor
+series accurate to 2^-53.
 
-The grid is walked in blocks of steps, each sampled, screened and
-exponentiated at once. At dim 2 a block's states come from a prefix scan of
-its step unitaries; above dim 2 each step unitary is applied to the state in
-turn, so unitary round-off grows linearly in the step count there, against
-logarithmically in the scan.
+The grid is walked in blocks of steps, each sampled and screened at once. At
+dim 2 a block's states come from a prefix scan of its step unitaries; above
+dim 2 each step is applied to the state in turn, so round-off grows linearly
+in the step count there, against logarithmically in the scan.
 """
 
 from __future__ import annotations
@@ -176,6 +178,10 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
 # half the peak memory
 _SCAN_BLOCK_ELEMENTS = 1 << 21
 _STEP_BLOCK_ELEMENTS = 1 << 18
+# from this dim up a step's exponential is applied to the state by its Taylor
+# series (hilbert._step_series): below it eigh, whose per-call cost dominates
+# there, is cheaper than the series' matrix-vector products
+_SERIES_MIN_DIM = 16
 
 
 def _block_steps(dim: int) -> int:
@@ -196,22 +202,26 @@ def propagate(
 
     A 1-d psi0 gives one Trajectory. A block of initial states, shape
     (m, dim), gives a TrajectoryBlock with one Trajectory per row: the
-    Hamiltonian samples and step unitaries are shared by all rows, and each
-    row equals the single-state propagation of that row exactly. Global
-    error is O(dt^2) against the exact flow; each step is exactly unitary,
-    so the norm is preserved to round-off.
+    Hamiltonian samples and step exponentials are shared by all rows, and
+    each row equals the single-state propagation of that row exactly. Global
+    error is O(dt^2) against the exact flow; each step is unitary to
+    round-off, so the norm is preserved to round-off.
 
     The grid is walked in blocks of midpoints (see _block_steps). At dim 2 a
     block's step unitaries are prefix-scanned and the products applied to
     each row's block start, so round-off grows logarithmically in the steps.
-    Above dim 2 each row applies the block's step unitaries one after
-    another, with one matrix-vector product per step, so round-off grows
-    linearly in the steps and the states do not depend on the block size.
-    The step exponentials run over slices of each stack on the CPUs the BLAS
-    leaves idle (see hilbert._map_stack), bit-identical to a one-worker run;
-    schedule callbacks are called on the calling thread only. Raises
-    ValueError before any sampling unless hbar is a positive finite real
-    number, and NonHermitianError naming the offending midpoint if the
+    Above dim 2 each row applies the block's steps one after another, so
+    round-off grows linearly in the steps and the states do not depend on
+    the block size. At dims 3 to 15 a step is one matrix-vector product with
+    its unitary from eigh. From dim 16 up it is the Taylor series of its
+    generator applied to the state, with substeps and degree from that
+    step's own norm, and a step whose series would cost more than eigh takes
+    its unitary instead (see hilbert._step_series). A series step costs s m
+    matrix-vector products, and s m grows as 14 to 18 times
+    ||H||_F |dt| / hbar once that passes 1.
+
+    Raises ValueError before any sampling unless hbar is a positive finite
+    real number, and NonHermitianError naming the offending midpoint if the
     schedule is not Hermitian or not finite there.
     """
     hilbert._require_hbar(hbar)
@@ -230,19 +240,27 @@ def propagate(
     states = np.empty((len(rows), grid.steps + 1, dim), dtype=complex)
     states[:, 0] = rows
     block = _block_steps(dim)
+    if dim >= _SERIES_MIN_DIM:
+        gens = np.empty((min(block, grid.steps), dim, dim + 1), dtype=complex)
+        work = hilbert._series_work(dim)
     for pos in range(0, grid.steps, block):
         take = min(block, grid.steps - pos)
         hams = schedule.sample(mids[pos : pos + take])
         hilbert._require_hermitian(hams, tol, times=mids[pos : pos + take])
-        unitaries = hilbert._step_unitaries(hams, grid.dt, hbar)
         if dim == 2:
-            prefixes = _prefix_products(unitaries)
+            prefixes = _prefix_products(hilbert._step_unitaries(hams, grid.dt, hbar))
             for row in states:
                 np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
-        else:
+        elif dim < _SERIES_MIN_DIM:
+            unitaries = hilbert._step_unitaries(hams, grid.dt, hbar)
             for row in states:
                 for k in range(take):
                     np.matmul(unitaries[k], row[pos + k], out=row[pos + k + 1])
+        else:
+            plans = hilbert._step_series(hams, grid.dt, hbar, out=gens)
+            for row in states:
+                for k, plan in enumerate(plans):
+                    hilbert._apply_step(plan, gens[k], row[pos + k], row[pos + k + 1], work)
     trajs = [Trajectory(grid=grid, states=row) for row in states]
     return trajs[0] if psis.ndim == 1 else TrajectoryBlock(trajs)
 

@@ -1,17 +1,17 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 State vectors are 1-d complex numpy arrays, operators are square complex
-matrices. Everything here is a pure function; nothing passed in is mutated.
-The only state is a thread pool, built on first use, over which large stacks
-above dim 2 are exponentiated (see _map_stack).
+matrices. Nothing here holds state, and nothing passed in is mutated except
+the buffers a private kernel takes to write into. Propagation's step
+exponentials come in two forms: the unitaries themselves (_step_unitaries)
+and, from dim 16 up, their action on a state by a Taylor series
+(_step_series, _apply_step).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 
 import numpy as np
 
@@ -156,106 +156,6 @@ def _require_hbar(hbar) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
 
 
-# Stack kernels run over contiguous slices of a stack's leading axis, one per
-# worker (see _map_stack). The pool is built on first use and dropped in a
-# forked child, whose copy would have no threads behind it.
-_POOL = None
-_POOL_LOCK = threading.Lock()
-# each slice is walked in pieces of about this many complex elements, so no
-# thread holds a large temporary (glibc keeps freed buffers in per-thread arenas)
-_PIECE_ELEMENTS = 1 << 16
-# a stack is split only into slices of at least this many d^3 multiply-adds
-# (k d^3 for k matrices of dim d): below it, the thread hand-off and the BLAS
-# calls that two threads cannot overlap cost more than the second CPU saves
-_SLICE_WORK = 1 << 21
-
-
-def _drop_pool() -> None:
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on, floor-divided by the BLAS's own thread
-    count, at least 1. The thread count is read from the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
-    positive integer; with none, the BLAS takes every CPU and so 1 worker is
-    left. OPENBLAS_NUM_THREADS=1 gives one worker per CPU."""
-    cpus = _cpu_count()
-    blas_threads = cpus
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            value = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas_threads = value
-            break
-    return max(1, cpus // blas_threads)
-
-
-def _executor():
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor  # costly import, off the setup path
-
-            _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="holonomy-lab")
-        return _POOL
-
-
-def _run_in_pieces(kernel, out: np.ndarray, stack: np.ndarray) -> None:
-    step = max(1, _PIECE_ELEMENTS // math.prod(out.shape[1:]))
-    for lo in range(0, len(out), step):
-        kernel(stack[lo : lo + step], out=out[lo : lo + step])
-
-
-def _map_stack(kernel, out: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Run kernel(piece, out=out_piece) over pieces of the leading axis of
-    `stack` and of the caller's `out`, a stack of square matrices that the
-    kernel fills, and return `out`.
-
-    The kernel must act on each matrix on its own, so a result does not
-    depend on how the stack is cut: it is bit-identical for any worker count.
-    The axis is split into up to _worker_count() contiguous slices of at least
-    _SLICE_WORK d^3 multiply-adds each. The first slice runs on the calling
-    thread, the others on the pool, and every slice finishes before the
-    first exception, in slice order, is re-raised. With one worker, one
-    matrix or too little work, the kernel runs inline and the pool is never
-    built. Its one user is the eigh branch of _step_unitaries.
-    """
-    n = len(out)
-    workers = min(n, out.size * out.shape[-1] // _SLICE_WORK)  # k d^3 // _SLICE_WORK
-    if workers > 1:
-        workers = min(workers, _worker_count())
-    if workers < 2:
-        _run_in_pieces(kernel, out, stack)
-        return out
-    cuts = [n * i // workers for i in range(workers + 1)]
-    parts = [(out[lo:hi], stack[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    pool = _executor()
-    futures = [pool.submit(_run_in_pieces, kernel, *part) for part in parts[1:]]
-    try:
-        _run_in_pieces(kernel, *parts[0])
-    finally:
-        errors = [future.exception() for future in futures]  # waits for every slice
-    for error in errors:
-        if error is not None:
-            raise error
-    return out
-
-
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack.
 
@@ -266,21 +166,18 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     component-major stack (see _empty_2x2). Other dims go through eigh,
     H = V diag(lambda) V^H: the eigenvectors scaled by their phases,
     V diag(exp(-i lambda tau)), times V^H in one batched matmul, with the
-    conjugate written into eigh's own buffer. That branch runs over slices of
-    the stack on idle CPUs, and over small pieces within each slice, with
-    results bit-identical to one pass (see _map_stack). Raises ValueError
-    unless hbar is positive and finite.
+    conjugate written into eigh's own buffer. Every matrix is computed on its
+    own, so its result does not depend on the stack around it. propagate
+    takes this kernel at dims 2 to 15, and from dim 16 up only for the steps
+    whose Taylor series would cost more (see _step_series). Raises
+    ValueError unless hbar is positive and finite.
     """
     _require_hbar(hbar)
     tau = dt / hbar
     if hams.shape[-2:] != (2, 2):
-
-        def kernel(h, out):
-            evals, evecs = np.linalg.eigh(h)
-            scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
-            np.matmul(scaled, np.conjugate(evecs, out=evecs).swapaxes(-1, -2), out=out)
-
-        return _map_stack(kernel, np.empty(hams.shape, dtype=complex), hams)
+        evals, evecs = np.linalg.eigh(hams)
+        scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
+        return np.matmul(scaled, np.conjugate(evecs, out=evecs).swapaxes(-1, -2))
     h00, h11, h10 = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
     hz = 0.5 * (h00 - h11)
     r = np.hypot(hz, np.abs(h10))
@@ -297,6 +194,88 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     out[..., 1, 0] = rot * h10
     out[..., 0, 1] = rot * h10.conj()
     return out
+
+
+# The step series (see _step_series) runs up to degree 18: the tail bound of a
+# generator of norm 1 falls below 2^-53 there, and substeps keep every norm
+# at 1 or below
+_SERIES_MAX_DEGREE = 18
+_INV_FACTORIALS = np.array([1.0 / math.factorial(j) for j in range(_SERIES_MAX_DEGREE + 2)])
+# matrix-vector products s m past which a step's series costs more than its
+# eigh exponential: about 35 at dim 16 and 240 at dim 64 on one BLAS thread,
+# so this geometric mean is within 3x of the cheaper kernel at both ends
+_SERIES_BREAK_EVEN = 90
+
+
+def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> list:
+    """Plan the Taylor series of exp(A_k), A_k = -i H_k dt / hbar, for each
+    matrix of a Hermitian (k, dim, dim) stack; _apply_step applies a plan.
+
+    Writes A_k / s_k into out[k, :, :dim], where `out` is a caller's
+    (>= k, dim, dim + 1) buffer; the samples are never written. Like eigh,
+    A_k is read from the lower triangle and the real diagonal of H_k only:
+    its upper triangle is -conj of its lower one, bit for bit. The substep
+    count s_k is 1 while ||A_k||_F <= 1 and ceil(||A_k||_F) above, so a
+    substep's generator has norm nu <= 1, and the degree m_k is the smallest
+    whose tail bound nu^(m+1) / (m+1)! / (1 - nu / (m+2)) is below 2^-53.
+    The plan of step k is (s_k, m_k), or its unitary from _step_unitaries
+    when the series would take more than _SERIES_BREAK_EVEN matrix-vector
+    products s_k m_k. Each plan depends on its own step alone, so it does
+    not depend on how a grid is cut into stacks.
+    """
+    count, dim = hams.shape[:2]
+    gens = out[:count, :, :dim]
+    np.multiply(hams, -1j * (dt / hbar), out=gens)
+    i, j = np.triu_indices(dim, 1)
+    gens[:, i, j] = -gens[:, j, i].conj()
+    diag = np.arange(dim)
+    gens.real[:, diag, diag] = 0.0
+    real = gens.view(float)
+    norms = np.sqrt(np.einsum("kij,kij->k", real, real))
+    substeps = np.maximum(1.0, np.ceil(norms))
+    if (substeps > 1.0).any():
+        np.divide(gens, substeps[:, None, None], out=gens)  # exact where s is 1
+    nu = (norms / substeps)[:, None]
+    orders = np.arange(1, _SERIES_MAX_DEGREE + 1)
+    tails = nu ** (orders + 1) * _INV_FACTORIALS[orders + 1] / (1.0 - nu / (orders + 2))
+    degrees = 1 + np.argmax(tails < 2.0**-53, axis=1)
+    slow = substeps * degrees > _SERIES_BREAK_EVEN
+    # a slow step's substeps are never made an int: an overflowed norm is inf
+    plans = [None if past else (int(s), m) for s, m, past in zip(substeps, degrees.tolist(), slow.tolist())]
+    for k, u in zip(np.flatnonzero(slow), _step_unitaries(hams[slow], dt, hbar)):
+        plans[k] = u
+    return plans
+
+
+def _series_work(dim: int) -> np.ndarray:
+    """Scratch rows for _apply_step at this dim: row j ends in 1 / (j - 1)!."""
+    work = np.zeros((_SERIES_MAX_DEGREE + 1, dim + 1), dtype=complex)
+    work[1:, dim] = _INV_FACTORIALS[:_SERIES_MAX_DEGREE]
+    return work
+
+
+def _apply_step(plan, gen: np.ndarray, psi: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """out = exp(A) psi for one step planned by _step_series, `gen` its row
+    of the generator buffer and `work` from _series_work.
+
+    A unitary plan is applied as it is. A series plan (s, m) applies the
+    degree-m Taylor polynomial of A / s to the state s times, in Horner
+    form: z_m = psi / m!, z_(j-1) = (A / s) z_j + psi / (j-1)!, down to z_0.
+    Each term is one matrix-vector product of [A / s | psi], with psi
+    written into gen's last column, and [z_j, 1 / (j-1)!].
+    """
+    if isinstance(plan, np.ndarray):
+        np.matmul(plan, psi, out=out)
+        return
+    substeps, degree = plan
+    dim = psi.size
+    start = gen[:, dim]
+    for sub in range(substeps):
+        start[...] = psi if sub == 0 else out
+        np.multiply(start, _INV_FACTORIALS[degree], out=work[degree, :dim])
+        for j in range(degree, 1, -1):
+            np.matmul(gen, work[j], out=work[j - 1, :dim])
+        np.matmul(gen, work[1], out=out)
 
 
 def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -1,5 +1,9 @@
+import concurrent.futures
 import math
 import multiprocessing
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -308,13 +312,54 @@ def test_states_above_dim2_do_not_depend_on_block_size(rng, monkeypatch, dim):
         assert np.array_equal(block, results[0][1])
 
 
-@pytest.mark.parametrize("dim, steps", [(3, 10**5), (8, 5 * 10**4)])
+@pytest.mark.parametrize("dim, steps", [(3, 10**5), (8, 5 * 10**4), (16, 2 * 10**4), (64, 4096)])
 def test_norm_drift_above_dim2_over_long_grids(rng, dim, steps):
     # round-off grows linearly in the steps when they apply in turn
     sched = random_periodic_schedule(rng, dim)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     traj = propagate(sched, psi / np.linalg.norm(psi), TimeGrid(t_end=2 * np.pi, steps=steps))
     assert traj.norm_drift() <= DEFAULT.norm_preservation
+
+
+def eigh_path_states(hams, psi, dt):
+    """States from each step's unitary (hilbert._step_unitaries) applied in turn."""
+    states = [psi]
+    for u in hilbert._step_unitaries(hams, dt, 1.0):
+        states.append(np.matmul(u, states[-1]))
+    return np.array(states)
+
+
+def test_steps_past_the_series_break_even_take_their_unitary(rng):
+    # ||H||_F dt is about 3e4: the series would take about 3e4 substeps a step
+    h = random_periodic_schedule(rng, 16).evaluate(0.3)
+    psi = np.linalg.eigh(h)[1][:, 0]
+    grid = TimeGrid(t_end=1e4, steps=16)
+    start = time.perf_counter()
+    states = propagate(static_schedule(h), psi, grid).states
+    assert time.perf_counter() - start < 0.5
+    assert np.array_equal(states, eigh_path_states(np.broadcast_to(h, (16, 16, 16)), psi, grid.dt))
+
+
+def test_series_and_unitary_steps_mix_in_one_block(rng, monkeypatch):
+    # a pulse that crosses the break-even mid-grid: each step takes its own
+    # kernel, so the states do not depend on where the blocks cut the grid
+    dim = 16
+    h = random_periodic_schedule(rng, dim).evaluate(0.0)
+    scale = lambda ts: 1.0 + 400.0 * np.exp(-((ts - 1.0) / 0.2) ** 2)
+    sched = HamiltonianSchedule(evaluate=None, evaluate_many=lambda ts: scale(ts)[:, None, None] * h, dim=dim)
+    grid = TimeGrid(t_end=2.0, steps=64)
+    hams = sched.sample(grid.midpoints())
+    gens = np.empty((grid.steps, dim, dim + 1), dtype=complex)
+    kinds = {type(plan) for plan in hilbert._step_series(hams, grid.dt, 1.0, out=gens)}
+    assert kinds == {tuple, np.ndarray}
+    psi = np.linalg.eigh(h)[1][:, 0]
+    results = []
+    for elements in (dim * dim * 16, dim * dim * grid.steps):
+        monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", elements)
+        results.append(propagate(sched, psi, grid).states)
+    assert np.array_equal(results[0], results[1])
+    exact = eigh_path_states(hams, psi, grid.dt)
+    assert np.max(np.abs(results[0] - exact)) <= 1e-12
 
 
 def test_block_rows_may_be_strided(rng):
@@ -366,32 +411,41 @@ def test_sample_shape_mismatch_names_schedule_dim(dim, returned, vectorized):
         dynamical_phase(traj, sched)
 
 
-# --- pooled stack kernels -----------------------------------------------------
+# --- callers on a thread pool -------------------------------------------------
 
 
 @pytest.mark.parametrize("workers", [2, 3, None], ids=["2", "3", "this-machine"])
 @pytest.mark.parametrize("dim", [3, 8, 17, 64])
 def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
-    # None keeps this machine's worker count, so a multi-CPU run with one BLAS
-    # thread uses the real pool
-    pooled = (lambda: workers) if workers else hilbert._worker_count
-    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)  # split every stack of two or more
+    # propagate keeps nothing between calls: the same call made at once from
+    # every thread of a caller's pool (None: one thread per CPU of this
+    # machine), with a short switch interval so that they interleave, gives
+    # each thread the bits of one call on this thread
+    workers = workers or os.cpu_count() or 1
     sched = random_periodic_schedule(rng, dim)
     psis = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     # steps 1, 2 and workers + 1 give stacks of that many matrices; 50 steps
-    # with a 20-step block give three blocks
-    cases = [(psis[0], 1, None), (psis, 2, None), (psis[1], pooled() + 1, None),
-             (psis, 50, None), (psis, 50, dim * dim * 20)]
-    for psi, steps, scan_elements in cases:
-        if scan_elements is not None:
-            monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
-            monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", scan_elements)
-        grid = TimeGrid(t_end=2 * np.pi, steps=steps)
-        monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
-        expected = all_states(propagate(sched, psi, grid))
-        monkeypatch.setattr(hilbert, "_worker_count", pooled)
-        assert np.array_equal(all_states(propagate(sched, psi, grid)), expected), (steps, scan_elements)
+    # with a 20-step block give three blocks. Over 2 pi, every step from dim
+    # 16 up is past the series' break-even; over 8 / dim, every step is a series
+    cases = [(psis[0], 1, None, 2 * np.pi), (psis, 2, None, 2 * np.pi), (psis[1], workers + 1, None, 2 * np.pi),
+             (psis, 50, None, 2 * np.pi), (psis, 50, None, 8 / dim),
+             (psis, 50, dim * dim * 20, 2 * np.pi), (psis, 50, dim * dim * 20, 8 / dim)]
+    interval = sys.getswitchinterval()
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        for psi, steps, scan_elements, t_end in cases:
+            if scan_elements is not None:
+                monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
+                monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", scan_elements)
+            grid = TimeGrid(t_end=t_end, steps=steps)
+            expected = all_states(propagate(sched, psi, grid))
+            sys.setswitchinterval(1e-5)
+            try:
+                pooled = list(pool.map(lambda _: all_states(propagate(sched, psi, grid)), range(workers)))
+            finally:
+                sys.setswitchinterval(interval)
+            for states in pooled:
+                assert np.array_equal(states, expected), (steps, scan_elements, t_end)
 
 
 def propagate_in_child(sched, psi, grid, expected):
@@ -400,21 +454,23 @@ def propagate_in_child(sched, psi, grid, expected):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
-def test_forked_child_propagates_after_parent_built_the_pool(rng, monkeypatch):
-    monkeypatch.setattr(hilbert, "_worker_count", lambda: 2)
-    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
-    sched = random_periodic_schedule(rng, 8)
-    psi = np.eye(8)[0]
-    grid = TimeGrid(t_end=2 * np.pi, steps=64)
-    expected = propagate(sched, psi, grid).states
-    assert hilbert._POOL is not None
-    child = multiprocessing.get_context("fork").Process(
-        target=propagate_in_child, args=(sched, psi, grid, expected)
-    )
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-        pytest.fail("forked child hung on the parent's pool")
-    assert child.exitcode == 0
+def test_forked_child_propagates_after_parent_built_the_pool(rng):
+    # the parent propagates on a thread pool whose threads are still alive at
+    # the fork; the child, which has none of them, propagates to the same bits
+    # through the eigh unitaries (dim 8) and the step series (dim 17)
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        for dim in (8, 17):
+            sched = random_periodic_schedule(rng, dim)
+            psi = np.eye(dim)[0]
+            grid = TimeGrid(t_end=2 * np.pi, steps=64)
+            expected = pool.submit(lambda: propagate(sched, psi, grid).states).result()
+            child = multiprocessing.get_context("fork").Process(
+                target=propagate_in_child, args=(sched, psi, grid, expected)
+            )
+            child.start()
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+                pytest.fail(f"forked child hung at dim {dim}")
+            assert child.exitcode == 0, dim

@@ -1,8 +1,10 @@
 import concurrent.futures
+import itertools
+import math
+import os
 import subprocess
 import sys
-import threading
-import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +139,80 @@ def test_step_unitaries_match_einsum_assembly(dim, count, seed, log_scale, log_n
     errors = np.max(np.abs(u - einsum_step_unitaries(hams, dt, hbar)), axis=(-2, -1))
     assert np.all(errors <= 16 * np.finfo(float).eps * np.maximum(1.0, norms * abs(dt / hbar)))
     assert max(hilbert.unitarity_defect(m) for m in u) <= 1e-13
+
+
+def series_action(hams, dt, hbar, psis):
+    """Plans of _step_series and exp(-i H_k dt / hbar) psis[k] from _apply_step."""
+    count, dim = hams.shape[:2]
+    gens = np.empty((count, dim, dim + 1), dtype=complex)
+    plans = hilbert._step_series(hams, dt, hbar, out=gens)
+    work = hilbert._series_work(dim)
+    out = np.empty_like(psis)
+    for k, plan in enumerate(plans):
+        hilbert._apply_step(plan, gens[k], psis[k], out[k], work)
+    return plans, out
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.integers(16, 64),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    log_norm=st.floats(-6.0, 1.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    hbar=st.floats(0.1, 10.0),
+)
+@example(dim=16, count=2, seed=1, log_scale=0.0, log_norm=1.0, sign=-1.0, hbar=0.1)
+def test_series_action_matches_eigh_exponential(dim, count, seed, log_scale, log_norm, sign, hbar):
+    rng = np.random.default_rng(seed)
+    hams = 10.0**log_scale * np.stack([random_hermitian(rng, dim) for _ in range(count)])
+    dt = sign * hbar * 10.0**log_norm / np.linalg.norm(hams, axis=(-2, -1)).max()  # max ||A_k||_F up to 10
+    psis = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    # an upper triangle and imaginary diagonal off by half the screen's
+    # tolerance; hams is their exactly Hermitian lower-triangle completion
+    noise = np.triu(rng.normal(size=hams.shape) + 1j * rng.normal(size=hams.shape), 1)
+    noise += 1j * rng.normal(size=(count, dim))[:, :, None] * np.eye(dim)
+    allowed = DEFAULT.hermiticity * max(1.0, np.abs(hams).max())
+    skewed = hams + 0.25 * allowed * noise / np.abs(noise).max()
+    hilbert._require_hermitian(skewed, DEFAULT)
+    before = skewed.copy()
+    with mock.patch.object(hilbert, "_SERIES_BREAK_EVEN", 10**6):  # the series for every step
+        plans, got = series_action(skewed, dt, hbar, psis)
+        assert np.array_equal(got, series_action(hams, dt, hbar, psis)[1])
+    assert np.array_equal(skewed, before)
+    assert all(isinstance(plan, tuple) for plan in plans)
+    tau = dt / hbar
+    evals, evecs = np.linalg.eigh(hams)
+    expected = np.einsum("kij,kj,klj,kl->ki", evecs, np.exp(-1j * evals * tau), evecs.conj(), psis)
+    norms = np.linalg.norm(hams, ord=2, axis=(-2, -1))
+    # measured at most 16 eps over 2000 draws, most of it the eigh reference's
+    # own (against scipy's expm the series stayed within 6 eps); 32 eps leaves
+    # headroom
+    errors = np.linalg.norm(got - expected, axis=1)
+    assert np.all(errors <= 32 * np.finfo(float).eps * np.maximum(1.0, norms * abs(tau)))
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_series_plans_follow_the_norm_rule(rng, dim):
+    # ||A_k||_F from 0 to 4.95 over the steps, off the integers where the
+    # substeps change, each step planned on its own
+    dt, hbar = 0.7, 1.3
+    target = np.concatenate([[0.0], np.logspace(-8.0, 0.0, 24), np.linspace(1.05, 4.95, 14)])
+    count = target.size
+    hams = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+    hams *= (target * (hbar / dt) / np.linalg.norm(hams, axis=(-2, -1)))[:, None, None]
+    with mock.patch.object(hilbert, "_SERIES_BREAK_EVEN", 10**6):
+        plans = hilbert._step_series(hams, dt, hbar, out=np.empty((count, dim, dim + 1), dtype=complex))
+    for h, plan in zip(hams, plans):
+        norm = np.linalg.norm(h) * dt / hbar
+        substeps = max(1, math.ceil(norm))
+        nu = norm / substeps
+        tail = lambda m: nu ** (m + 1) / math.factorial(m + 1) / (1.0 - nu / (m + 2))
+        degree = next(m for m in itertools.count(1) if tail(m) < 2.0**-53)
+        assert plan == (substeps, degree)
+    assert {plan[0] for plan in plans} == {1, 2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -290,7 +366,35 @@ def test_dim2_screen_raises_as_general_screen(rng):
             assert f"at t = {float(times[first_bad])!r}:" in outcomes[0][1], name
 
 
-# --- stack kernels over slices on a thread pool -------------------------------
+# --- stack kernels called from a caller's thread pool --------------------------
+
+
+# propagation at dims 3 (eigh unitaries) and 17 and 64 (the step series), each
+# dim on one thread of a pool of argv[2] threads, saved to argv[1]
+BLAS_CASE = """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, propagate
+
+
+def states(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    h0, h1, h2 = a + a.conj().swapaxes(-1, -2)
+
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        return h0 + h1 * np.cos(ts) + h2 * np.sin(ts)
+
+    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
+    block = propagate(sched, np.linalg.eigh(h0)[1].T[:2], TimeGrid(t_end=2.0, steps=40))
+    return np.stack([traj.states for traj in block])
+
+
+with ThreadPoolExecutor(int(sys.argv[2])) as pool:
+    np.savez(sys.argv[1], *pool.map(states, (3, 17, 64)))
+"""
 
 
 @pytest.mark.parametrize(
@@ -310,114 +414,66 @@ def test_dim2_screen_raises_as_general_screen(rng):
         ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4),
     ],
 )
-def test_worker_count_is_cpus_over_blas_threads(monkeypatch, env, workers):
-    monkeypatch.setattr(hilbert, "_cpu_count", lambda: 4)
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert hilbert._worker_count() == workers
+def test_worker_count_is_cpus_over_blas_threads(tmp_path, env, workers):
+    # the library reads no BLAS thread variable, and its states do not depend
+    # on one: in a fresh interpreter, where BLAS reads `env`, and on a caller's
+    # pool sized as a 4-CPU machine's CPUs over the BLAS threads `env` asks
+    # for, the states equal this process's on one thread
+    blas_names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    child_env = {name: value for name, value in os.environ.items() if name not in blas_names}
+    child_env.update(env)
+    out = tmp_path / "states.npz"
+    subprocess.run([sys.executable, "-c", BLAS_CASE, str(out), str(workers)], env=child_env, check=True, timeout=120)
+    namespace = {}
+    exec(BLAS_CASE.split("with ThreadPoolExecutor")[0], namespace)
+    with np.load(out) as got:
+        for name, dim in zip(got.files, (3, 17, 64)):
+            assert np.array_equal(got[name], namespace["states"](dim)), dim
 
 
-def test_cpu_count_falls_back_without_affinity(monkeypatch):
-    monkeypatch.delattr(hilbert.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(hilbert.os, "cpu_count", lambda: 3)
-    assert hilbert._cpu_count() == 3
-
-
-@pytest.mark.parametrize("raising", [(0,), (1,), (1, 2)], ids=["inline-slice", "pool-slice", "two-slices"])
-def test_map_stack_reraises_first_error_after_every_slice_finished(monkeypatch, raising):
-    monkeypatch.setattr(hilbert, "_worker_count", lambda: 3)
-    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
-    finished, threads = [], {}
-
-    def kernel(a, out):
-        index = int(a[0]) // 2  # slices of two rows each
-        threads[index] = threading.current_thread().name
-        if index in raising:
-            raise ZeroDivisionError(f"slice {index}")
-        time.sleep(0.1 * (index + 1))  # the last slice finishes last
-        out[...] = a
-        finished.append(index)
-
-    with pytest.raises(ZeroDivisionError, match=f"slice {raising[0]}"):
-        hilbert._map_stack(kernel, np.empty(6), np.arange(6.0))
-    assert sorted(finished) == sorted(set(range(3)) - set(raising))
-    assert threads[0] == threading.current_thread().name
-    assert all(threads[i].startswith("holonomy-lab") for i in (1, 2))
-
-
-@pytest.mark.parametrize("dim, count, inline", [(64, 15, True), (64, 16, False), (16, 1023, True), (16, 1024, False)])
-def test_map_stack_splits_only_stacks_with_enough_work(monkeypatch, dim, count, inline):
-    # two slices need 2 * _SLICE_WORK = 2^22 multiply-adds: count * dim^3
-    monkeypatch.setattr(hilbert, "_worker_count", lambda: 2)
-    threads = set()
-
-    def kernel(a, out):
-        threads.add(threading.current_thread().name)
-
-    hilbert._map_stack(kernel, np.empty((count, dim, dim)), np.empty((count, dim, dim)))
-    assert (threads == {threading.current_thread().name}) == inline
+def plan_key(plan):
+    """A step plan of _step_series as a comparable value: (s, m) or a unitary's bytes."""
+    return plan if isinstance(plan, tuple) else plan.tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dim", [2, 3, 8, 17, 64])
-@pytest.mark.parametrize("piece_elements", [None, 3], ids=["default-pieces", "small-pieces"])
-def test_pooled_step_unitaries_equal_one_worker(rng, monkeypatch, workers, dim, piece_elements):
-    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)  # split every stack of two or more
-    if piece_elements is not None:
-        monkeypatch.setattr(hilbert, "_PIECE_ELEMENTS", piece_elements * dim * dim)
-    for count in (1, 2, workers + 1, 40):
-        hams = np.stack([random_hermitian(rng, dim) for _ in range(count)])
-        monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
-        expected = hilbert._step_unitaries(hams, 0.3, 1.0)
-        monkeypatch.setattr(hilbert, "_worker_count", lambda: workers)
-        assert np.array_equal(hilbert._step_unitaries(hams, 0.3, 1.0), expected), count
+@pytest.mark.parametrize("piece_rows", [None, 3], ids=["default-pieces", "small-pieces"])
+def test_pooled_step_unitaries_equal_one_worker(rng, workers, dim, piece_rows):
+    # each step's exponential and, from dim 16 up, its series action do not
+    # depend on the stack around it, and concurrent callers get their own
+    # results: the stack cut into one piece per worker (default) or into
+    # pieces of 3 matrices, the pieces computed at once on a caller's pool,
+    # equals the whole stack on one thread
+    def unitaries(piece):
+        return hilbert._step_unitaries(piece[0], 0.3, 1.0)
 
+    def actions(piece):
+        return series_action(piece[0], 0.3, 1.0, piece[1])
 
-def test_concurrent_callers_build_one_pool_and_get_their_own_results(rng, monkeypatch):
-    # more callers and workers than CPUs, and a short switch interval, so the
-    # pool's creation and the slices' writes interleave as much as they can;
-    # a slow CPU count (read only while the pool is built) widens the race
-    built = []
-
-    class CountedPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(hilbert, "_POOL", None)
-    monkeypatch.setattr(hilbert, "_cpu_count", lambda: time.sleep(0.05) or 4)
-    monkeypatch.setattr(hilbert, "_worker_count", lambda: 3)
-    monkeypatch.setattr(hilbert, "_SLICE_WORK", 1)
-    stacks = [np.stack([random_hermitian(rng, 5) for _ in range(30)]) for _ in range(6)]
-    results = {}
-
-    def call(i):
-        for _ in range(20):
-            results[i] = hilbert._step_unitaries(stacks[i], 0.1, 1.0)
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(stacks))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in built:
-            pool.shutdown(wait=False)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(built) == 1
-    monkeypatch.setattr(hilbert, "_worker_count", lambda: 1)
-    for i, h in enumerate(stacks):
-        assert np.array_equal(results[i], hilbert._step_unitaries(h, 0.1, 1.0)), i
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        for count in (1, 2, workers + 1, 40):
+            hams = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+            psis = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+            rows = piece_rows or -(-count // workers)
+            pieces = [(hams[i : i + rows], psis[i : i + rows]) for i in range(0, count, rows)]
+            expected = hilbert._step_unitaries(hams, 0.3, 1.0)
+            assert np.array_equal(np.concatenate(list(pool.map(unitaries, pieces))), expected), count
+            if dim >= 16:
+                # ||A_k||_F rising to about 12 over the stack (the pieces are
+                # views of it), so that steps of both plans mix in it
+                hams *= (2.5 * 16 / dim * np.arange(1, count + 1) / count)[:, None, None]
+                plans, expected = series_action(hams, 0.3, 1.0, psis)
+                if count == 40:
+                    assert {type(plan) for plan in plans} == {tuple, np.ndarray}
+                results = list(pool.map(actions, pieces))
+                pooled_plans = [plan for piece in results for plan in piece[0]]
+                assert list(map(plan_key, pooled_plans)) == list(map(plan_key, plans)), count
+                assert np.array_equal(np.concatenate([piece[1] for piece in results]), expected), count
 
 
 def test_import_leaves_concurrent_futures_unloaded():
-    # the pool's import is deferred to its first use: it costs start-up time
+    # no module of the library imports concurrent.futures, which would add to
+    # every cold start of the CLI
     code = "import sys, holonomy_lab.cli; sys.exit('concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
