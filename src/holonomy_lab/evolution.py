@@ -4,8 +4,9 @@ The propagator is the exponential-midpoint rule: each step applies the
 exponential of the Hamiltonian frozen at the step midpoint. Second order
 accurate and unitary per step to round-off, which phase observables require:
 below dim 16 the step exponential is a unitary from its eigendecomposition
-(or closed form), from dim 16 up it is applied to the state by a Taylor
-series accurate to 2^-53.
+(or closed form). From dim 16 up a step whose generator -i H dt / hbar has
+Frobenius norm at most 1 is applied to the state by a Taylor series accurate
+to 2^-53, and any other step by its unitary.
 
 The grid is walked in blocks of steps, each sampled and screened at once. At
 dim 2 a block's states come from a prefix scan of its step unitaries; above
@@ -213,12 +214,11 @@ def propagate(
     Above dim 2 each row applies the block's steps one after another, so
     round-off grows linearly in the steps and the states do not depend on
     the block size. At dims 3 to 15 a step is one matrix-vector product with
-    its unitary from eigh. From dim 16 up it is the Taylor series of its
-    generator applied to the state, with substeps and degree from that
-    step's own norm, and a step whose series would cost more than eigh takes
-    its unitary instead (see hilbert._step_series). A series step costs s m
-    matrix-vector products, and s m grows as 14 to 18 times
-    ||H||_F |dt| / hbar once that passes 1.
+    its unitary from eigh. From dim 16 up a step whose generator
+    A = -i H dt / hbar has ||A||_F <= 1 is the Taylor series of A applied to
+    the state, at most 18 matrix-vector products, with the degree from that
+    step's own norm; any other step takes its unitary from eigh (see
+    hilbert._step_series).
 
     Raises ValueError before any sampling unless hbar is a positive finite
     real number, and NonHermitianError naming the offending midpoint if the

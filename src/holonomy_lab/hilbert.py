@@ -4,8 +4,8 @@ State vectors are 1-d complex numpy arrays, operators are square complex
 matrices. Nothing here holds state, and nothing passed in is mutated except
 the buffers a private kernel takes to write into. Propagation's step
 exponentials come in two forms: the unitaries themselves (_step_unitaries)
-and, from dim 16 up, their action on a state by a Taylor series
-(_step_series, _apply_step).
+and, from dim 16 up, for steps whose generator has Frobenius norm at most 1,
+their action on a state by a Taylor series (_step_series, _apply_step).
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     conjugate written into eigh's own buffer. Every matrix is computed on its
     own, so its result does not depend on the stack around it. propagate
     takes this kernel at dims 2 to 15, and from dim 16 up only for the steps
-    whose Taylor series would cost more (see _step_series). Raises
+    whose generator has Frobenius norm above 1 (see _step_series). Raises
     ValueError unless hbar is positive and finite.
     """
     _require_hbar(hbar)
@@ -196,32 +196,26 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     return out
 
 
-# The step series (see _step_series) runs up to degree 18: the tail bound of a
-# generator of norm 1 falls below 2^-53 there, and substeps keep every norm
-# at 1 or below
+# The step series (see _step_series) runs up to degree 18, where the tail
+# bound of a generator of norm 1 falls below 2^-53; steps of larger norm take eigh
 _SERIES_MAX_DEGREE = 18
 _INV_FACTORIALS = np.array([1.0 / math.factorial(j) for j in range(_SERIES_MAX_DEGREE + 2)])
-# matrix-vector products s m past which a step's series costs more than its
-# eigh exponential: about 35 at dim 16 and 240 at dim 64 on one BLAS thread,
-# so this geometric mean is within 3x of the cheaper kernel at both ends
-_SERIES_BREAK_EVEN = 90
 
 
 def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> list:
-    """Plan the Taylor series of exp(A_k), A_k = -i H_k dt / hbar, for each
-    matrix of a Hermitian (k, dim, dim) stack; _apply_step applies a plan.
+    """Plan exp(A_k), A_k = -i H_k dt / hbar, for each matrix of a Hermitian
+    (k, dim, dim) stack; _apply_step applies a plan.
 
-    Writes A_k / s_k into out[k, :, :dim], where `out` is a caller's
+    Writes A_k into out[k, :, :dim], where `out` is a caller's
     (>= k, dim, dim + 1) buffer; the samples are never written. Like eigh,
     A_k is read from the lower triangle and the real diagonal of H_k only:
-    its upper triangle is -conj of its lower one, bit for bit. The substep
-    count s_k is 1 while ||A_k||_F <= 1 and ceil(||A_k||_F) above, so a
-    substep's generator has norm nu <= 1, and the degree m_k is the smallest
-    whose tail bound nu^(m+1) / (m+1)! / (1 - nu / (m+2)) is below 2^-53.
-    The plan of step k is (s_k, m_k), or its unitary from _step_unitaries
-    when the series would take more than _SERIES_BREAK_EVEN matrix-vector
-    products s_k m_k. Each plan depends on its own step alone, so it does
-    not depend on how a grid is cut into stacks.
+    its upper triangle is -conj of its lower one, bit for bit. A step with
+    ||A_k||_F <= 1 is planned as its Taylor series, and its plan is the degree
+    m_k: the smallest whose tail bound nu^(m+1) / (m+1)! / (1 - nu / (m+2)),
+    nu = ||A_k||_F, is below 2^-53, at most 18. Every other step, one whose
+    norm overflowed included, is planned as its unitary from _step_unitaries.
+    Each plan depends on its own step alone, so it does not depend on how a
+    grid is cut into stacks.
     """
     count, dim = hams.shape[:2]
     gens = out[:count, :, :dim]
@@ -232,17 +226,12 @@ def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> l
     gens.real[:, diag, diag] = 0.0
     real = gens.view(float)
     norms = np.sqrt(np.einsum("kij,kij->k", real, real))
-    substeps = np.maximum(1.0, np.ceil(norms))
-    if (substeps > 1.0).any():
-        np.divide(gens, substeps[:, None, None], out=gens)  # exact where s is 1
-    nu = (norms / substeps)[:, None]
+    unitary = ~(norms <= 1.0)
+    nu = np.minimum(norms, 1.0)[:, None]  # a unitary step's degree is never read
     orders = np.arange(1, _SERIES_MAX_DEGREE + 1)
     tails = nu ** (orders + 1) * _INV_FACTORIALS[orders + 1] / (1.0 - nu / (orders + 2))
-    degrees = 1 + np.argmax(tails < 2.0**-53, axis=1)
-    slow = substeps * degrees > _SERIES_BREAK_EVEN
-    # a slow step's substeps are never made an int: an overflowed norm is inf
-    plans = [None if past else (int(s), m) for s, m, past in zip(substeps, degrees.tolist(), slow.tolist())]
-    for k, u in zip(np.flatnonzero(slow), _step_unitaries(hams[slow], dt, hbar)):
+    plans = (1 + np.argmax(tails < 2.0**-53, axis=1)).tolist()
+    for k, u in zip(np.flatnonzero(unitary), _step_unitaries(hams[unitary], dt, hbar)):
         plans[k] = u
     return plans
 
@@ -258,24 +247,21 @@ def _apply_step(plan, gen: np.ndarray, psi: np.ndarray, out: np.ndarray, work: n
     """out = exp(A) psi for one step planned by _step_series, `gen` its row
     of the generator buffer and `work` from _series_work.
 
-    A unitary plan is applied as it is. A series plan (s, m) applies the
-    degree-m Taylor polynomial of A / s to the state s times, in Horner
-    form: z_m = psi / m!, z_(j-1) = (A / s) z_j + psi / (j-1)!, down to z_0.
-    Each term is one matrix-vector product of [A / s | psi], with psi
-    written into gen's last column, and [z_j, 1 / (j-1)!].
+    A unitary plan is applied as it is, in one matrix-vector product. A
+    degree m applies the Taylor polynomial of A in Horner form:
+    z_m = psi / m!, z_(j-1) = A z_j + psi / (j-1)!, down to z_0. Each term
+    is one matrix-vector product of [A | psi], with psi written into gen's
+    last column, and [z_j, 1 / (j-1)!], so a step takes at most 18.
     """
     if isinstance(plan, np.ndarray):
         np.matmul(plan, psi, out=out)
         return
-    substeps, degree = plan
     dim = psi.size
-    start = gen[:, dim]
-    for sub in range(substeps):
-        start[...] = psi if sub == 0 else out
-        np.multiply(start, _INV_FACTORIALS[degree], out=work[degree, :dim])
-        for j in range(degree, 1, -1):
-            np.matmul(gen, work[j], out=work[j - 1, :dim])
-        np.matmul(gen, work[1], out=out)
+    gen[:, dim] = psi
+    np.multiply(psi, _INV_FACTORIALS[plan], out=work[plan, :dim])
+    for j in range(plan, 1, -1):
+        np.matmul(gen, work[j], out=work[j - 1, :dim])
+    np.matmul(gen, work[1], out=out)
 
 
 def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -> np.ndarray:

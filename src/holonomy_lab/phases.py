@@ -105,6 +105,10 @@ def _node_energies(traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray)
     """
     states = traj.states
     if isinstance(schedule, HamiltonianSchedule):
+        if schedule.dim != traj.dim:
+            raise DimensionMismatchError(
+                f"trajectory dimension {traj.dim} does not match schedule dimension {schedule.dim}"
+            )
         ts = traj.grid.nodes()
         energies = np.empty(ts.size, dtype=complex)
         block = _block_steps(schedule.dim)
@@ -131,8 +135,10 @@ def dynamical_phase(
     blocks as propagate samples its midpoints, or its samples on the nodes as
     a (steps+1, dim, dim) stack, so that trajectories on one grid can share a
     single sampling; both give the same bits. Raises ValueError unless hbar
-    is a positive finite real number, and NonHermitianError naming the first
-    node whose energy is not finite.
+    is a positive finite real number, DimensionMismatchError before any
+    sampling when the schedule's dim or the stack's shape does not fit the
+    trajectory, and NonHermitianError naming the first node whose energy is
+    not finite.
     """
     hilbert._require_hbar(hbar)
     energies = _node_energies(traj, schedule).real

@@ -245,13 +245,19 @@ _SECULAR_ERROR_CALIBRATION = 3.0
 
 
 def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: int = 1) -> float:
-    """Calibrated estimate of the propagated geometric-phase error at `steps`."""
+    """Calibrated estimate of the propagated geometric-phase error at `steps`;
+    inf where dt^2 is past the float range (tiny eta), unless the geometric
+    factor makes it 0."""
     a = tilt_angle(params).alpha
     total_t = n_periods * params.period
     dt = total_t / steps
     mu_b = params.mu * params.b_field
-    lead = mu_b * params.omega**2 * abs(np.sin(params.theta) * np.sin(params.theta - a))
-    return _SECULAR_ERROR_CALIBRATION * lead * total_t * dt**2 / 24.0
+    geometry = abs(np.sin(params.theta) * np.sin(params.theta - a))
+    lead = mu_b * params.omega**2 * geometry
+    try:
+        return _SECULAR_ERROR_CALIBRATION * lead * total_t * dt**2 / 24.0
+    except OverflowError:
+        return np.inf if geometry else 0.0
 
 
 # Fewest and most steps of a propagation grid, for the sweep's step
@@ -266,6 +272,6 @@ def steps_for_phase_tolerance(params: ModelParams, phase_tol: float, n_periods: 
     if phase_tol <= 0:
         raise ValueError(f"phase_tol must be positive, got {phase_tol}")
     coeff = midpoint_phase_error_estimate(params, steps=1, n_periods=n_periods)
-    needed = int(np.ceil(np.sqrt(coeff / phase_tol))) if coeff > 0 else _MIN_STEPS
+    needed = int(min(np.ceil(np.sqrt(coeff / phase_tol)), _MAX_STEPS)) if coeff > 0 else _MIN_STEPS
     needed += needed % 2
     return int(np.clip(needed, _MIN_STEPS, _MAX_STEPS))

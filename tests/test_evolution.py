@@ -298,18 +298,21 @@ def test_block_matches_single_state_calls_on_random_schedule(rng, monkeypatch, s
 @pytest.mark.parametrize("dim", [3, 8, 17, 64])
 def test_states_above_dim2_do_not_depend_on_block_size(rng, monkeypatch, dim):
     # steps apply in turn above dim 2, so 16-step blocks, the default size and
-    # one block for the whole grid give the same bits, for one state and a block
+    # one block for the whole grid give the same bits, for one state and a
+    # block. From dim 16 up, steps over 2 pi take their eigh unitary and steps
+    # over 8 / dim the series
     sched = random_periodic_schedule(rng, dim)
     psis = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    grid = TimeGrid(t_end=2 * np.pi, steps=100)
-    results = []
-    for elements in (dim * dim * 16, evolution._STEP_BLOCK_ELEMENTS, dim * dim * grid.steps):
-        monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", elements)
-        results.append((all_states(propagate(sched, psis[0], grid)), all_states(propagate(sched, psis, grid))))
-    for single, block in results[1:]:
-        assert np.array_equal(single, results[0][0])
-        assert np.array_equal(block, results[0][1])
+    for t_end in (2 * np.pi, 8 / dim):
+        grid = TimeGrid(t_end=t_end, steps=100)
+        results = []
+        for elements in (dim * dim * 16, evolution._STEP_BLOCK_ELEMENTS, dim * dim * grid.steps):
+            monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", elements)
+            results.append((all_states(propagate(sched, psis[0], grid)), all_states(propagate(sched, psis, grid))))
+        for single, block in results[1:]:
+            assert np.array_equal(single, results[0][0]), t_end
+            assert np.array_equal(block, results[0][1]), t_end
 
 
 @pytest.mark.parametrize("dim, steps", [(3, 10**5), (8, 5 * 10**4), (16, 2 * 10**4), (64, 4096)])
@@ -330,7 +333,7 @@ def eigh_path_states(hams, psi, dt):
 
 
 def test_steps_past_the_series_break_even_take_their_unitary(rng):
-    # ||H||_F dt is about 3e4: the series would take about 3e4 substeps a step
+    # ||H||_F dt is about 3e4, far above the series' norm of 1
     h = random_periodic_schedule(rng, 16).evaluate(0.3)
     psi = np.linalg.eigh(h)[1][:, 0]
     grid = TimeGrid(t_end=1e4, steps=16)
@@ -341,17 +344,19 @@ def test_steps_past_the_series_break_even_take_their_unitary(rng):
 
 
 def test_series_and_unitary_steps_mix_in_one_block(rng, monkeypatch):
-    # a pulse that crosses the break-even mid-grid: each step takes its own
-    # kernel, so the states do not depend on where the blocks cut the grid
+    # a pulse whose generator norm ||H||_F dt goes from 0.5 through 1 to about
+    # 200 mid-grid: each step takes its own kernel, so the states do not
+    # depend on where the blocks cut the grid
     dim = 16
+    grid = TimeGrid(t_end=2.0, steps=64)
     h = random_periodic_schedule(rng, dim).evaluate(0.0)
+    h *= 0.5 / (np.linalg.norm(h) * grid.dt)
     scale = lambda ts: 1.0 + 400.0 * np.exp(-((ts - 1.0) / 0.2) ** 2)
     sched = HamiltonianSchedule(evaluate=None, evaluate_many=lambda ts: scale(ts)[:, None, None] * h, dim=dim)
-    grid = TimeGrid(t_end=2.0, steps=64)
     hams = sched.sample(grid.midpoints())
     gens = np.empty((grid.steps, dim, dim + 1), dtype=complex)
-    kinds = {type(plan) for plan in hilbert._step_series(hams, grid.dt, 1.0, out=gens)}
-    assert kinds == {tuple, np.ndarray}
+    kinds = [type(plan) for plan in hilbert._step_series(hams, grid.dt, 1.0, out=gens)]
+    assert kinds.count(int) >= 16 and kinds.count(np.ndarray) >= 16
     psi = np.linalg.eigh(h)[1][:, 0]
     results = []
     for elements in (dim * dim * 16, dim * dim * grid.steps):
@@ -427,7 +432,8 @@ def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     # steps 1, 2 and workers + 1 give stacks of that many matrices; 50 steps
     # with a 20-step block give three blocks. Over 2 pi, every step from dim
-    # 16 up is past the series' break-even; over 8 / dim, every step is a series
+    # 16 up has ||H||_F dt above 1 and takes its unitary; over 8 / dim, every
+    # step is a series
     cases = [(psis[0], 1, None, 2 * np.pi), (psis, 2, None, 2 * np.pi), (psis[1], workers + 1, None, 2 * np.pi),
              (psis, 50, None, 2 * np.pi), (psis, 50, None, 8 / dim),
              (psis, 50, dim * dim * 20, 2 * np.pi), (psis, 50, dim * dim * 20, 8 / dim)]
@@ -457,12 +463,12 @@ def propagate_in_child(sched, psi, grid, expected):
 def test_forked_child_propagates_after_parent_built_the_pool(rng):
     # the parent propagates on a thread pool whose threads are still alive at
     # the fork; the child, which has none of them, propagates to the same bits
-    # through the eigh unitaries (dim 8) and the step series (dim 17)
+    # through the eigh unitaries (dim 8) and the step series (dim 17 over 8 / 17)
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
-        for dim in (8, 17):
+        for dim, t_end in ((8, 2 * np.pi), (17, 8 / 17)):
             sched = random_periodic_schedule(rng, dim)
             psi = np.eye(dim)[0]
-            grid = TimeGrid(t_end=2 * np.pi, steps=64)
+            grid = TimeGrid(t_end=t_end, steps=64)
             expected = pool.submit(lambda: propagate(sched, psi, grid).states).result()
             child = multiprocessing.get_context("fork").Process(
                 target=propagate_in_child, args=(sched, psi, grid, expected)

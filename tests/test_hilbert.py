@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,55 +163,83 @@ def series_action(hams, dt, hbar, psis):
     hbar=st.floats(0.1, 10.0),
 )
 @example(dim=16, count=2, seed=1, log_scale=0.0, log_norm=1.0, sign=-1.0, hbar=0.1)
+@example(dim=64, count=3, seed=2, log_scale=0.0, log_norm=0.0, sign=1.0, hbar=1.0)
 def test_series_action_matches_eigh_exponential(dim, count, seed, log_scale, log_norm, sign, hbar):
     rng = np.random.default_rng(seed)
     hams = 10.0**log_scale * np.stack([random_hermitian(rng, dim) for _ in range(count)])
     dt = sign * hbar * 10.0**log_norm / np.linalg.norm(hams, axis=(-2, -1)).max()  # max ||A_k||_F up to 10
     psis = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    # an upper triangle and imaginary diagonal off by half the screen's
-    # tolerance; hams is their exactly Hermitian lower-triangle completion
+    # an upper triangle and imaginary diagonal off by a quarter of the
+    # screen's tolerance; hams is their exactly Hermitian lower-triangle completion
     noise = np.triu(rng.normal(size=hams.shape) + 1j * rng.normal(size=hams.shape), 1)
     noise += 1j * rng.normal(size=(count, dim))[:, :, None] * np.eye(dim)
     allowed = DEFAULT.hermiticity * max(1.0, np.abs(hams).max())
     skewed = hams + 0.25 * allowed * noise / np.abs(noise).max()
     hilbert._require_hermitian(skewed, DEFAULT)
     before = skewed.copy()
-    with mock.patch.object(hilbert, "_SERIES_BREAK_EVEN", 10**6):  # the series for every step
-        plans, got = series_action(skewed, dt, hbar, psis)
-        assert np.array_equal(got, series_action(hams, dt, hbar, psis)[1])
+    plans, got = series_action(skewed, dt, hbar, psis)
+    assert np.array_equal(got, series_action(hams, dt, hbar, psis)[1])
     assert np.array_equal(skewed, before)
-    assert all(isinstance(plan, tuple) for plan in plans)
     tau = dt / hbar
-    evals, evecs = np.linalg.eigh(hams)
-    expected = np.einsum("kij,kj,klj,kl->ki", evecs, np.exp(-1j * evals * tau), evecs.conj(), psis)
-    norms = np.linalg.norm(hams, ord=2, axis=(-2, -1))
+    # the rule: the series while ||A_k||_F <= 1 (away from 1, where the
+    # test's norm and the library's may round apart), else the eigh unitary
+    nus = np.linalg.norm(hams, axis=(-2, -1)) * abs(tau)
+    series = np.array([isinstance(plan, int) for plan in plans])
+    clear = np.abs(nus - 1.0) > 1e-9
+    assert np.array_equal(series[clear], nus[clear] <= 1.0)
+    for k in np.flatnonzero(~series):
+        assert np.array_equal(got[k], np.matmul(hilbert._step_unitaries(hams[k : k + 1], dt, hbar)[0], psis[k]))
+    evals, evecs = np.linalg.eigh(hams[series])
+    expected = np.einsum("kij,kj,klj,kl->ki", evecs, np.exp(-1j * evals * tau), evecs.conj(), psis[series])
     # measured at most 16 eps over 2000 draws, most of it the eigh reference's
     # own (against scipy's expm the series stayed within 6 eps); 32 eps leaves
-    # headroom
-    errors = np.linalg.norm(got - expected, axis=1)
-    assert np.all(errors <= 32 * np.finfo(float).eps * np.maximum(1.0, norms * abs(tau)))
+    # headroom. Series steps have ||H|| |tau| <= ||A||_F <= 1
+    errors = np.linalg.norm(got[series] - expected, axis=1)
+    assert np.all(errors <= 32 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("dim", [16, 64])
 def test_series_plans_follow_the_norm_rule(rng, dim):
-    # ||A_k||_F from 0 to 4.95 over the steps, off the integers where the
-    # substeps change, each step planned on its own
+    # ||A_k||_F from 0 to 4.95 over the steps, each step planned on its own:
+    # the degree of the series up to 1, the eigh unitary above
     dt, hbar = 0.7, 1.3
-    target = np.concatenate([[0.0], np.logspace(-8.0, 0.0, 24), np.linspace(1.05, 4.95, 14)])
-    count = target.size
-    hams = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+    target = np.concatenate([[0.0], np.logspace(-8.0, np.log10(1.0 - 1e-9), 24), np.linspace(1.05, 4.95, 14)])
+    hams = np.stack([random_hermitian(rng, dim) for _ in range(target.size)])
     hams *= (target * (hbar / dt) / np.linalg.norm(hams, axis=(-2, -1)))[:, None, None]
-    with mock.patch.object(hilbert, "_SERIES_BREAK_EVEN", 10**6):
-        plans = hilbert._step_series(hams, dt, hbar, out=np.empty((count, dim, dim + 1), dtype=complex))
-    for h, plan in zip(hams, plans):
-        norm = np.linalg.norm(h) * dt / hbar
-        substeps = max(1, math.ceil(norm))
-        nu = norm / substeps
+    plans = hilbert._step_series(hams, dt, hbar, out=np.empty((target.size, dim, dim + 1), dtype=complex))
+    unitaries = hilbert._step_unitaries(hams, dt, hbar)
+    for h, plan, u in zip(hams, plans, unitaries):
+        nu = np.linalg.norm(h) * dt / hbar
+        if nu > 1.0:
+            assert isinstance(plan, np.ndarray) and np.array_equal(plan, u)
+            continue
         tail = lambda m: nu ** (m + 1) / math.factorial(m + 1) / (1.0 - nu / (m + 2))
-        degree = next(m for m in itertools.count(1) if tail(m) < 2.0**-53)
-        assert plan == (substeps, degree)
-    assert {plan[0] for plan in plans} == {1, 2, 3, 4, 5}
+        assert plan == next(m for m in itertools.count(1) if tail(m) < 2.0**-53)
+    assert [type(plan) for plan in plans] == [int] * 25 + [np.ndarray] * 14
+    assert plans[24] == hilbert._SERIES_MAX_DEGREE == 18
+    # a finite H whose generator's norm overflows to inf (its squared entries
+    # pass 1e308) takes its unitary, without a RuntimeWarning (which fails a test)
+    huge = 1e160 * random_hermitian(rng, dim)[None]
+    (plan,) = hilbert._step_series(huge, dt, hbar, out=np.empty((1, dim, dim + 1), dtype=complex))
+    assert np.array_equal(plan, hilbert._step_unitaries(huge, dt, hbar)[0])
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64])
+def test_dense_driven_steps_are_all_series(rng, dim):
+    # schedules like the dense-driven benchmark's, H0 + H1 cos t + H2 sin t
+    # with spectral norms 1, 0.5 and 0.5 over 256 steps of 2 pi, have
+    # ||A||_F <= 2 sqrt(dim) dt <= 0.4 up to dim 64, so every step is a series;
+    # so is the worst case, a step with every eigenvalue at +-2
+    parts = [random_hermitian(rng, dim) for _ in range(3)]
+    h0, h1, h2 = (h * (n / np.linalg.norm(h, 2)) for h, n in zip(parts, (1.0, 0.5, 0.5)))
+    ts = (np.arange(256) + 0.5) * (2 * np.pi / 256)
+    hams = h0 + h1 * np.cos(ts)[:, None, None] + h2 * np.sin(ts)[:, None, None]
+    q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    worst = (q * np.where(np.arange(dim) % 2, 2.0, -2.0)) @ q.conj().T
+    hams = np.concatenate([hams, worst[None]])
+    plans = hilbert._step_series(hams, 2 * np.pi / 256, 1.0, out=np.empty((257, dim, dim + 1), dtype=complex))
+    assert all(isinstance(plan, int) for plan in plans)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -369,16 +396,19 @@ def test_dim2_screen_raises_as_general_screen(rng):
 # --- stack kernels called from a caller's thread pool --------------------------
 
 
-# propagation at dims 3 (eigh unitaries) and 17 and 64 (the step series), each
-# dim on one thread of a pool of argv[2] threads, saved to argv[1]
+# propagation at dims 3, 17 and 64 over 2.0 (eigh unitaries) and at dims 17
+# and 64 over 8 / dim (the step series), each case on one thread of a pool of
+# argv[2] threads, saved to argv[1]
 BLAS_CASE = """
 import sys
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, propagate
 
+CASES = ((3, 2.0), (17, 2.0), (64, 2.0), (17, 8 / 17), (64, 8 / 64))
 
-def states(dim):
+
+def states(dim, t_end):
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
     h0, h1, h2 = a + a.conj().swapaxes(-1, -2)
@@ -388,12 +418,12 @@ def states(dim):
         return h0 + h1 * np.cos(ts) + h2 * np.sin(ts)
 
     sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
-    block = propagate(sched, np.linalg.eigh(h0)[1].T[:2], TimeGrid(t_end=2.0, steps=40))
+    block = propagate(sched, np.linalg.eigh(h0)[1].T[:2], TimeGrid(t_end=t_end, steps=40))
     return np.stack([traj.states for traj in block])
 
 
 with ThreadPoolExecutor(int(sys.argv[2])) as pool:
-    np.savez(sys.argv[1], *pool.map(states, (3, 17, 64)))
+    np.savez(sys.argv[1], *pool.map(states, *zip(*CASES)))
 """
 
 
@@ -427,13 +457,14 @@ def test_worker_count_is_cpus_over_blas_threads(tmp_path, env, workers):
     namespace = {}
     exec(BLAS_CASE.split("with ThreadPoolExecutor")[0], namespace)
     with np.load(out) as got:
-        for name, dim in zip(got.files, (3, 17, 64)):
-            assert np.array_equal(got[name], namespace["states"](dim)), dim
+        assert len(got.files) == len(namespace["CASES"])
+        for name, case in zip(got.files, namespace["CASES"]):
+            assert np.array_equal(got[name], namespace["states"](*case)), case
 
 
 def plan_key(plan):
-    """A step plan of _step_series as a comparable value: (s, m) or a unitary's bytes."""
-    return plan if isinstance(plan, tuple) else plan.tobytes()
+    """A step plan of _step_series as a comparable value: its degree or a unitary's bytes."""
+    return plan if isinstance(plan, int) else plan.tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -465,7 +496,7 @@ def test_pooled_step_unitaries_equal_one_worker(rng, workers, dim, piece_rows):
                 hams *= (2.5 * 16 / dim * np.arange(1, count + 1) / count)[:, None, None]
                 plans, expected = series_action(hams, 0.3, 1.0, psis)
                 if count == 40:
-                    assert {type(plan) for plan in plans} == {tuple, np.ndarray}
+                    assert {type(plan) for plan in plans} == {int, np.ndarray}
                 results = list(pool.map(actions, pieces))
                 pooled_plans = [plan for piece in results for plan in piece[0]]
                 assert list(map(plan_key, pooled_plans)) == list(map(plan_key, plans)), count

@@ -307,6 +307,26 @@ def test_non_finite_node_energy_raises_naming_its_time(dim):
             noncyclic_geometric_phase(traj, source)
 
 
+@pytest.mark.parametrize("traj_dim, sched_dim", [(2, 3), (3, 2), (4, 17)])
+def test_schedule_of_another_dim_is_refused_before_sampling(traj_dim, sched_dim):
+    # as propagate refuses a state whose dim is not the schedule's, so do the
+    # phases, naming both dims, before the schedule is sampled
+    calls = []
+
+    def many(ts):
+        calls.append(len(ts))
+        return np.zeros((len(ts), sched_dim, sched_dim))
+
+    sched = HamiltonianSchedule(evaluate=None, evaluate_many=many, dim=sched_dim)
+    grid = TimeGrid(t_end=1.0, steps=8)
+    traj = Trajectory(grid=grid, states=np.tile(np.eye(traj_dim)[0], (grid.steps + 1, 1)))
+    match = f"trajectory dimension {traj_dim} does not match schedule dimension {sched_dim}"
+    for phase in (dynamical_phase, noncyclic_geometric_phase, cyclic_geometric_phase):
+        with pytest.raises(DimensionMismatchError, match=match):
+            phase(traj, sched)
+    assert calls == []
+
+
 def test_noncyclic_short_duration_limit():
     params, sched, _, _ = model_run()
     grid = TimeGrid(t_end=1e-6 * params.period, steps=16)

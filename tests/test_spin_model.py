@@ -244,3 +244,19 @@ def test_steps_for_phase_tolerance_inverts_estimate():
     assert steps % 2 == 0
     assert spin_model.midpoint_phase_error_estimate(p, steps) <= 1e-6
     assert spin_model.midpoint_phase_error_estimate(p, steps - 64) > 1e-6  # tight, not padded
+
+
+@pytest.mark.parametrize("eta", [1e-200, 1e-300])
+def test_estimate_saturates_where_dt_squared_overflows(eta):
+    # dt^2 is past the float range at any step count: the estimate is inf, not
+    # an OverflowError, and the step count is the cap, as at eta = 1e-150
+    p = ModelParams.from_eta(theta=np.pi / 3, eta=eta)
+    for steps in (1, spin_model._MAX_STEPS):
+        assert spin_model.midpoint_phase_error_estimate(p, steps) == np.inf
+    for eta_used in (eta, 1e-150):
+        p = ModelParams.from_eta(theta=np.pi / 3, eta=eta_used)
+        assert spin_model.steps_for_phase_tolerance(p, 1e-6) == spin_model._MAX_STEPS
+        # on the polar axis the estimate is 0 and the step count the floor
+        p = ModelParams.from_eta(theta=0.0, eta=eta_used)
+        assert spin_model.midpoint_phase_error_estimate(p, 1) == 0.0
+        assert spin_model.steps_for_phase_tolerance(p, 1e-6) == spin_model._MIN_STEPS

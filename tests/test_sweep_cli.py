@@ -255,6 +255,15 @@ def test_sweep_survives_bad_row():
     assert np.isnan(by_eta[-1.0].geom_phase_plus)
 
 
+def test_sweep_rows_at_tiny_eta_end_as_at_1e_150(monkeypatch):
+    # below eta = 1e-150 the step-error estimate passes the float range; such
+    # rows take the capped step count (shrunk here, so no row runs 2^21 steps)
+    # and fail the cyclicity check as eta = 1e-150 does, not with an OverflowError
+    monkeypatch.setattr(spin_model, "_MAX_STEPS", 256)
+    for row in run_sweep(np.pi / 3, [1e-150, 1e-200, 1e-300], base_steps=16):
+        assert row.status.startswith("error: not cyclic at tolerance"), row.status
+
+
 def test_sweep_does_not_swallow_bugs(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a bug, not a numerical failure")
@@ -428,6 +437,18 @@ def test_cli_coarse_grid_is_numerical_failure(tmp_path):
     )
     assert res.returncode == 1
     assert "numerical failure" in res.stderr
+
+
+@pytest.mark.parametrize("eta", ["1e-150", "1e-200"])
+def test_cli_evolve_at_tiny_eta_is_numerical_failure_not_overflow(tmp_path, eta):
+    # at eta = 1e-200 the step-error estimate used to overflow into a bare
+    # "(34, 'Numerical result out of range')"; 64 steps keep the run short
+    res = run_cli(
+        "evolve", "--quiet", "--steps", "64",
+        config_text=f"theta = 1.0\neta = {eta}\n", tmp_path=tmp_path,
+    )
+    assert res.returncode == 1
+    assert "numerical failure: not cyclic at tolerance" in res.stderr, res.stderr
 
 
 def test_cli_sweep_writes_deterministic_csv(tmp_path):
