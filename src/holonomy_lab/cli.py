@@ -39,16 +39,29 @@ def _emit(args, path: str | None, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _check_output_path(path: str | None) -> None:
+    """Refuse, before the run, an output path that names a directory or lies
+    in a directory that does not exist."""
+    if path:
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"output directory {target.parent} does not exist")
+
+
 def _build_config(args) -> RunConfig:
     mapping = load_config(args.config) if args.config else {}
     if not mapping:
         raise ConfigError("this command needs --config with at least theta and omega or eta")
-    return build_config(
+    config = build_config(
         mapping,
         steps=args.steps,
         output_path=args.out,
         output_format=args.format,
     )
+    _check_output_path(config.output_path)
+    return config
 
 
 def cmd_evolve(args) -> int:
@@ -147,9 +160,21 @@ def cmd_verify(args) -> int:
             tol, path = config.tolerances(), config.output_path
         else:
             tol = DEFAULT.replace(**tolerance_overrides(mapping))
+    _check_output_path(path)
     results = verify_mod.run_suite(tol=tol, quick=args.quick, seed=args.seed)
     _emit(args, path, verify_mod.render_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
+
+
+def _seed(text: str) -> int:
+    """A --seed value; anything but a non-negative integer is a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -168,7 +193,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="key = value or JSON config file")
         p.add_argument("--out", metavar="PATH", help="write machine-readable output here")
         if name == "verify":
-            p.add_argument("--seed", type=int, default=0, help="seed for randomized gauge checks")
+            p.add_argument("--seed", type=_seed, default=0, help="seed for randomized gauge checks")
             p.add_argument("--quick", action="store_true", help="reduced, faster check suite")
         else:
             p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")

@@ -9,9 +9,9 @@ Frobenius norm at most 1 is applied to the state by a Taylor series accurate
 to 2^-53, and any other step by its unitary.
 
 The grid is walked in blocks of steps, each sampled and screened at once. At
-dim 2 a block's states come from a prefix scan of its step unitaries; above
-dim 2 each step is applied to the state in turn, so round-off grows linearly
-in the step count there, against logarithmically in the scan.
+dim 2 a block's states come from a prefix scan of its step unitaries, whose
+round-off grows logarithmically in its steps; across dim-2 blocks, and above
+dim 2 where steps apply to the state in turn, round-off grows linearly.
 """
 
 from __future__ import annotations
@@ -172,12 +172,10 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
     return out
 
 
-# complex elements per stack of a block, so steps per block scale as 1 / dim^2
-# and peak memory stays bounded. The dim-2 scan gets cheaper per step the
-# longer its block. Above dim 2 steps apply in turn, and 2^18 elements (4 MB
-# per stack) ran the dense-driven benchmark faster than 2^21, at less than
-# half the peak memory
-_SCAN_BLOCK_ELEMENTS = 1 << 21
+# complex elements per stack of a block (4 MB) at every dim, so steps per
+# block scale as 1 / dim^2 and peak memory stays bounded. 2^18 ran faster than
+# 2^21, at less peak memory, both above dim 2 (dense-driven) and at dim 2 from
+# 187k steps up (15-39% less median time over 187k to 2.1M steps)
 _STEP_BLOCK_ELEMENTS = 1 << 18
 # from this dim up a step's exponential is applied to the state by its Taylor
 # series (hilbert._step_series): below it eigh, whose per-call cost dominates
@@ -188,8 +186,7 @@ _SERIES_MIN_DIM = 16
 def _block_steps(dim: int) -> int:
     """Grid points per sampled block at this dim, at least 16; propagate's
     midpoints and phases.dynamical_phase's nodes are cut by this one rule."""
-    elements = _SCAN_BLOCK_ELEMENTS if dim == 2 else _STEP_BLOCK_ELEMENTS
-    return max(16, elements // (dim * dim))
+    return max(16, _STEP_BLOCK_ELEMENTS // (dim * dim))
 
 
 def propagate(
@@ -210,7 +207,8 @@ def propagate(
 
     The grid is walked in blocks of midpoints (see _block_steps). At dim 2 a
     block's step unitaries are prefix-scanned and the products applied to
-    each row's block start, so round-off grows logarithmically in the steps.
+    each row's block start, so round-off grows logarithmically in the steps
+    of a block and linearly across blocks.
     Above dim 2 each row applies the block's steps one after another, so
     round-off grows linearly in the steps and the states do not depend on
     the block size. At dims 3 to 15 a step is one matrix-vector product with

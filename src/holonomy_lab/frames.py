@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationDriftError
+from .evolution import TimeGrid
 from .hilbert import _require_hermitian, as_operator, inner
 from .tolerances import DEFAULT, Tolerances
 
@@ -185,6 +186,13 @@ def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
     return float(rate) if t.ndim == 0 else rate
 
 
+def _quadrature_nodes(t_end: float, steps: int) -> np.ndarray:
+    """steps + 1 uniform nodes on [0, t_end]. Raises ValueError, by TimeGrid's
+    rule, unless steps is an integer >= 1 and t_end positive and finite."""
+    TimeGrid(t_end=t_end, steps=steps)
+    return np.linspace(0.0, t_end, steps + 1)
+
+
 def parallel_transport_fix(
     frame: MovingFrame,
     n: int,
@@ -198,13 +206,14 @@ def parallel_transport_fix(
     uniform grid over [0, t_end] (default: one period) and completed by a
     local trapezoid segment at off-node times. The returned frame's
     derivative uses the exact rate A(t), so its connection is zero to
-    round-off everywhere, not just at the nodes.
+    round-off everywhere, not just at the nodes. steps and t_end are checked
+    as in adiabatic_berry_phase.
     """
     if t_end is None:
         t_end = frame.period
     if t_end is None:
         raise ValueError("parallel transport needs t_end for an aperiodic frame")
-    ts = np.linspace(0.0, t_end, steps + 1)
+    ts = _quadrature_nodes(t_end, steps)
     rates = connection(frame, n, ts, tol=tol)
     dt = ts[1] - ts[0]
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * dt)])
@@ -229,11 +238,12 @@ def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
 
     Returned unreduced: windings carry physical content here. For smooth
     periodic frames the rule is spectrally accurate. Requires a periodic
-    frame.
+    frame. Raises ValueError before sampling the frame unless steps is an
+    integer >= 1 (not a bool), as TimeGrid requires.
     """
     if frame.period is None:
         raise ValueError("the connection integral over one period requires a periodic frame")
-    ts = np.linspace(0.0, frame.period, steps + 1)
+    ts = _quadrature_nodes(frame.period, steps)
     return float(np.trapezoid(connection(frame, n, ts, tol=tol), dx=ts[1] - ts[0]))
 
 
@@ -241,7 +251,8 @@ def holonomy(frame: MovingFrame, n: int, steps: int = 4096, tol: Tolerances = DE
     """Gauge-invariant holonomy of vector n over one period.
 
     Returns v_n(0)^H v_n(T) * exp(i * adiabatic_berry_phase). The modulus
-    never exceeds 1 (up to round-off). Requires a periodic frame.
+    never exceeds 1 (up to round-off). Requires a periodic frame; steps is
+    checked as in adiabatic_berry_phase.
     """
     integral = adiabatic_berry_phase(frame, n, steps=steps, tol=tol)
     return inner(frame.value(n, 0.0), frame.value(n, frame.period)) * np.exp(1j * integral)

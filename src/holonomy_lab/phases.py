@@ -162,7 +162,8 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
     Equals arg<psi_0|psi_M> minus the accumulated arguments of neighboring
     state overlaps (the discrete connection integral). Sums at strides 1 and
     2 are Richardson-combined, lifting the quadrature to fourth order; no
-    Hamiltonian evaluation is involved.
+    Hamiltonian evaluation is involved. Each sum is right only mod 2 pi, so
+    their difference is taken in (-pi, pi] when it lies outside [-pi, pi].
     """
     steps = traj.grid.steps
     base = total_phase(traj, tol=tol)
@@ -174,8 +175,11 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
 
     r1 = base - chain(1)
     if steps >= 4 and steps % 2 == 0:
-        r2 = base - chain(2)
-        return mod_two_pi(r1 + (r1 - r2) / 3.0)
+        diff = r1 - (base - chain(2))
+        if abs(diff) > math.pi:
+            # a stride-2 overlap argument wrapped past pi
+            diff = math.pi - (math.pi - diff) % TWO_PI
+        return mod_two_pi(r1 + diff / 3.0)
     return mod_two_pi(r1)
 
 

@@ -220,16 +220,21 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Rows of rows_to_csv's text. run_sweep keeps commas out of statuses, so
+    a row of any other field count than the columns' raises ValueError naming
+    its line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip() and not ln.startswith("#")]
     if not lines:
         return []
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV columns: {header}")
     types = {f.name: f.type for f in fields(SweepRow)}
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",", maxsplit=len(CSV_COLUMNS) - 1)
+    for lineno, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(CSV_COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
         kwargs = {}
         for name, raw in zip(CSV_COLUMNS, parts):
             if types[name] == "int":

@@ -285,10 +285,26 @@ def test_block_matches_single_state_calls_on_spin_model():
     assert_block_equals_single_calls(spin_model.schedule(params), psis, grid)
 
 
+def test_spin_model_over_several_dim2_blocks_matches_one_block(monkeypatch):
+    # the sweep's step count at eta = 1e-4: three blocks at the default budget.
+    # Each block's scan starts from the state its predecessor ended on, so
+    # the states differ from one scan over the whole grid by round-off only
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-4)
+    grid = TimeGrid(t_end=params.period, steps=186_764)
+    assert grid.steps > 2 * evolution._block_steps(2)
+    psis = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in (+1, -1)])
+    sched = spin_model.schedule(params)
+    blocks = propagate(sched, psis, grid)
+    monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", 4 * grid.steps)
+    whole = propagate(sched, psis, grid)
+    assert np.max(np.abs(all_states(blocks) - all_states(whole))) <= 1e-12
+    for traj in blocks:
+        assert traj.norm_drift() <= DEFAULT.norm_preservation
+
+
 @pytest.mark.parametrize("scan_elements", [None, 8 * 8 * 20], ids=["one-scan-block", "three-scan-blocks"])
 def test_block_matches_single_state_calls_on_random_schedule(rng, monkeypatch, scan_elements):
     if scan_elements is not None:
-        monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
         monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", scan_elements)
     psis = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -441,7 +457,6 @@ def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         for psi, steps, scan_elements, t_end in cases:
             if scan_elements is not None:
-                monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", scan_elements)
                 monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", scan_elements)
             grid = TimeGrid(t_end=t_end, steps=steps)
             expected = all_states(propagate(sched, psi, grid))

@@ -166,6 +166,39 @@ def test_parallel_transport_needs_domain():
         parallel_transport_fix(frame, 0)
 
 
+def counting_frame(period):
+    """phase_winding_frame(1.0, period) that records each sampling call."""
+    frame = phase_winding_frame(1.0, period=period)
+    calls = []
+
+    def value_fn(n, t):
+        calls.append(t)
+        return frame.value_fn(n, t)
+
+    return MovingFrame(dim=2, count=1, value_fn=value_fn, derivative_fn=frame.derivative_fn, period=period), calls
+
+
+@pytest.mark.parametrize(
+    "steps, match",
+    [(0, "steps must be >= 1"), (-3, "steps must be >= 1"), (2.5, "steps must be an integer"),
+     (True, "steps must be an integer")],
+)
+def test_quadratures_refuse_bad_steps_before_sampling(steps, match):
+    frame, calls = counting_frame(period=1.0)
+    for quadrature in (holonomy, adiabatic_berry_phase, parallel_transport_fix):
+        with pytest.raises(ValueError, match=match):
+            quadrature(frame, 0, steps=steps)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
+def test_parallel_transport_refuses_bad_t_end_before_sampling(t_end):
+    frame, calls = counting_frame(period=None)
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        parallel_transport_fix(frame, 0, steps=16, t_end=t_end)
+    assert calls == []
+
+
 def test_holonomy_of_constant_frame_is_one():
     assert holonomy(constant_frame(), 2, steps=64) == pytest.approx(1.0, abs=1e-13)
 

@@ -265,10 +265,22 @@ def test_phases_from_node_samples_equal_schedule_path(rng):
             noncyclic_geometric_phase(traj, bad)
 
 
+@pytest.mark.parametrize("steps", [8, 10])
+@pytest.mark.parametrize("energy_dt", [1.6, 2.0, 3.0])
+def test_connection_route_survives_wrapped_stride_two_overlaps(steps, energy_dt):
+    # a static eigenstate has geometric phase 0; past E dt = pi/2 each stride-2
+    # overlap argument, -2 E dt, wraps past -pi, which used to alias the
+    # Richardson step by a multiple of 2 pi / 3
+    h = np.diag([1.0, -1.0])
+    sched = HamiltonianSchedule(evaluate=lambda t: h, dim=2)
+    traj = propagate(sched, np.array([1.0, 0.0]), TimeGrid(t_end=energy_dt * steps, steps=steps))
+    assert circular_distance(cyclic_phase_from_connection(traj), 0.0) <= 1e-12
+    assert cyclic_geometric_phase(traj, sched).route_agreement <= 1e-12
+
+
 @pytest.mark.parametrize("dim", [2, 4, 17])
 def test_dynamical_phase_sampled_in_blocks_equals_node_stack(rng, monkeypatch, dim):
     # 16-node blocks over 49 nodes: three full blocks and a one-node tail
-    monkeypatch.setattr(evolution, "_SCAN_BLOCK_ELEMENTS", 16 * dim * dim)
     monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", 16 * dim * dim)
     a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
     h0, h1, h2 = a + a.conj().swapaxes(-1, -2)

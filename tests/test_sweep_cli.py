@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holonomy_lab import cli, spin_model, sweep, verify
+from holonomy_lab import cli, evolution, spin_model, sweep, verify
 from holonomy_lab.config import build_config, parse_config_text
 from holonomy_lab.errors import ConfigError
 from holonomy_lab.phases import circular_distance
+from holonomy_lab.tolerances import DEFAULT
 from holonomy_lab.sweep import (
     CSV_BANNER,
     CSV_COLUMNS,
+    SweepRow,
     eta_grid,
     rows_from_csv,
     rows_to_csv,
@@ -176,6 +178,14 @@ def test_run_point_raises_steps_in_adiabatic_regime():
     assert row.deviation_from_exact <= 1e-5
 
 
+def test_run_point_over_several_dim2_blocks_is_ok():
+    # 186,764 steps: three blocks at the default budget
+    row = run_point(np.pi / 3, 1e-4)
+    assert row.steps_used > 2 * evolution._block_steps(2)
+    assert row.status == "ok"
+    assert row.deviation_from_exact <= DEFAULT.sweep_deviation
+
+
 @pytest.mark.parametrize("n_periods", [2, 3])
 def test_run_point_multiple_periods_matches_exact(n_periods):
     row = run_point(np.pi / 3, 0.5, base_steps=1024, n_periods=n_periods)
@@ -286,6 +296,20 @@ def test_csv_banner_header_and_roundtrip():
     )
     parsed = rows_from_csv(text)
     assert parsed == rows  # exact float round-trip at 17 significant digits
+
+
+@pytest.mark.parametrize(
+    "edit, fields",
+    [(lambda line: line.rsplit(",", 5)[0], 6), (lambda line: line + ",1", 12)],
+    ids=["too-few-fields", "extra-field"],
+)
+def test_rows_from_csv_refuses_a_row_of_the_wrong_field_count(edit, fields):
+    row = SweepRow(1.0, 0.5, 0.25, 1.0, 2.0, 1.0, 3.0, 1e-7, 1.0, 4096)
+    lines = rows_to_csv([row, row]).splitlines()
+    assert rows_from_csv("\n".join(lines)) == [row, row]
+    lines[3] = edit(lines[3])
+    with pytest.raises(ValueError, match=f"line 4: expected 11 fields, got {fields}"):
+        rows_from_csv("\n".join(lines))
 
 
 def test_json_rows_parse():
@@ -525,6 +549,39 @@ def test_cli_unread_flag_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def refuse_to_run(monkeypatch):
+    def ran(*args, **kwargs):
+        pytest.fail("the command ran")
+
+    for module, name in ((sweep, "_solve"), (sweep, "run_sweep"), (verify, "run_suite")):
+        monkeypatch.setattr(module, name, ran)
+
+
+@pytest.mark.parametrize("command, config_text", [("evolve", EVOLVE_CONFIG), ("sweep", SWEEP_CONFIG),
+                                                  ("verify", EVOLVE_CONFIG)], ids=["evolve", "sweep", "verify"])
+@pytest.mark.parametrize("via", ["--out", "output.path"])
+@pytest.mark.parametrize("target, match", [("missing/out.csv", "does not exist"), (".", "is a directory")],
+                         ids=["missing-directory", "directory"])
+def test_cli_unwritable_output_path_is_usage_error_before_the_run(
+    tmp_path, monkeypatch, capsys, command, config_text, via, target, match
+):
+    refuse_to_run(monkeypatch)
+    out = tmp_path / target
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text + (f"output.path = {out}\n" if via == "output.path" else ""))
+    argv = [command, "--config", str(cfg), "--quiet"] + (["--out", str(out)] if via == "--out" else [])
+    assert cli.main(argv) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_cli_verify_negative_seed_is_usage_error(monkeypatch, capsys):
+    refuse_to_run(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
 
 
 def test_verify_checks_share_one_signature():
