@@ -156,6 +156,9 @@ def load_config(path: str | Path) -> dict:
 
 def _as_float(mapping: dict, key: str):
     v = mapping[key]
+    # bool is an int subclass, so float(True) would read true as 1.0
+    if isinstance(v, bool):
+        raise ConfigError(f"{key} must be a number, got {v!r}")
     try:
         return float(v)
     except (TypeError, ValueError) as exc:

@@ -9,9 +9,12 @@ Frobenius norm at most 1 is applied to the state by a Taylor series accurate
 to 2^-53, and any other step by its unitary.
 
 The grid is walked in blocks of steps, each sampled and screened at once. At
-dim 2 a block's states come from a prefix scan of its step unitaries, whose
-round-off grows logarithmically in its steps; across dim-2 blocks, and above
-dim 2 where steps apply to the state in turn, round-off grows linearly.
+dim 2 a block is 65,536 steps and its states come from a prefix scan of its
+step unitaries, whose round-off grows logarithmically in its steps; across
+dim-2 blocks, and above dim 2 where steps apply to the state in turn,
+round-off grows linearly. Above dim 2 a block's stack holds at most 2^16
+complex elements (at least 16 steps), sized for the cache, and the states do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -172,11 +175,16 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
     return out
 
 
-# complex elements per stack of a block (4 MB) at every dim, so steps per
-# block scale as 1 / dim^2 and peak memory stays bounded. 2^18 ran faster than
-# 2^21, at less peak memory, both above dim 2 (dense-driven) and at dim 2 from
-# 187k steps up (15-39% less median time over 187k to 2.1M steps)
-_STEP_BLOCK_ELEMENTS = 1 << 18
+# steps per block at dim 2 (a 4 MiB stack): the block sets the association
+# of the prefix scan, so the dim-2 states depend on it. It ran faster than
+# 524,288 steps from 187k steps up (15-39% less median time over 187k to 2.1M)
+_SCAN_BLOCK_STEPS = 1 << 16
+# complex elements per stack of a block above dim 2 (1 MiB), where the states
+# do not depend on the block size: steps per block scale as 1 / dim^2, small
+# enough that a block's samples, screen and generators stay near a 2 MiB L2
+# cache. On dense-driven 2^16 tied 2^15 and took 9% and 22% less time than
+# 2^17 and 2^18; long grids at dims 3 to 8 took the same time at all four
+_STEP_BLOCK_ELEMENTS = 1 << 16
 # from this dim up a step's exponential is applied to the state by its Taylor
 # series (hilbert._step_series): below it eigh, whose per-call cost dominates
 # there, is cheaper than the series' matrix-vector products
@@ -184,8 +192,11 @@ _SERIES_MIN_DIM = 16
 
 
 def _block_steps(dim: int) -> int:
-    """Grid points per sampled block at this dim, at least 16; propagate's
-    midpoints and phases.dynamical_phase's nodes are cut by this one rule."""
+    """Grid points per sampled block at this dim: _SCAN_BLOCK_STEPS at dim 2,
+    else _STEP_BLOCK_ELEMENTS / dim^2, at least 16. propagate's midpoints and
+    phases.dynamical_phase's nodes are cut by this one rule."""
+    if dim == 2:
+        return _SCAN_BLOCK_STEPS
     return max(16, _STEP_BLOCK_ELEMENTS // (dim * dim))
 
 

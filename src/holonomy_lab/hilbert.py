@@ -105,7 +105,9 @@ def _hermiticity_defects(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts of the diagonal cancel exactly), the scale the largest |Hij|. Both
     are bit-equal to the general formula, which every other stack takes, a
     dim-2 one with a non-finite entry included: there a non-finite Re Hii
-    gives a NaN defect, not 2|Im Hii|.
+    gives a NaN defect, not 2|Im Hii|. The general formula writes H^H once
+    as a C-ordered array and subtracts it from H in place, so no operand is
+    read transposed in the subtraction; the samples are never written.
     """
     if hams.shape[1:] == (2, 2):
         h00, h01, h10, h11 = hams[:, 0, 0], hams[:, 0, 1], hams[:, 1, 0], hams[:, 1, 1]
@@ -115,8 +117,10 @@ def _hermiticity_defects(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(defects, 2.0 * np.abs(h00.imag), out=defects)
             np.maximum(defects, 2.0 * np.abs(h11.imag), out=defects)
             return defects, scale
+    diff = np.conjugate(hams.swapaxes(-1, -2), order="C")
     with np.errstate(invalid="ignore"):  # inf - inf; the caller's finiteness test reports it
-        defects = np.max(np.abs(hams - hams.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+        np.subtract(hams, diff, out=diff)
+    defects = np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
     return defects, np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
 
 
@@ -209,7 +213,8 @@ def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> l
     Writes A_k into out[k, :, :dim], where `out` is a caller's
     (>= k, dim, dim + 1) buffer; the samples are never written. Like eigh,
     A_k is read from the lower triangle and the real diagonal of H_k only:
-    its upper triangle is -conj of its lower one, bit for bit. A step with
+    its upper triangle is -conj of its lower one, bit for bit, copied from
+    -A^H, which is written once as a C-ordered array. A step with
     ||A_k||_F <= 1 is planned as its Taylor series, and its plan is the degree
     m_k: the smallest whose tail bound nu^(m+1) / (m+1)! / (1 - nu / (m+2)),
     nu = ||A_k||_F, is below 2^-53, at most 18. Every other step, one whose
@@ -220,8 +225,11 @@ def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> l
     count, dim = hams.shape[:2]
     gens = out[:count, :, :dim]
     np.multiply(hams, -1j * (dt / hbar), out=gens)
-    i, j = np.triu_indices(dim, 1)
-    gens[:, i, j] = -gens[:, j, i].conj()
+    # -A^H, A^T with its real part negated, is formed after the multiply:
+    # -i tau conj(H_ji) can differ from -conj(-i tau H_ji) in a zero's sign
+    flipped = gens.swapaxes(-1, -2).copy()
+    np.negative(flipped.real, out=flipped.real)
+    np.copyto(gens, flipped, where=~np.tri(dim, dtype=bool))
     diag = np.arange(dim)
     gens.real[:, diag, diag] = 0.0
     real = gens.view(float)

@@ -295,7 +295,7 @@ def test_spin_model_over_several_dim2_blocks_matches_one_block(monkeypatch):
     psis = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in (+1, -1)])
     sched = spin_model.schedule(params)
     blocks = propagate(sched, psis, grid)
-    monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", 4 * grid.steps)
+    monkeypatch.setattr(evolution, "_SCAN_BLOCK_STEPS", grid.steps)
     whole = propagate(sched, psis, grid)
     assert np.max(np.abs(all_states(blocks) - all_states(whole))) <= 1e-12
     for traj in blocks:
@@ -329,6 +329,43 @@ def test_states_above_dim2_do_not_depend_on_block_size(rng, monkeypatch, dim):
         for single, block in results[1:]:
             assert np.array_equal(single, results[0][0]), t_end
             assert np.array_equal(block, results[0][1]), t_end
+
+
+def test_block_rule():
+    # dim 2 keeps the scan block its states depend on; above dim 2 a block is
+    # the most steps whose stack fits the budget, at least 16
+    assert evolution._block_steps(2) == 65_536
+    for dim in range(3, 257):
+        steps = evolution._block_steps(dim)
+        assert steps >= 16, dim
+        assert steps * dim * dim <= evolution._STEP_BLOCK_ELEMENTS or steps == 16, dim
+        assert (steps + 1) * dim * dim > evolution._STEP_BLOCK_ELEMENTS, dim
+
+
+def cut(count, block):
+    """Lengths of the pieces of `count` grid points cut into blocks of `block`."""
+    return [min(block, count - pos) for pos in range(0, count, block)]
+
+
+@pytest.mark.parametrize("dim, steps", [(2, 70_000), (3, 16_000), (17, 452), (64, 40)])
+def test_node_energies_cut_nodes_as_propagate_cuts_midpoints(rng, dim, steps):
+    # several blocks at each dim's default size; at dim 17 the midpoints fill
+    # two blocks exactly and the last node is a block of its own
+    calls = []
+    many = random_periodic_schedule(rng, dim).evaluate_many
+
+    def recorded(ts):
+        calls.append(len(ts))
+        return many(ts)
+
+    recording = HamiltonianSchedule(evaluate=None, evaluate_many=recorded, dim=dim)
+    grid = TimeGrid(t_end=2 * np.pi, steps=steps)
+    traj = propagate(recording, np.eye(dim)[0], grid)
+    block = evolution._block_steps(dim)
+    assert calls == cut(steps, block) and len(calls) >= 2
+    calls.clear()
+    dynamical_phase(traj, recording)
+    assert calls == cut(steps + 1, block)
 
 
 @pytest.mark.parametrize("dim, steps", [(3, 10**5), (8, 5 * 10**4), (16, 2 * 10**4), (64, 4096)])

@@ -393,6 +393,138 @@ def test_dim2_screen_raises_as_general_screen(rng):
             assert f"at t = {float(times[first_bad])!r}:" in outcomes[0][1], name
 
 
+def general_screen(hams, times):
+    """(error class, message) of the screen's rule on general_defects, or None."""
+    defects, scale = general_defects(hams)
+    allowed = DEFAULT.hermiticity * np.maximum(1.0, scale)
+    bad = np.flatnonzero(~np.isfinite(scale) | (defects > allowed))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    if not np.isfinite(scale[k]):
+        return NonHermitianError, f"Hamiltonian not finite at t = {float(times[k])!r}: max|H| = {scale[k]}"
+    return NonHermitianError, (
+        f"Hamiltonian not Hermitian at t = {float(times[k])!r}: max|H - H^H| = {defects[k]:.3e} "
+        f"(allowed {allowed[k]:.3e})"
+    )
+
+
+def screen_outcome(hams, times):
+    try:
+        hilbert._require_hermitian(hams, DEFAULT, times=times)
+    except NonHermitianError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def gather_scatter_generators(hams, dt, hbar):
+    """A_k = -i H_k dt / hbar completed from the lower triangle and the real
+    diagonal by a triu_indices gather and scatter, in a (k, dim, dim + 1)
+    buffer as _step_series writes it."""
+    count, dim = hams.shape[:2]
+    gens = np.empty((count, dim, dim + 1), dtype=complex)[:, :, :dim]
+    np.multiply(hams, -1j * (dt / hbar), out=gens)
+    i, j = np.triu_indices(dim, 1)
+    gens[:, i, j] = -gens[:, j, i].conj()
+    diag = np.arange(dim)
+    gens.real[:, diag, diag] = 0.0
+    return gens
+
+
+def same_bits(a, b):
+    """Equal as floats, NaN where NaN, and with equal signs, signed zeros included."""
+    fa, fb = np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float)
+    return np.array_equal(fa, fb, equal_nan=True) and np.array_equal(np.signbit(fa), np.signbit(fb))
+
+
+def general_screen_stacks(rng, dim):
+    """Stacks of 12 matrices at a dim above 2: Hermitian; off the screen's
+    tolerance by a quarter either way and right at it, on the diagonal and
+    off it, from matrix 5 on; two with signed zeros on the diagonal and in
+    both strict triangles, the second real; with a non-finite value in the lower
+    triangle, the upper triangle or the diagonal of matrix 7, some behind a
+    non-Hermitian matrix 4."""
+    k = 12
+    hermitian = np.stack([random_hermitian(rng, dim) for _ in range(k)])
+    yield "hermitian", hermitian
+    # entries below 1/2 and a real 1 at H00, so max|H| = 1 and the allowed defect is tol.hermiticity
+    unit = hermitian / (2 * np.max(np.abs(hermitian), axis=(-2, -1), keepdims=True))
+    unit[:, 0, 0] = 1.0
+    for factor in (0.75, 1.0, 1.25):
+        diagonal = unit.copy()
+        diagonal.imag[5:, 1, 1] = 0.5 * factor * DEFAULT.hermiticity  # H11 - conj(H11) = 2i Im H11
+        yield f"diagonal-defect-{factor}-tol", diagonal
+        off = unit.copy()
+        off[5:, 2, 1] += factor * DEFAULT.hermiticity * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k - 5))
+        yield f"off-diagonal-defect-{factor}-tol", off
+    signed = unit.copy()
+    lower = np.tril(rng.random((k, dim, dim)) < 0.5, -1)
+    zeros = lambda shape: rng.choice([0.0, -0.0], size=shape)
+    for part in (signed.real, signed.imag):
+        part[lower] = zeros(lower.sum())
+        part[lower.swapaxes(-1, -2)] = zeros(lower.sum())
+    signed.imag[:, np.arange(dim), np.arange(dim)] = zeros((k, dim))
+    yield "signed-zeros", signed
+    real = unit.real.astype(complex)
+    real.imag[...] = zeros(real.shape)
+    yield "real-signed-zeros", real
+    for where, entry in (("lower", (2, 1)), ("upper", (1, 2)), ("diagonal", (1, 1))):
+        for bad in NON_FINITE:
+            for behind in (False, True):
+                h = unit.copy()
+                h[(7,) + entry] = bad
+                if behind:
+                    h[4, 0, 1] += 1e-3
+                yield f"{where}={bad}{'-behind' if behind else ''}", h
+
+
+@pytest.mark.parametrize("dim", [3, 16, 17, 64])
+def test_general_screen_equals_subtraction_of_transposed_operand(rng, dim):
+    # H^H written as its own array gives the defects and scales of
+    # H - H.conj().swapaxes(-1, -2) bit for bit, the same error class, first
+    # bad t and message, and leaves the samples as they were
+    times = np.linspace(0.0, 1.0, 12)
+    outcomes = {}
+    for name, hams in general_screen_stacks(rng, dim):
+        before = hams.copy()
+        defects, scale = hilbert._hermiticity_defects(hams)
+        expected_defects, expected_scale = general_defects(hams)
+        assert same_bits(defects, expected_defects) and same_bits(scale, expected_scale), name
+        outcomes[name] = screen_outcome(hams, times)
+        assert outcomes[name] == general_screen(hams, times), name
+        assert hams.tobytes() == before.tobytes(), name
+    # the stacks straddle the threshold, and each error names the first bad matrix
+    at = lambda k: f"at t = {float(times[k])!r}:"
+    assert outcomes["diagonal-defect-1.0-tol"] is None
+    for where in ("diagonal", "off-diagonal"):
+        assert outcomes[f"{where}-defect-0.75-tol"] is None
+        assert "not Hermitian " + at(5) in outcomes[f"{where}-defect-1.25-tol"][1]
+    for name, outcome in outcomes.items():
+        if "=" in name:
+            assert at(4 if name.endswith("-behind") else 7) in outcome[1], name
+
+
+@pytest.mark.parametrize("dim", [3, 16, 17, 64])
+@pytest.mark.parametrize("dt, hbar", [(0.01, 1.0), (-0.3, 0.7)])
+def test_series_generators_equal_gather_scatter_completion(rng, dim, dt, hbar):
+    # the upper triangle copied from -A^H written as its own array equals
+    # the triu_indices gather and scatter bit for bit, signs of zeros and
+    # NaN included, and the samples stay unwritten
+    for name, hams in general_screen_stacks(rng, dim):
+        before = hams.copy()
+        out = np.empty((len(hams), dim, dim + 1), dtype=complex)
+        # the screen stops a non-finite stack before propagate plans it; here
+        # its steps go to eigh, which may refuse them once the generators are written
+        with np.errstate(all="ignore"):
+            try:
+                hilbert._step_series(hams, dt, hbar, out=out)
+            except np.linalg.LinAlgError:
+                assert not np.isfinite(hams).all(), name
+            expected = gather_scatter_generators(hams, dt, hbar)
+        assert same_bits(out[:, :, :dim], expected), name
+        assert hams.tobytes() == before.tobytes(), name
+
+
 # --- stack kernels called from a caller's thread pool --------------------------
 
 

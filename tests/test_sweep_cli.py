@@ -139,6 +139,35 @@ def test_config_rejects_unbounded_values(mapping, match):
         build_config({k: v for k, v in base.items() if v is not None})
 
 
+def nested(mapping):
+    """The JSON object of a flat dotted-key mapping."""
+    doc = {}
+    for key, value in mapping.items():
+        *parents, leaf = key.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    return doc
+
+
+@pytest.mark.parametrize("key", ["theta", "sweep.eta_min", "tol.cyclicity"])
+@pytest.mark.parametrize("form", ["key-value", "json"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_for_a_number_is_config_error(key, form, value):
+    # bool is an int subclass: float(True) would read `true` as 1.0
+    mapping = {"theta": 1.0, "eta": 1.0}
+    if key.startswith("sweep."):
+        mapping = {"theta": 1.0, "sweep.eta_min": 1e-3, "sweep.eta_max": 1.0, "sweep.points": 4}
+    mapping[key] = value
+    if form == "json":
+        text = json.dumps(nested(mapping))
+    else:
+        text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items())
+    with pytest.raises(ConfigError, match=f"{key} must be a number, got {value!r}"):
+        build_config(parse_config_text(text))
+
+
 def test_steps_cap_is_the_sweep_cap():
     assert build_config({"theta": 1.0, "eta": 1.0, "steps": 1 << 21}).steps == 1 << 21
     with pytest.raises(ConfigError, match="steps"):
@@ -427,6 +456,8 @@ def test_cli_bad_config_key_is_usage_error(tmp_path):
         ("evolve", "theta = 1.0\neta = 1.0\noutput.path = true\n"),
         ("sweep", "theta = 1.0\nsweep.eta_min = 0.5\nsweep.eta_max = 2.0\nsweep.points = 2\noutput.path = 123\n"),
         ("sweep", "theta = 1.0\nsweep.eta_min = 0.5\nsweep.eta_max = 2.0\nsweep.points = 2\noutput.path = true\n"),
+        ("evolve", "theta = true\neta = 1.0\n"),
+        ("sweep", '{"theta": 1.0, "sweep": {"eta_min": true, "eta_max": 2.0, "points": 2}}'),
     ],
     ids=[
         "theta-out-of-range", "negative-eta", "steps-not-a-number", "tolerance-not-a-number",
@@ -434,6 +465,7 @@ def test_cli_bad_config_key_is_usage_error(tmp_path):
         "infinite-sweep-bound", "removed-tolerance", "overflowing-omega", "overflowing-sweep-omega",
         "evolve-numeric-output-path", "evolve-boolean-output-path",
         "sweep-numeric-output-path", "sweep-boolean-output-path",
+        "boolean-theta", "json-boolean-sweep-bound",
     ],
 )
 def test_cli_bad_config_value_is_usage_error(tmp_path, command, config_text):
