@@ -139,40 +139,57 @@ class TrajectoryBlock(tuple):
         return self[0].dim
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over two equal-length stacks of 2x2 complex matrices.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """out = a @ b over two equal-length stacks of 2x2 complex matrices.
 
-    The four entries are formed elementwise into a component-major stack
-    (hilbert._empty_2x2), which avoids matmul's per-matrix overhead and
-    strided writes.
+    The four entries are formed elementwise, which avoids matmul's
+    per-matrix overhead, each product into a row of `work`, a (3, >= len)
+    complex scratch buffer. Both entries of a row of the product are formed
+    before either is written, so `out` may be `a` itself; it defaults to a
+    new component-major stack (hilbert._empty_2x2).
     """
-    out = hilbert._empty_2x2(a.shape[:-2])
+    count = a.shape[0]
+    if out is None:
+        out = hilbert._empty_2x2((count,))
+    if work is None:
+        work = np.empty((3, count), dtype=complex)
+    prod, term, first = work[0, :count], work[1, :count], work[2, :count]
     for i in range(2):
-        for j in range(2):
-            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+        np.multiply(a[:, i, 0], b[:, 0, 0], out=prod)
+        np.multiply(a[:, i, 1], b[:, 1, 0], out=term)
+        np.add(prod, term, out=first)
+        np.multiply(a[:, i, 0], b[:, 0, 1], out=prod)
+        np.multiply(a[:, i, 1], b[:, 1, 1], out=term)
+        np.add(prod, term, out=out[:, i, 1])
+        out[:, i, 0] = first
     return out
 
 
-def _prefix_products(u: np.ndarray) -> np.ndarray:
-    """p[k] = u[k] @ u[k-1] @ ... @ u[0], for a stack of 2x2 matrices.
+def _prefix_products(u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """p[k] = u[k] @ u[k-1] @ ... @ u[0], for a stack of 2x2 matrices,
+    written over u in place; returns u.
 
     Work-efficient recursive scan (about 2n batched products) instead of a
-    Python loop. The balanced re-association keeps unitary round-off growth
-    logarithmic in the step count, and the elementwise products (see _matmul)
-    make the 2n products cheaper than n steps in turn.
+    Python loop: the pair products u[2i+1] @ u[2i] are written over the odd
+    entries, which are scanned in place, and each even entry then takes its
+    product with the odd one before it. The balanced re-association keeps
+    unitary round-off growth logarithmic in the step count, and the
+    elementwise products (see _matmul) make the 2n products cheaper than n
+    steps in turn. Every level shares one scratch buffer of 3 n/2 entries.
     """
     n = u.shape[0]
     if n <= 1:
-        return u.copy()
+        return u
     m = n // 2
-    scanned = _prefix_products(_matmul(u[1 : 2 * m : 2], u[0 : 2 * m : 2]))
-    out = np.empty_like(u)
-    out[0] = u[0]
-    out[1 : 2 * m : 2] = scanned
-    out[2 : 2 * m : 2] = _matmul(u[2 : 2 * m : 2], scanned[:-1])
+    if work is None:
+        work = np.empty((3, m), dtype=complex)
+    odd = u[1 : 2 * m : 2]
+    _matmul(odd, u[0 : 2 * m : 2], out=odd, work=work)
+    _prefix_products(odd, work)
+    _matmul(u[2 : 2 * m : 2], odd[:-1], out=u[2 : 2 * m : 2], work=work)
     if n % 2:
-        out[-1:] = _matmul(u[-1:], scanned[-1:])
-    return out
+        _matmul(u[-1:], odd[-1:], out=u[-1:], work=work)
+    return u
 
 
 # steps per block at dim 2 (a 4 MiB stack): the block sets the association
@@ -257,7 +274,9 @@ def propagate(
         hams = schedule.sample(mids[pos : pos + take])
         hilbert._require_hermitian(hams, tol, times=mids[pos : pos + take])
         if dim == 2:
-            prefixes = _prefix_products(hilbert._step_unitaries(hams, grid.dt, hbar))
+            prefixes = hilbert._step_unitaries(hams, grid.dt, hbar)
+            del hams  # the scan runs in the unitaries' buffer, without the samples
+            _prefix_products(prefixes)
             for row in states:
                 np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
         elif dim < _SERIES_MIN_DIM:

@@ -171,7 +171,12 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     H = V diag(lambda) V^H: the eigenvectors scaled by their phases,
     V diag(exp(-i lambda tau)), times V^H in one batched matmul, with the
     conjugate written into eigh's own buffer. Every matrix is computed on its
-    own, so its result does not depend on the stack around it. propagate
+    own, so its result does not depend on the stack around it, except in
+    the last bit of the dim-2 upper off-diagonal entry, which differs
+    between stacks of fewer and of at least 2^14 matrices (see below); the
+    pinned dim-2 bytes keep that. At dim 2 the result's own entries hold the
+    complex temporaries, so beside the samples and the result the kernel
+    holds four real values and at most two complex ones per matrix. propagate
     takes this kernel at dims 2 to 15, and from dim 16 up only for the steps
     whose generator has Frobenius norm above 1 (see _step_series). Raises
     ValueError unless hbar is positive and finite.
@@ -182,21 +187,31 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
         evals, evecs = np.linalg.eigh(hams)
         scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
         return np.matmul(scaled, np.conjugate(evecs, out=evecs).swapaxes(-1, -2))
-    h00, h11, h10 = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
-    hz = 0.5 * (h00 - h11)
-    r = np.hypot(hz, np.abs(h10))
-    r_tau = r * tau
+    # Each entry is formed by the operations, in the order, of an expression
+    # over new arrays, into the result's own entries where they are free. No
+    # complex product writes over an operand: numpy takes another loop for a
+    # one-element product in place, which moves the last bit
+    h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+    out = _empty_2x2(hams.shape[:1])
+    e00, e01, e10, e11 = out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1]
+    hz, r, r_tau, sinc = np.empty((4, hams.shape[0]))
+    np.multiply(0.5, np.subtract(h00, h11, out=hz), out=hz)
+    np.hypot(hz, np.abs(h10, out=r), out=r)
+    np.multiply(r, tau, out=r_tau)
     # sin(r tau) / r, which is tau where r tau is 0
-    sinc = np.full_like(r, tau)
-    np.divide(np.sin(r_tau), r, out=sinc, where=r_tau != 0.0)
-    phase = np.exp(-0.5j * tau * (h00 + h11))
-    diag = phase * np.cos(r_tau)
-    rot = -1j * sinc * phase
-    out = _empty_2x2(hams.shape[:-2])
-    out[..., 0, 0] = diag + rot * hz
-    out[..., 1, 1] = diag - rot * hz
-    out[..., 1, 0] = rot * h10
-    out[..., 0, 1] = rot * h10.conj()
+    np.divide(np.sin(r_tau, out=sinc), r, out=sinc, where=r_tau != 0.0)
+    sinc[r_tau == 0.0] = tau
+    phase = np.exp(np.multiply(-0.5j * tau, np.add(h00, h11, out=r), out=e01), out=e00)
+    diag = np.multiply(phase, np.cos(r_tau, out=r_tau), out=e11)
+    rot = np.multiply(np.multiply(-1j, sinc, out=e10), phase, out=e01)
+    rot_hz = np.multiply(rot, hz, out=e10)
+    np.add(diag, rot_hz, out=e00)
+    np.subtract(diag, rot_hz, out=e11)
+    np.multiply(rot, h10, out=e10)
+    # one expression, as numpy elides its temporary: from 2^14 matrices up
+    # it forms the product as conj(h10) * rot, whose last bit can differ.
+    # The product is complete before it is written over rot
+    out[:, 0, 1] = rot * h10.conj()
     return out
 
 

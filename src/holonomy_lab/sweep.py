@@ -5,15 +5,18 @@ the cyclic geometric phases, and compares the + branch against the closed
 form. Step counts are refined per row (`steps_used`) so the deviation stays
 inside the configured bound even deep in the adiabatic regime, where the
 midpoint integrator's secular phase error grows like 1/eta at fixed steps.
-Rows are independent; a failed row is reported through its status field and
-does not stop the sweep.
+Rows are independent, and may run on two threads with identical results; a
+failed row is reported through its status field and does not stop the sweep.
 """
 
 from __future__ import annotations
 
+import contextvars
 import io
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -157,6 +160,13 @@ def eta_grid(eta_min: float, eta_max: float, points: int, log: bool = True) -> n
     return np.linspace(eta_min, eta_max, points)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(
     theta: float,
     etas,
@@ -171,14 +181,38 @@ def run_sweep(
 
     A row that raises ValueError (every library error) or ArithmeticError
     becomes an `error:` row; any other exception is a bug and propagates.
+
+    With two rows or more, on a process that may run on two CPUs or more,
+    one helper thread runs rows too: the calling thread takes rows from the
+    low-eta end, which need the most steps, and the helper from the high-eta
+    end, until the two meet. So two of the largest rows never run at once,
+    and their buffers stay in the calling thread's malloc arena. The helper
+    runs in a copy of the caller's context (np.errstate holds there too).
+    Each row is computed alone, so the rows are the same on one thread or
+    two. A bug in either thread stops both after their current row, and is
+    raised here once the helper has ended, the calling thread's own first.
     """
-    rows = []
-    for eta in sorted(float(e) for e in np.asarray(etas)):
-        try:
-            rows.append(
-                run_point(
+    etas = sorted(float(e) for e in np.asarray(etas))
+    rows: list[SweepRow | None] = [None] * len(etas)
+    lock = threading.Lock()
+    ends = [0, len(etas)]  # the next row from the low end, one past the next from the high end
+    helper_errors: list[BaseException] = []
+
+    def run_rows(from_high: bool) -> None:
+        while True:
+            with lock:
+                if ends[0] >= ends[1]:
+                    return
+                if from_high:
+                    ends[1] -= 1
+                    k = ends[1]
+                else:
+                    k = ends[0]
+                    ends[0] += 1
+            try:
+                rows[k] = run_point(
                     theta,
-                    eta,
+                    etas[k],
                     mu=mu,
                     b_field=b_field,
                     hbar=hbar,
@@ -186,25 +220,51 @@ def run_sweep(
                     n_periods=n_periods,
                     tol=tol,
                 )
-            )
-        except (ValueError, ArithmeticError) as exc:  # numerical and domain failures stay in their row
-            status = f"error: {exc}".replace(",", ";").replace("\n", " ")  # keep the CSV rectangular
-            rows.append(
-                SweepRow(
-                    eta=eta,
-                    theta=theta,
-                    alpha=math.nan,
-                    geom_phase_plus=math.nan,
-                    geom_phase_minus=math.nan,
-                    geom_phase_exact_plus=math.nan,
-                    berry_limit_plus=math.nan,
-                    deviation_from_exact=math.nan,
-                    endpoint_fidelity=math.nan,
-                    steps_used=base_steps,
-                    status=status,
-                )
-            )
+            except (ValueError, ArithmeticError) as exc:  # numerical and domain failures stay in their row
+                rows[k] = _error_row(theta, etas[k], base_steps, exc)
+            except BaseException:
+                with lock:
+                    ends[1] = ends[0]  # the other thread stops after its current row
+                raise
+
+    def run_helper() -> None:
+        try:
+            run_rows(from_high=True)
+        except BaseException as exc:  # raised in the caller, never to threading.excepthook
+            helper_errors.append(exc)
+
+    helper = None
+    if len(etas) >= 2 and _cpu_count() >= 2:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(run_helper,))
+        try:
+            helper.start()
+        except RuntimeError:  # no thread to be had: the calling thread runs every row
+            helper = None
+    try:
+        run_rows(from_high=False)
+    finally:
+        if helper is not None:
+            helper.join()
+    if helper_errors:
+        raise helper_errors[0]
     return rows
+
+
+def _error_row(theta: float, eta: float, base_steps: int, exc: Exception) -> SweepRow:
+    status = f"error: {exc}".replace(",", ";").replace("\n", " ")  # keep the CSV rectangular
+    return SweepRow(
+        eta=eta,
+        theta=theta,
+        alpha=math.nan,
+        geom_phase_plus=math.nan,
+        geom_phase_minus=math.nan,
+        geom_phase_exact_plus=math.nan,
+        berry_limit_plus=math.nan,
+        deviation_from_exact=math.nan,
+        endpoint_fidelity=math.nan,
+        steps_used=base_steps,
+        status=status,
+    )
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,36 @@ def test_prefix_products_match_sequential_products(rng):
         for k in range(1, n):
             expected.append(u[k] @ expected[-1])
         assert np.max(np.abs(evolution._prefix_products(u) - expected)) <= 1e-13
+
+
+def test_prefix_products_scan_in_place_and_products_may_write_over_a(rng):
+    u = random_unitaries(rng, 37, 2)
+    expected = np.stack([np.linalg.multi_dot(u[k::-1]) if k else u[0] for k in range(37)])
+    assert evolution._prefix_products(u) is u
+    assert np.max(np.abs(u - expected)) <= 1e-13
+    a, b = random_unitaries(rng, 5, 2), random_unitaries(rng, 5, 2)
+    product = np.matmul(a, b)
+    assert evolution._matmul(a, b, out=a) is a
+    assert np.max(np.abs(a - product)) <= 1e-15
+
+
+def test_dim2_propagation_memory_guard():
+    # both spin branches over the longest row of the default sweep grid; the
+    # scan runs in the unitaries' buffer once the samples are dropped, so the
+    # peak holds about four 3.6 MiB stacks: states, samples, unitaries, nodes'
+    # midpoints and the exponential's temporaries
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-3)
+    steps = spin_model.steps_for_phase_tolerance(params, DEFAULT.sweep_deviation / 3.0, 1)
+    assert steps == 59_048
+    psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in (+1, -1)])
+    grid = TimeGrid(t_end=params.period, steps=steps)
+    tracemalloc.start()
+    try:
+        propagate(spin_model.schedule(params), psi0, grid, hbar=params.hbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- block propagation --------------------------------------------------------

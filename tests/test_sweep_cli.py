@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +312,120 @@ def test_sweep_does_not_swallow_bugs(monkeypatch):
     monkeypatch.setattr(sweep, "propagate", broken)
     with pytest.raises(TypeError, match="a bug"):
         run_sweep(np.pi / 3, [1.0], base_steps=256)
+
+
+# --- rows on two threads -----------------------------------------------------
+
+# the digest of test_sweep_csv_bytes_are_pinned
+PINNED_12_ROWS = "0ed06c4199dc2b2788c0528a3a736a968482f181193dcf198b46850aee8c4009"
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_bug_in_a_helper_row_propagates_and_no_thread_outlives_the_sweep(monkeypatch, capfd):
+    two_cpus(monkeypatch)
+    etas = eta_grid(1e-3, 1e3, 12)
+    real_run_point = sweep.run_point
+    highest_started = threading.Event()
+    raised_on = []
+
+    def run_point_with_a_bug(theta, eta, **kwargs):
+        if eta == etas[-1]:
+            highest_started.set()
+            raised_on.append(threading.get_ident())
+            raise TypeError("a bug, not a numerical failure")
+        if eta == etas[0]:
+            highest_started.wait(timeout=10)  # the calling thread holds its first row until the helper starts its
+        return real_run_point(theta, eta, **kwargs)
+
+    before = threading.active_count()
+    assert len(run_sweep(np.pi / 3, [2.0, 0.5, 1.0], base_steps=256)) == 3
+    assert threading.active_count() == before
+    assert run_sweep(np.pi / 3, [1.0, -1.0], base_steps=256)[0].status.startswith("error:")
+    assert threading.active_count() == before
+    monkeypatch.setattr(sweep, "run_point", run_point_with_a_bug)
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(np.pi / 3, etas, base_steps=4096)
+    assert raised_on and raised_on[0] != threading.get_ident()
+    assert threading.active_count() == before
+    assert "Exception in thread" not in capfd.readouterr().err
+
+
+def test_bug_in_the_calling_thread_stops_both_threads(monkeypatch):
+    two_cpus(monkeypatch)
+    etas = eta_grid(1e-3, 1e3, 12)
+    calls = []
+
+    def run_point_with_a_bug(theta, eta, **kwargs):
+        calls.append(eta)
+        if eta == etas[0]:
+            raise KeyError("a bug in the first row")
+        time.sleep(0.05)
+        return sweep.SweepRow(eta, theta, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 16)
+
+    monkeypatch.setattr(sweep, "run_point", run_point_with_a_bug)
+    with pytest.raises(KeyError, match="first row"):
+        run_sweep(np.pi / 3, etas, base_steps=16)
+    # the helper ends after the row it was running when the bug was raised
+    assert len(calls) <= 3
+
+
+def test_rows_run_in_the_callers_context(monkeypatch):
+    two_cpus(monkeypatch)
+    real_run_point = sweep.run_point
+    seen = {}
+
+    def recording_run_point(theta, eta, **kwargs):
+        seen[eta] = (np.geterr()["under"], threading.get_ident())
+        return real_run_point(theta, eta, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_point", recording_run_point)
+    etas = eta_grid(1e-3, 1e3, 12)
+    with np.errstate(under="raise"):
+        run_sweep(np.pi / 3, etas, base_steps=4096)
+    assert sorted(seen) == sorted(float(e) for e in etas)
+    assert all(under == "raise" for under, _ in seen.values())
+    assert seen[float(etas[-1])][1] != threading.get_ident()
+
+
+def refuse_threads(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+
+
+def test_one_cpu_runs_every_row_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    refuse_threads(monkeypatch)
+    rows = run_sweep(np.pi / 3, eta_grid(1e-3, 1e3, 12), base_steps=4096)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == PINNED_12_ROWS
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}, set(range(64))])
+def test_one_row_starts_no_thread(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    refuse_threads(monkeypatch)
+    assert run_sweep(np.pi / 3, [1.0], base_steps=256)[0].status == "ok"
+
+
+def test_cpu_count_without_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    refuse_threads(monkeypatch)
+    assert [r.status for r in run_sweep(np.pi / 3, [2.0, 0.5], base_steps=256)] == ["ok", "ok"]
+
+
+def test_sweep_runs_on_the_calling_thread_when_no_thread_can_start(monkeypatch):
+    two_cpus(monkeypatch)
+    def cannot_start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    rows = run_sweep(np.pi / 3, [2.0, 0.5, 1.0], base_steps=512)
+    assert rows == [run_point(np.pi / 3, eta, base_steps=512) for eta in (0.5, 1.0, 2.0)]
 
 
 def test_csv_banner_header_and_roundtrip():
