@@ -17,7 +17,8 @@ Parallel transport is the gauge choice that zeroes the connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,8 @@ class MovingFrame:
     shape(t) + (dim,). If `derivative_fn` is None, derivatives fall back to a
     symmetric finite difference with step `fd_step` (default 1e-6 times the
     period, or 1e-6 for an aperiodic frame). `period` is the frame's period
-    T, or None for aperiodic frames.
+    T, or None for aperiodic frames. `period` and `fd_step` must each be None
+    or positive and finite (ValueError otherwise).
     """
 
     dim: int
@@ -62,30 +64,63 @@ class MovingFrame:
     derivative_fn: Callable[[int, np.ndarray], np.ndarray] | None = None
     period: float | None = None
     fd_step: float | None = None
+    # joint (v_n, d/dt v_n) callback of the frames this package builds; set
+    # by _joint_frame, and not copied by dataclasses.replace
+    _joint_fn: Callable[[int, np.ndarray], tuple] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.count <= self.dim):
             raise DimensionMismatchError(
                 f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}"
             )
+        _require_positive_or_none("period", self.period)
+        _require_positive_or_none("fd_step", self.fd_step)
 
-    def _sample(self, fn, n: int, t) -> np.ndarray:
+    def _times(self, n: int, t) -> np.ndarray:
         if not (0 <= n < self.count):
             raise IndexError(f"frame index {n} out of range [0, {self.count})")
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(np.asarray(fn(n, t), dtype=complex), t.shape + (self.dim,))
+        return np.asarray(t, dtype=float)
+
+    def _shaped(self, vectors, t: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(vectors, dtype=complex), t.shape + (self.dim,))
 
     def value(self, n: int, t) -> np.ndarray:
         """v_n at scalar or array t, shape shape(t) + (dim,)."""
-        return self._sample(self.value_fn, n, t)
+        t = self._times(n, t)
+        return self._shaped(self.value_fn(n, t), t)
 
     def derivative(self, n: int, t) -> np.ndarray:
         """d/dt v_n at t: analytic callback when present, else symmetric difference."""
         if self.derivative_fn is not None:
-            return self._sample(self.derivative_fn, n, t)
+            t = self._times(n, t)
+            return self._shaped(self.derivative_fn(n, t), t)
         h = self.fd_step if self.fd_step is not None else 1e-6 * (self.period or 1.0)
         t = np.asarray(t, dtype=float)
         return (self.value(n, t + h) - self.value(n, t - h)) / (2.0 * h)
+
+    def value_and_derivative(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
+        """(value(n, t), derivative(n, t)), bit for bit. Frames built by
+        gauge_transform and the spin model evaluate both in one pass; any
+        other frame calls value, then derivative."""
+        if self._joint_fn is None:
+            return self.value(n, t), self.derivative(n, t)
+        t = self._times(n, t)
+        vec, deriv = self._joint_fn(n, t)
+        return self._shaped(vec, t), self._shaped(deriv, t)
+
+
+def _joint_frame(joint_fn, **fields) -> MovingFrame:
+    """A MovingFrame whose derivative and joint path come from one callback,
+    joint_fn(n, t) -> (v_n, d/dt v_n); `value_fn` (in fields) stays value-only."""
+    frame = MovingFrame(derivative_fn=lambda n, t: joint_fn(n, t)[1], **fields)
+    object.__setattr__(frame, "_joint_fn", joint_fn)
+    return frame
+
+
+def _require_positive_or_none(name: str, value) -> None:
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +135,25 @@ class GaugeFunction:
     dalpha: Callable[[int, np.ndarray], np.ndarray]
     period: float | None = None
 
-    def periodicity_defect(self, n: int) -> float:
-        """Distance of alpha(n, T) - alpha(n, 0) from the nearest multiple of 2 pi."""
-        if self.period is None:
-            raise ValueError("gauge has no period")
-        jump = self.alpha(n, self.period) - self.alpha(n, 0.0)
-        return float(abs(jump - 2.0 * np.pi * round(jump / (2.0 * np.pi))))
+    # joint (alpha, dalpha) callback of the gauges this module builds; set by
+    # _joint_gauge, and not copied by dataclasses.replace
+    _joint: Callable[[int, np.ndarray], tuple] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    def alpha_and_dalpha(self, n: int, t) -> tuple:
+        """(alpha(n, t), dalpha(n, t)), bit for bit; the gauges built by this
+        module evaluate both in one pass."""
+        if self._joint is None:
+            return self.alpha(n, t), self.dalpha(n, t)
+        return self._joint(n, t)
+
+
+def _joint_gauge(joint, alpha, period) -> GaugeFunction:
+    """A GaugeFunction whose rate and joint path come from one callback,
+    joint(n, t) -> (alpha, dalpha); `alpha` stays angle-only."""
+    gauge = GaugeFunction(alpha=alpha, dalpha=lambda n, t: joint(n, t)[1], period=period)
+    object.__setattr__(gauge, "_joint", joint)
+    return gauge
 
 
 def constant_gauge(c: float, period: float | None = None) -> GaugeFunction:
@@ -119,7 +167,8 @@ def linear_gauge(rate: float, period: float | None = None) -> GaugeFunction:
 def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunction:
     """Random smooth gauge, periodic mod 2 pi: an offset uniform in [-pi, pi),
     four Fourier modes with coefficients uniform in [-1, 1), and an integer
-    winding in [-2, 2]."""
+    winding in [-2, 2]. A period that is not positive and finite raises ValueError."""
+    _require_positive_or_none("period", period)
     a = rng.uniform(-1.0, 1.0, size=4)
     b = rng.uniform(-1.0, 1.0, size=4)
     a0 = rng.uniform(-np.pi, np.pi)
@@ -127,42 +176,43 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     w = 2.0 * np.pi / period
     kw = np.arange(1, a.size + 1) * w
 
+    def angle(t, cos_kwt, sin_kwt) -> np.ndarray:
+        return a0 + winding * w * t + np.sum(a * cos_kwt + b * sin_kwt, axis=-1)
+
     def alpha(n: int, t) -> np.ndarray:
         kwt = np.multiply.outer(t, kw)
-        return a0 + winding * w * t + np.sum(a * np.cos(kwt) + b * np.sin(kwt), axis=-1)
+        return angle(t, np.cos(kwt), np.sin(kwt))
 
-    def dalpha(n: int, t) -> np.ndarray:
+    def joint(n: int, t) -> tuple[np.ndarray, np.ndarray]:
         kwt = np.multiply.outer(t, kw)
-        return winding * w + np.sum(kw * (-a * np.sin(kwt) + b * np.cos(kwt)), axis=-1)
+        cos_kwt, sin_kwt = np.cos(kwt), np.sin(kwt)
+        rate = winding * w + np.sum(kw * (-a * sin_kwt + b * cos_kwt), axis=-1)
+        return angle(t, cos_kwt, sin_kwt), rate
 
-    return GaugeFunction(alpha=alpha, dalpha=dalpha, period=period)
+    return _joint_gauge(joint, alpha, period)
 
 
 def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
     """Frame with v_n replaced by e^{i alpha_n(t)} v_n; orthonormality is preserved exactly.
 
     The derivative is the product rule e^{i alpha_n} (i d(alpha_n)/dt v_n + d/dt v_n),
-    with d/dt v_n from the original frame (analytic or finite difference).
+    with d/dt v_n from the original frame (analytic or finite difference). It
+    is evaluated together with the value: one angle and rate, one phase and
+    one joint evaluation of the original frame per call. Value-only calls
+    evaluate the angle and the original vector alone.
     """
 
-    def phase(n: int, t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.asarray(gauge.alpha(n, t)))[..., None]
-
     def value_fn(n: int, t: np.ndarray) -> np.ndarray:
-        return phase(n, t) * frame.value(n, t)
+        return np.exp(1j * np.asarray(gauge.alpha(n, t)))[..., None] * frame.value(n, t)
 
-    def derivative_fn(n: int, t: np.ndarray) -> np.ndarray:
-        rate = np.asarray(gauge.dalpha(n, t))[..., None]
-        return phase(n, t) * (1j * rate * frame.value(n, t) + frame.derivative(n, t))
+    def joint_fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        alpha, rate = gauge.alpha_and_dalpha(n, t)
+        phase = np.exp(1j * np.asarray(alpha))[..., None]
+        vec, deriv = frame.value_and_derivative(n, t)
+        return phase * vec, phase * (1j * np.asarray(rate)[..., None] * vec + deriv)
 
-    return MovingFrame(
-        dim=frame.dim,
-        count=frame.count,
-        value_fn=value_fn,
-        derivative_fn=derivative_fn,
-        period=frame.period,
-        fd_step=frame.fd_step,
-    )
+    return _joint_frame(joint_fn, dim=frame.dim, count=frame.count, value_fn=value_fn,
+                        period=frame.period, fd_step=frame.fd_step)
 
 
 def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
@@ -171,16 +221,21 @@ def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
     A scalar t gives a float, an array t an array of the same shape. For a
     norm-preserving frame the inner product is purely real; its imaginary
     part measures norm drift and is rejected above tolerance, naming the
-    first offending time.
+    first offending time. A non-finite frame value or derivative is rejected
+    the same way (NormalizationDriftError).
     """
     t = np.asarray(t, dtype=float)
-    val = np.einsum("...i,...i->...", frame.value(n, t).conj(), 1j * frame.derivative(n, t))
+    vec, deriv = frame.value_and_derivative(n, t)
+    with np.errstate(invalid="ignore"):  # a non-finite frame is named below, by its time
+        val = np.einsum("...i,...i->...", vec.conj(), 1j * deriv)
     rate, drift = val.real, val.imag
-    bad = np.flatnonzero(np.abs(drift) > tol.connection_drift * np.maximum(1.0, np.abs(rate)))
+    ok = (np.abs(drift) <= tol.connection_drift * np.maximum(1.0, np.abs(rate))) & np.isfinite(rate)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         k = int(bad[0])
+        what = "norm drifts" if np.isfinite(val.flat[k]) else "is not finite"
         raise NormalizationDriftError(
-            f"frame vector {n} norm drifts at t={float(t.flat[k])!r}: "
+            f"frame vector {n} {what} at t={float(t.flat[k])!r}: "
             f"Im<v|i dv/dt> = {float(drift.flat[k]):.3e}"
         )
     return float(rate) if t.ndim == 0 else rate
@@ -218,18 +273,14 @@ def parallel_transport_fix(
     dt = ts[1] - ts[0]
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * dt)])
 
-    def alpha(m: int, t: np.ndarray):
+    def joint(m: int, t: np.ndarray):
         if m != n:
-            return 0.0
+            return 0.0, 0.0
+        rate = connection(frame, n, t, tol=tol)
         k = np.clip(np.floor(t / dt), 0, steps - 1).astype(int)
-        return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + connection(frame, n, t, tol=tol))
+        return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + rate), rate
 
-    def dalpha(m: int, t: np.ndarray):
-        if m != n:
-            return 0.0
-        return connection(frame, n, t, tol=tol)
-
-    return gauge_transform(frame, GaugeFunction(alpha=alpha, dalpha=dalpha, period=frame.period))
+    return gauge_transform(frame, _joint_gauge(joint, lambda m, t: joint(m, t)[0], frame.period))
 
 
 def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
@@ -282,8 +333,7 @@ def eff_hamiltonian_matrix(
     # screened before as_operator's finiteness check, so a non-finite H names t
     _require_hermitian(h_t[None], tol, times=[t])
     h_t = as_operator(h_t, dim=frame.dim, tol=tol)
-    vecs = np.stack([frame.value(n, t) for n in range(frame.count)])
-    derivs = np.stack([frame.derivative(n, t) for n in range(frame.count)])
+    vecs, derivs = map(np.stack, zip(*(frame.value_and_derivative(n, t) for n in range(frame.count))))
     return vecs.conj() @ h_t @ vecs.T - 1j * hbar * (vecs.conj() @ derivs.T)
 
 

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .evolution import HamiltonianSchedule, TimeGrid, Trajectory
-from .frames import MovingFrame
+from .frames import MovingFrame, _joint_frame
 
 __all__ = [
     "SIGMA_X",
@@ -162,20 +162,32 @@ def _basis_vector(theta: float, alpha: float, omega: float, branch: int, t) -> n
     return np.stack([upper, lower], axis=-1)
 
 
-def _basis_derivative(theta: float, alpha: float, omega: float, branch: int, t) -> np.ndarray:
+def _basis_value_and_derivative(theta: float, alpha: float, omega: float, branch: int, t):
+    """(_basis_vector, its time derivative) at time(s) t, from one exp(-i omega t)."""
     half = 0.5 * (theta - alpha)
-    phase = -1j * omega * np.exp(-1j * omega * np.asarray(t, dtype=float))
-    amp = np.cos(half) if branch == +1 else np.sin(half)
-    return np.stack([amp * phase, np.zeros_like(phase)], axis=-1)
+    phase = np.exp(-1j * omega * np.asarray(t, dtype=float))
+    if branch == +1:
+        amp, lower = np.cos(half), np.sin(half)
+    elif branch == -1:
+        amp, lower = np.sin(half), -np.cos(half)
+    else:
+        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    rate = -1j * omega * phase
+    return (np.stack([amp * phase, lower * np.ones_like(phase)], axis=-1),
+            np.stack([amp * rate, np.zeros_like(rate)], axis=-1))
 
 
 def _frame(params: ModelParams, alpha: float) -> MovingFrame:
     branches = (+1, -1)
-    return MovingFrame(
+
+    def joint_fn(n, t):
+        return _basis_value_and_derivative(params.theta, alpha, params.omega, branches[n], t)
+
+    return _joint_frame(
+        joint_fn,
         dim=2,
         count=2,
         value_fn=lambda n, t: _basis_vector(params.theta, alpha, params.omega, branches[n], t),
-        derivative_fn=lambda n, t: _basis_derivative(params.theta, alpha, params.omega, branches[n], t),
         period=params.period,
     )
 

@@ -505,7 +505,7 @@ def test_sample_shape_mismatch_names_schedule_dim(dim, returned, vectorized):
 
 @pytest.mark.parametrize("workers", [2, 3, None], ids=["2", "3", "this-machine"])
 @pytest.mark.parametrize("dim", [3, 8, 17, 64])
-def test_pooled_propagation_equals_one_worker(rng, monkeypatch, workers, dim):
+def test_propagation_does_not_depend_on_calling_thread(rng, monkeypatch, workers, dim):
     # propagate keeps nothing between calls: the same call made at once from
     # every thread of a caller's pool (None: one thread per CPU of this
     # machine), with a short switch interval so that they interleave, gives
@@ -543,7 +543,7 @@ def propagate_in_child(sched, psi, grid, expected):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
-def test_forked_child_propagates_after_parent_built_the_pool(rng):
+def test_propagation_does_not_depend_on_fork(rng):
     # the parent propagates on a thread pool whose threads are still alive at
     # the fork; the child, which has none of them, propagates to the same bits
     # through the eigh unitaries (dim 8) and the step series (dim 17 over 8 / 17)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from holonomy_lab.errors import NonHermitianError, NormalizationDriftError
 from holonomy_lab.frames import (
     GaugeFunction,
     MovingFrame,
+    _joint_frame,
+    _joint_gauge,
     adiabatic_berry_phase,
     connection,
     constant_gauge,
@@ -294,8 +298,54 @@ def test_heff_gauge_covariance():
 
 
 def test_random_gauge_is_periodic_mod_two_pi(rng):
-    gauge = random_periodic_gauge(3.7, rng)
-    assert gauge.periodicity_defect(0) <= 1e-12
+    period = 3.7
+    for _ in range(8):
+        gauge = random_periodic_gauge(period, rng)
+        for n in range(2):
+            jump = gauge.alpha(n, period) - gauge.alpha(n, 0.0)
+            assert abs(jump - 2.0 * np.pi * round(jump / (2.0 * np.pi))) <= 1e-12
+
+
+@pytest.mark.parametrize("field, value", [("fd_step", 0.0), ("fd_step", -1e-6), ("fd_step", np.nan),
+                                          ("fd_step", np.inf), ("period", -1.0), ("period", 0.0),
+                                          ("period", np.nan), ("period", np.inf)])
+def test_frame_refuses_bad_fd_step_or_period(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be None or positive and finite"):
+        MovingFrame(dim=2, count=1, value_fn=lambda n, t: np.array([1.0, 0.0]), **{field: value})
+
+
+@pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
+def test_random_gauge_refuses_bad_period(rng, period):
+    with pytest.raises(ValueError, match="period must be None or positive and finite"):
+        random_periodic_gauge(period, rng)
+
+
+def frame_bad_after_one(bad, where):
+    """e_0 with zero derivative, but `bad` in the value or the derivative past t = 1."""
+
+    def fill(good, is_bad):
+        def fn(n, t):
+            out = np.zeros(np.shape(t) + (2,), dtype=complex)
+            out[..., 0] = np.where(np.asarray(t) > 1.0, bad, good) if is_bad else good
+            return out
+        return fn
+
+    return MovingFrame(dim=2, count=1, value_fn=fill(1.0, where == "value"),
+                       derivative_fn=fill(0.0, where == "derivative"), period=4.0)
+
+
+@pytest.mark.parametrize("where", ["value", "derivative"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"])
+def test_connection_refuses_non_finite_frame(bad, where):
+    frame = frame_bad_after_one(bad, where)
+    assert np.all(connection(frame, 0, [0.0, 0.5, 1.0]) == 0.0)
+    match = r"frame vector 0 is not finite at t=1\.5:"
+    with pytest.raises(NormalizationDriftError, match=match):
+        connection(frame, 0, [0.5, 1.5, 2.5])
+    # on the 8-step grid of [0, 4] the first node past t = 1 is t = 1.5
+    for quadrature in (adiabatic_berry_phase, holonomy):
+        with pytest.raises(NormalizationDriftError, match=match):
+            quadrature(frame, 0, steps=8)
 
 
 # --- beyond the analytic spin-1/2 frame ----------------------------------------
@@ -377,3 +427,137 @@ def test_connection_drift_names_first_bad_time():
     assert np.all(connection(frame, 0, [0.0, 0.5]) == 0.0)
     with pytest.raises(NormalizationDriftError, match=r"t=1\.5:"):
         connection(frame, 0, [0.5, 1.5, 2.5])
+
+
+# --- the joint value-and-derivative evaluation ---------------------------------
+
+
+def joint_evaluation_frames():
+    """(id, frame) for every kind of frame the package builds."""
+    rng = np.random.default_rng(2024)
+    tilted = spin_model.tilted_frame(PARAMS)
+    gauged = gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng))
+    frames = [("tilted", tilted), ("eigenframe", spin_model.eigenframe(PARAMS))]
+    frames += [(f"random-gauge-{k}", gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng)))
+               for k in range(8)]
+    frames += [
+        ("constant-gauge", gauge_transform(tilted, constant_gauge(0.83, period=PARAMS.period))),
+        ("linear-gauge", gauge_transform(tilted, linear_gauge(PARAMS.omega, period=PARAMS.period))),
+        ("gauge-of-gauged", gauge_transform(gauged, random_periodic_gauge(PARAMS.period, rng))),
+        ("transported", parallel_transport_fix(gauged, 0, steps=256)),
+        ("finite-difference", fd_tilted_frame()),
+        ("gauged-finite-difference", gauge_transform(fd_tilted_frame(), random_periodic_gauge(PARAMS.period, rng))),
+    ]
+    return frames
+
+
+JOINT_EVALUATION_FRAMES = joint_evaluation_frames()
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("name, frame", JOINT_EVALUATION_FRAMES, ids=[n for n, _ in JOINT_EVALUATION_FRAMES])
+def test_joint_evaluation_keeps_every_bit(name, frame):
+    # the joint path gives what separate value and derivative calls give
+    reference = MovingFrame(dim=frame.dim, count=frame.count, value_fn=frame.value,
+                            derivative_fn=frame.derivative, period=frame.period)
+    sched = spin_model.schedule(PARAMS)
+    ts = np.linspace(0.0, 1.3 * PARAMS.period, 37)
+    for n in range(frame.count):
+        for got, want in zip(frame.value_and_derivative(n, ts), reference.value_and_derivative(n, ts)):
+            assert bits(got) == bits(want)
+        assert bits(connection(frame, n, ts)) == bits(connection(reference, n, ts))
+        assert bits(connection(frame, n, 0.41)) == bits(connection(reference, n, 0.41))
+        assert bits(adiabatic_berry_phase(frame, n, steps=64)) == bits(adiabatic_berry_phase(reference, n, steps=64))
+        assert bits(holonomy(frame, n, steps=64)) == bits(holonomy(reference, n, steps=64))
+    for t in (0.0, 0.7, 2.9):
+        got = eff_hamiltonian_matrix(frame, sched, t, hbar=PARAMS.hbar)
+        assert bits(got) == bits(eff_hamiltonian_matrix(reference, sched, t, hbar=PARAMS.hbar))
+
+
+def separate_gauge_transform(frame, gauge):
+    """gauge_transform with the value and the product rule as two callbacks,
+    each evaluating its own angle and phase: the reference for its joint path."""
+
+    def phase(n, t):
+        return np.exp(1j * np.asarray(gauge.alpha(n, t)))[..., None]
+
+    return MovingFrame(
+        dim=frame.dim,
+        count=frame.count,
+        value_fn=lambda n, t: phase(n, t) * frame.value(n, t),
+        derivative_fn=lambda n, t: phase(n, t) * (
+            1j * np.asarray(gauge.dalpha(n, t))[..., None] * frame.value(n, t) + frame.derivative(n, t)),
+        period=frame.period,
+    )
+
+
+def spin_basis_derivative(n, t):
+    """d/dt of the tilted basis vector n, written on its own."""
+    half = 0.5 * DELTA
+    phase = -1j * PARAMS.omega * np.exp(-1j * PARAMS.omega * np.asarray(t, dtype=float))
+    amp = np.cos(half) if n == 0 else np.sin(half)
+    return np.stack([amp * phase, np.zeros_like(phase)], axis=-1)
+
+
+def test_joint_paths_equal_the_separate_formulas(rng):
+    tilted = spin_model.tilted_frame(PARAMS)
+    ts = np.linspace(0.0, 1.3 * PARAMS.period, 37)
+    for n in range(2):
+        for t in (ts, 0.41):
+            assert bits(tilted.value_and_derivative(n, t)[1]) == bits(spin_basis_derivative(n, t))
+    for base in (tilted, fd_tilted_frame()):
+        for gauge in [random_periodic_gauge(PARAMS.period, rng) for _ in range(4)] + [linear_gauge(0.7)]:
+            gauged = gauge_transform(base, gauge)
+            reference = separate_gauge_transform(base, gauge)
+            for n in range(2):
+                for got, want in zip(gauged.value_and_derivative(n, ts), reference.value_and_derivative(n, ts)):
+                    assert bits(got) == bits(want)
+
+
+def counted(calls, name, fn):
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+    return wrapper
+
+
+def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng):
+    calls = []
+    # the gauge and the model frame as built, with each callback counted
+    drawn = random_periodic_gauge(PARAMS.period, rng)
+    gauge = _joint_gauge(counted(calls, "alpha_and_dalpha", drawn._joint), counted(calls, "alpha", drawn.alpha),
+                         drawn.period)
+    tilted = spin_model.tilted_frame(PARAMS)
+    base = _joint_frame(counted(calls, "value_and_derivative", tilted._joint_fn), dim=2, count=2,
+                        value_fn=counted(calls, "value", tilted.value_fn), period=tilted.period)
+    gauged = gauge_transform(base, gauge)
+    for t in (0.3, np.linspace(0.0, PARAMS.period, 9)):
+        calls.clear()
+        connection(gauged, 0, t)
+        assert calls == ["alpha_and_dalpha", "value_and_derivative"]
+    calls.clear()
+    eff_hamiltonian_matrix(gauged, spin_model.schedule(PARAMS), 0.3)
+    assert calls == ["alpha_and_dalpha", "value_and_derivative"] * 2
+    # value-only callers evaluate the angle and the base value alone
+    calls.clear()
+    gauged.value(0, 0.3)
+    assert calls == ["alpha", "value"]
+    # a copy made by dataclasses.replace has no joint path, and the same bits
+    copy = dataclasses.replace(gauged)
+    assert copy._joint_fn is None
+    assert bits(copy.value_and_derivative(0, 0.3)) == bits(gauged.value_and_derivative(0, 0.3))
+
+
+def test_transported_frame_evaluates_the_base_connection_once():
+    calls = []
+    base = phase_winding_frame(2.3, period=2 * np.pi / 2.3)
+    counting = MovingFrame(dim=2, count=1, value_fn=counted(calls, "value", base.value_fn),
+                           derivative_fn=counted(calls, "derivative", base.derivative_fn), period=base.period)
+    fixed = parallel_transport_fix(counting, 0, steps=64)
+    calls.clear()
+    connection(fixed, 0, 0.4)
+    # one pair for the base connection inside the gauge, one for the product rule
+    assert sorted(calls) == ["derivative", "derivative", "value", "value"]

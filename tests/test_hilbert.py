@@ -576,7 +576,7 @@ with ThreadPoolExecutor(int(sys.argv[2])) as pool:
         ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4),
     ],
 )
-def test_worker_count_is_cpus_over_blas_threads(tmp_path, env, workers):
+def test_states_do_not_depend_on_blas_threads(tmp_path, env, workers):
     # the library reads no BLAS thread variable, and its states do not depend
     # on one: in a fresh interpreter, where BLAS reads `env`, and on a caller's
     # pool sized as a 4-CPU machine's CPUs over the BLAS threads `env` asks
@@ -602,7 +602,7 @@ def plan_key(plan):
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dim", [2, 3, 8, 17, 64])
 @pytest.mark.parametrize("piece_rows", [None, 3], ids=["default-pieces", "small-pieces"])
-def test_pooled_step_unitaries_equal_one_worker(rng, workers, dim, piece_rows):
+def test_step_unitaries_do_not_depend_on_calling_thread(rng, workers, dim, piece_rows):
     # each step's exponential and, from dim 16 up, its series action do not
     # depend on the stack around it, and concurrent callers get their own
     # results: the stack cut into one piece per worker (default) or into

@@ -748,6 +748,16 @@ def test_cli_verify_quick_deterministic_and_green(tmp_path):
     assert "FAIL" not in reports[0]
 
 
+def test_verify_quick_report_bytes_are_pinned(tmp_path):
+    # SHA-256 of the default `verify --quick` report, which holds no wall-clock
+    # text; like the sweep digests, it depends on numpy's floating-point build
+    out = tmp_path / "report.txt"
+    assert cli.main(["verify", "--quick", "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2998a45a37f9705902c0658e27a215562b228ff1fda51fd5681cfe0531c440c6"
+    )
+
+
 @pytest.mark.slow
 def test_cli_verify_tolerance_override_forces_failure(tmp_path):
     # a tolerance-only config is enough for verify
