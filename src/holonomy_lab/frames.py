@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationDriftError
 from .evolution import TimeGrid
-from .hilbert import _require_hermitian, as_operator, inner
+from .hilbert import _require_hermitian, _require_operator_dim, inner
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -83,7 +83,13 @@ class MovingFrame:
         return np.asarray(t, dtype=float)
 
     def _shaped(self, vectors, t: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(vectors, dtype=complex), t.shape + (self.dim,))
+        """The callback's complex array itself when it already has shape
+        shape(t) + (dim,); anything else (a constant, a (dim,) vector at array
+        t) converted and broadcast to that shape."""
+        shape = t.shape + (self.dim,)
+        if type(vectors) is np.ndarray and vectors.dtype == complex and vectors.shape == shape:
+            return vectors
+        return np.broadcast_to(np.asarray(vectors, dtype=complex), shape)
 
     def value(self, n: int, t) -> np.ndarray:
         """v_n at scalar or array t, shape shape(t) + (dim,)."""
@@ -164,6 +170,13 @@ def linear_gauge(rate: float, period: float | None = None) -> GaugeFunction:
     return GaugeFunction(alpha=lambda n, t: rate * t, dalpha=lambda n, t: rate, period=period)
 
 
+def _sum_modes(terms: np.ndarray) -> np.ndarray:
+    """np.sum(terms, axis=-1) over a trailing axis of four modes, bit for bit:
+    numpy adds them in order onto +0.0 (so four -0.0 sum to +0.0), and so do
+    these adds, without the cost of a reduction over a short axis."""
+    return 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+
+
 def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunction:
     """Random smooth gauge, periodic mod 2 pi: an offset uniform in [-pi, pi),
     four Fourier modes with coefficients uniform in [-1, 1), and an integer
@@ -177,7 +190,7 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     kw = np.arange(1, a.size + 1) * w
 
     def angle(t, cos_kwt, sin_kwt) -> np.ndarray:
-        return a0 + winding * w * t + np.sum(a * cos_kwt + b * sin_kwt, axis=-1)
+        return a0 + winding * w * t + _sum_modes(a * cos_kwt + b * sin_kwt)
 
     def alpha(n: int, t) -> np.ndarray:
         kwt = np.multiply.outer(t, kw)
@@ -186,7 +199,7 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     def joint(n: int, t) -> tuple[np.ndarray, np.ndarray]:
         kwt = np.multiply.outer(t, kw)
         cos_kwt, sin_kwt = np.cos(kwt), np.sin(kwt)
-        rate = winding * w + np.sum(kw * (-a * sin_kwt + b * cos_kwt), axis=-1)
+        rate = winding * w + _sum_modes(kw * (-a * sin_kwt + b * cos_kwt))
         return angle(t, cos_kwt, sin_kwt), rate
 
     return _joint_gauge(joint, alpha, period)
@@ -209,7 +222,8 @@ def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
         alpha, rate = gauge.alpha_and_dalpha(n, t)
         phase = np.exp(1j * np.asarray(alpha))[..., None]
         vec, deriv = frame.value_and_derivative(n, t)
-        return phase * vec, phase * (1j * np.asarray(rate)[..., None] * vec + deriv)
+        with np.errstate(invalid="ignore"):  # a non-finite frame is named by connection
+            return phase * vec, phase * (1j * np.asarray(rate)[..., None] * vec + deriv)
 
     return _joint_frame(joint_fn, dim=frame.dim, count=frame.count, value_fn=value_fn,
                         period=frame.period, fd_step=frame.fd_step)
@@ -330,11 +344,15 @@ def eff_hamiltonian_matrix(
     else:
         h_t = hamiltonian
     h_t = np.asarray(h_t, dtype=complex)
-    # screened before as_operator's finiteness check, so a non-finite H names t
+    # the screen rejects a non-square or non-finite H, naming t
     _require_hermitian(h_t[None], tol, times=[t])
-    h_t = as_operator(h_t, dim=frame.dim, tol=tol)
-    vecs, derivs = map(np.stack, zip(*(frame.value_and_derivative(n, t) for n in range(frame.count))))
-    return vecs.conj() @ h_t @ vecs.T - 1j * hbar * (vecs.conj() @ derivs.T)
+    _require_operator_dim(h_t.shape[0], frame.dim, tol)
+    vecs = np.empty((frame.count, frame.dim), dtype=complex)
+    derivs = np.empty_like(vecs)
+    for n in range(frame.count):
+        vecs[n], derivs[n] = frame.value_and_derivative(n, t)
+    bras = vecs.conj()
+    return bras @ h_t @ vecs.T - 1j * hbar * (bras @ derivs.T)
 
 
 def orthonormality_defect(frame: MovingFrame, ts) -> float:

@@ -49,13 +49,19 @@ def as_operator(m, dim: int | None = None, tol: Tolerances = DEFAULT) -> np.ndar
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"operator must be square, got shape {a.shape}")
-    if a.shape[0] > tol.max_dim:
-        raise DimensionMismatchError(f"dimension {a.shape[0]} exceeds configured cap {tol.max_dim}")
-    if dim is not None and a.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {a.shape[0]}")
+    _require_operator_dim(a.shape[0], dim, tol)
     if not np.isfinite(a).all():
         raise ValueError("operator contains non-finite entries")
     return a
+
+
+def _require_operator_dim(size: int, dim: int | None, tol: Tolerances) -> None:
+    """as_operator's checks of a square operator's size: at most tol.max_dim,
+    and equal to dim when given (DimensionMismatchError otherwise)."""
+    if size > tol.max_dim:
+        raise DimensionMismatchError(f"dimension {size} exceeds configured cap {tol.max_dim}")
+    if dim is not None and size != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {size}")
 
 
 def inner(a, b) -> complex:
@@ -254,8 +260,9 @@ def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> l
     orders = np.arange(1, _SERIES_MAX_DEGREE + 1)
     tails = nu ** (orders + 1) * _INV_FACTORIALS[orders + 1] / (1.0 - nu / (orders + 2))
     plans = (1 + np.argmax(tails < 2.0**-53, axis=1)).tolist()
-    for k, u in zip(np.flatnonzero(unitary), _step_unitaries(hams[unitary], dt, hbar)):
-        plans[k] = u
+    if unitary.any():
+        for k, u in zip(np.flatnonzero(unitary), _step_unitaries(hams[unitary], dt, hbar)):
+            plans[k] = u
     return plans
 
 

@@ -163,7 +163,11 @@ def _basis_vector(theta: float, alpha: float, omega: float, branch: int, t) -> n
 
 
 def _basis_value_and_derivative(theta: float, alpha: float, omega: float, branch: int, t):
-    """(_basis_vector, its time derivative) at time(s) t, from one exp(-i omega t)."""
+    """(_basis_vector, its time derivative) at time(s) t, from one exp(-i omega t).
+
+    Each is written into one (..., 2) array; the constant lower entry and its
+    zero derivative are written as they are, which is what lower * 1 and 0
+    give in complex arithmetic."""
     half = 0.5 * (theta - alpha)
     phase = np.exp(-1j * omega * np.asarray(t, dtype=float))
     if branch == +1:
@@ -172,9 +176,13 @@ def _basis_value_and_derivative(theta: float, alpha: float, omega: float, branch
         amp, lower = np.sin(half), -np.cos(half)
     else:
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    rate = -1j * omega * phase
-    return (np.stack([amp * phase, lower * np.ones_like(phase)], axis=-1),
-            np.stack([amp * rate, np.zeros_like(rate)], axis=-1))
+    vec = np.empty(np.shape(phase) + (2,), dtype=complex)
+    deriv = np.empty_like(vec)
+    vec[..., 0] = amp * phase
+    vec[..., 1] = lower
+    deriv[..., 0] = amp * (-1j * omega * phase)
+    deriv[..., 1] = 0.0
+    return vec, deriv
 
 
 def _frame(params: ModelParams, alpha: float) -> MovingFrame:

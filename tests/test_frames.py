@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from holonomy_lab.frames import (
     MovingFrame,
     _joint_frame,
     _joint_gauge,
+    _sum_modes,
     adiabatic_berry_phase,
     connection,
     constant_gauge,
@@ -348,6 +351,23 @@ def test_connection_refuses_non_finite_frame(bad, where):
             quadrature(frame, 0, steps=8)
 
 
+@pytest.mark.parametrize("where", ["value", "derivative"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"])
+def test_gauged_non_finite_frame_is_named_without_a_warning(rng, bad, where):
+    # the product rule meets inf * 0 and inf - inf past t = 1; connection names
+    # the first bad time, and no RuntimeWarning comes first
+    frame = gauge_transform(frame_bad_after_one(bad, where), random_periodic_gauge(4.0, rng))
+    match = r"frame vector 0 is not finite at t=1\.5:"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(connection(frame, 0, [0.0, 0.5, 1.0])))
+        with pytest.raises(NormalizationDriftError, match=match):
+            connection(frame, 0, [0.5, 1.5, 2.5])
+        for quadrature in (adiabatic_berry_phase, holonomy):
+            with pytest.raises(NormalizationDriftError, match=match):
+                quadrature(frame, 0, steps=8)
+
+
 # --- beyond the analytic spin-1/2 frame ----------------------------------------
 
 
@@ -561,3 +581,119 @@ def test_transported_frame_evaluates_the_base_connection_once():
     connection(fixed, 0, 0.4)
     # one pair for the base connection inside the gauge, one for the product rule
     assert sorted(calls) == ["derivative", "derivative", "value", "value"]
+
+
+# --- callback shapes, the mode sum and the benchmark's frames outputs ----------
+
+
+E0 = np.array([1.0, 0.0], dtype=complex)
+
+
+@pytest.mark.parametrize("value, derivative", [
+    (lambda n, t: E0, lambda n, t: 0.0),
+    (lambda n, t: [1.0, 0.0], lambda n, t: np.zeros(2)),
+    (lambda n, t: np.exp(-1j * np.asarray(t))[..., None] * E0, lambda n, t: 0),
+], ids=["vector-and-scalar", "list-and-real-vector", "array-and-int"])
+@pytest.mark.parametrize("joint", [False, True])
+def test_frame_calls_keep_their_shapes(value, derivative, joint):
+    # constants and (dim,) vectors broadcast to shape(t) + (dim,) at scalar and array t
+    if joint:
+        frame = _joint_frame(lambda n, t: (value(n, t), derivative(n, t)), dim=2, count=1, value_fn=value,
+                             period=1.0)
+    else:
+        frame = MovingFrame(dim=2, count=1, value_fn=value, derivative_fn=derivative, period=1.0)
+    for t in (0.3, np.linspace(0.0, 1.0, 5), np.array([0.5])):
+        shape = np.shape(t) + (2,)
+        got = [frame.value(0, t), frame.derivative(0, t), *frame.value_and_derivative(0, t)]
+        for x in got:
+            assert x.shape == shape and x.dtype == complex
+        assert bits(got[0]) == bits(got[2]) and bits(got[1]) == bits(got[3])
+        assert bits(got[0]) == bits(np.broadcast_to(np.asarray(value(0, np.asarray(t)), dtype=complex), shape))
+        assert not np.any(got[1])
+
+
+def test_frame_returns_a_callback_array_of_its_shape_as_it_is():
+    own = {}
+
+    def value_fn(n, t):
+        own["value"] = np.exp(-1j * t)[..., None] * E0
+        return own["value"]
+
+    frame = MovingFrame(dim=2, count=1, value_fn=value_fn, derivative_fn=lambda n, t: np.zeros(2), period=1.0)
+    for t in (0.3, np.linspace(0.0, 1.0, 5)):
+        assert frame.value(0, t) is own["value"]
+    # a real array of the right shape is converted, not returned
+    real = MovingFrame(dim=2, count=1, value_fn=lambda n, t: own.setdefault("real", np.ones(2)), period=1.0)
+    assert real.value(0, 0.3) is not own["real"] and real.value(0, 0.3).dtype == complex
+
+
+def mode_terms(rng, lead):
+    """Mode terms of shape lead + (4,) over twenty decades, with signed zeros."""
+    terms = rng.standard_normal(lead + (4,)) * 10.0 ** rng.integers(-10, 11, lead + (4,))
+    terms[rng.random(terms.shape) < 0.2] = 0.0
+    terms[rng.random(terms.shape) < 0.2] = -0.0
+    return terms
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2049,)])
+def test_mode_sum_equals_numpy_sum(rng, lead):
+    cases = [mode_terms(rng, lead) for _ in range(200 if lead == () else 5)]
+    cases += [np.full(lead + (4,), -0.0), np.full(lead + (4,), 0.0)]
+    if lead:
+        with_row = mode_terms(rng, lead)
+        with_row[-1] = -0.0
+        cases.append(with_row)
+    for terms in cases:
+        got, want = _sum_modes(terms), np.sum(terms, axis=-1)
+        assert np.shape(got) == np.shape(want) and bits(got) == bits(want)
+    # four -0.0 sum to +0.0, as in numpy
+    assert not np.signbit(_sum_modes(np.full(4, -0.0)))
+
+
+def numpy_sum_gauge(period, rng):
+    """random_periodic_gauge's angle and rate with the modes summed by np.sum."""
+    a, b = rng.uniform(-1.0, 1.0, size=4), rng.uniform(-1.0, 1.0, size=4)
+    a0, winding = rng.uniform(-np.pi, np.pi), int(rng.integers(-2, 3))
+    w = 2.0 * np.pi / period
+    kw = np.arange(1, 5) * w
+
+    def joint(n, t):
+        kwt = np.multiply.outer(t, kw)
+        cos_kwt, sin_kwt = np.cos(kwt), np.sin(kwt)
+        return (a0 + winding * w * t + np.sum(a * cos_kwt + b * sin_kwt, axis=-1),
+                winding * w + np.sum(kw * (-a * sin_kwt + b * cos_kwt), axis=-1))
+
+    return joint
+
+
+def test_random_gauge_sums_its_modes_as_numpy_does():
+    ts = np.concatenate([np.linspace(-1.0, 2.0 * PARAMS.period, 2049), [0.0, -0.0]])
+    for seed in range(8):
+        gauge = random_periodic_gauge(PARAMS.period, np.random.default_rng(seed))
+        reference = numpy_sum_gauge(PARAMS.period, np.random.default_rng(seed))
+        for t in (ts, np.asarray(0.0), np.asarray(-0.0), np.asarray(1.3)):
+            want = reference(0, t)
+            assert bits(gauge.alpha_and_dalpha(0, t)) == bits(want)
+            assert bits(gauge.alpha(0, t)) == bits(want[0]) and bits(gauge.dalpha(0, t)) == bits(want[1])
+
+
+def test_frames_outputs_of_the_benchmark_are_pinned():
+    # SHA-256 over the float bytes of the seed-0 gauge-holonomy benchmark
+    # workload's frames outputs: holonomy and Berry phase of 8 random gauges,
+    # the transported holonomy and 64 effective Hamiltonians. Like the sweep
+    # digests, it depends on numpy's floating-point build
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
+    frame = spin_model.tilted_frame(params)
+    rng = np.random.default_rng(0)
+    gauges = [random_periodic_gauge(params.period, rng) for _ in range(8)]
+    digest = hashlib.sha256()
+    for gauge in gauges:
+        gauged = gauge_transform(frame, gauge)
+        digest.update(np.complex128(holonomy(gauged, 0, steps=2048)).tobytes())
+        digest.update(np.float64(adiabatic_berry_phase(gauged, 0, steps=2048)).tobytes())
+    transported = parallel_transport_fix(frame, 0, steps=2048)
+    digest.update(np.complex128(holonomy(transported, 0, steps=2048)).tobytes())
+    sched = spin_model.schedule(params)
+    for t in np.linspace(0.0, params.period, 64, endpoint=False):
+        digest.update(eff_hamiltonian_matrix(frame, sched, t, hbar=params.hbar).tobytes())
+    assert digest.hexdigest() == "87407fd55014734fd71c1b5c09a0fca52534e4638c5f8ca478e6845966ef7048"

@@ -242,6 +242,28 @@ def test_dense_driven_steps_are_all_series(rng, dim):
     assert all(isinstance(plan, int) for plan in plans)
 
 
+@pytest.mark.parametrize("dim", [16, 64])
+def test_series_only_block_makes_no_eigh_call(rng, dim, monkeypatch):
+    # a block whose steps are all series computes no unitary; its plans and
+    # generators are those the same steps get beside a step that takes eigh
+    dt, hbar = 0.7, 1.3
+    target = np.array([0.0, 1e-6, 0.3, 0.9, 1.0 - 1e-9, 3.0])
+    hams = np.stack([random_hermitian(rng, dim) for _ in range(target.size)])
+    hams *= (target * (hbar / dt) / np.linalg.norm(hams, axis=(-2, -1)))[:, None, None]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    mixed_gens = np.empty((target.size, dim, dim + 1), dtype=complex)
+    mixed = hilbert._step_series(hams, dt, hbar, out=mixed_gens)
+    assert calls == [1] and isinstance(mixed[-1], np.ndarray)
+    calls.clear()
+    gens = np.empty((target.size - 1, dim, dim + 1), dtype=complex)
+    plans = hilbert._step_series(hams[:-1], dt, hbar, out=gens)
+    assert calls == []
+    assert plans == mixed[:-1] and all(type(plan) is int for plan in plans)
+    assert gens[:, :, :dim].tobytes() == mixed_gens[:-1, :, :dim].tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, -np.inf, 1j, np.complex128(1.0), "a", None])
 def test_expi_rejects_bad_hbar(rng, dim, hbar):
