@@ -18,6 +18,7 @@ Parallel transport is the gauge choice that zeroes the connection.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -106,9 +107,11 @@ class MovingFrame:
         return (self.value(n, t + h) - self.value(n, t - h)) / (2.0 * h)
 
     def value_and_derivative(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
-        """(value(n, t), derivative(n, t)), bit for bit. Frames built by
-        gauge_transform and the spin model evaluate both in one pass; any
-        other frame calls value, then derivative."""
+        """(value(n, t), derivative(n, t)), bit for bit. The frames this
+        package builds (gauge_transform, parallel_transport_fix, the spin
+        model) make one call of their joint callback here, as value and
+        derivative each do; a frame built by the constructor calls value,
+        then derivative."""
         if self._joint_fn is None:
             return self.value(n, t), self.derivative(n, t)
         t = self._times(n, t)
@@ -117,9 +120,10 @@ class MovingFrame:
 
 
 def _joint_frame(joint_fn, **fields) -> MovingFrame:
-    """A MovingFrame whose derivative and joint path come from one callback,
-    joint_fn(n, t) -> (v_n, d/dt v_n); `value_fn` (in fields) stays value-only."""
-    frame = MovingFrame(derivative_fn=lambda n, t: joint_fn(n, t)[1], **fields)
+    """A MovingFrame whose value, derivative and joint path all come from one
+    callback, joint_fn(n, t) -> (v_n, d/dt v_n)."""
+    frame = MovingFrame(value_fn=lambda n, t: joint_fn(n, t)[0],
+                        derivative_fn=lambda n, t: joint_fn(n, t)[1], **fields)
     object.__setattr__(frame, "_joint_fn", joint_fn)
     return frame
 
@@ -154,10 +158,11 @@ class GaugeFunction:
         return self._joint(n, t)
 
 
-def _joint_gauge(joint, alpha, period) -> GaugeFunction:
-    """A GaugeFunction whose rate and joint path come from one callback,
-    joint(n, t) -> (alpha, dalpha); `alpha` stays angle-only."""
-    gauge = GaugeFunction(alpha=alpha, dalpha=lambda n, t: joint(n, t)[1], period=period)
+def _joint_gauge(joint, period) -> GaugeFunction:
+    """A GaugeFunction whose angle, rate and joint path all come from one
+    callback, joint(n, t) -> (alpha, dalpha)."""
+    gauge = GaugeFunction(alpha=lambda n, t: joint(n, t)[0], dalpha=lambda n, t: joint(n, t)[1],
+                          period=period)
     object.__setattr__(gauge, "_joint", joint)
     return gauge
 
@@ -189,34 +194,25 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     w = 2.0 * np.pi / period
     kw = np.arange(1, a.size + 1) * w
 
-    def angle(t, cos_kwt, sin_kwt) -> np.ndarray:
-        return a0 + winding * w * t + _sum_modes(a * cos_kwt + b * sin_kwt)
-
-    def alpha(n: int, t) -> np.ndarray:
-        kwt = np.multiply.outer(t, kw)
-        return angle(t, np.cos(kwt), np.sin(kwt))
-
     def joint(n: int, t) -> tuple[np.ndarray, np.ndarray]:
         kwt = np.multiply.outer(t, kw)
         cos_kwt, sin_kwt = np.cos(kwt), np.sin(kwt)
+        angle = a0 + winding * w * t + _sum_modes(a * cos_kwt + b * sin_kwt)
         rate = winding * w + _sum_modes(kw * (-a * sin_kwt + b * cos_kwt))
-        return angle(t, cos_kwt, sin_kwt), rate
+        return angle, rate
 
-    return _joint_gauge(joint, alpha, period)
+    return _joint_gauge(joint, period)
 
 
 def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
     """Frame with v_n replaced by e^{i alpha_n(t)} v_n; orthonormality is preserved exactly.
 
     The derivative is the product rule e^{i alpha_n} (i d(alpha_n)/dt v_n + d/dt v_n),
-    with d/dt v_n from the original frame (analytic or finite difference). It
-    is evaluated together with the value: one angle and rate, one phase and
-    one joint evaluation of the original frame per call. Value-only calls
-    evaluate the angle and the original vector alone.
+    with d/dt v_n from the original frame (analytic or finite difference). The
+    value and the derivative are evaluated together, whichever of them is
+    asked for: one angle and rate, one phase and one joint evaluation of the
+    original frame per call.
     """
-
-    def value_fn(n: int, t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.asarray(gauge.alpha(n, t)))[..., None] * frame.value(n, t)
 
     def joint_fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alpha, rate = gauge.alpha_and_dalpha(n, t)
@@ -225,8 +221,8 @@ def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
         with np.errstate(invalid="ignore"):  # a non-finite frame is named by connection
             return phase * vec, phase * (1j * np.asarray(rate)[..., None] * vec + deriv)
 
-    return _joint_frame(joint_fn, dim=frame.dim, count=frame.count, value_fn=value_fn,
-                        period=frame.period, fd_step=frame.fd_step)
+    return _joint_frame(joint_fn, dim=frame.dim, count=frame.count, period=frame.period,
+                        fd_step=frame.fd_step)
 
 
 def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
@@ -294,7 +290,7 @@ def parallel_transport_fix(
         k = np.clip(np.floor(t / dt), 0, steps - 1).astype(int)
         return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + rate), rate
 
-    return gauge_transform(frame, _joint_gauge(joint, lambda m, t: joint(m, t)[0], frame.period))
+    return gauge_transform(frame, _joint_gauge(joint, frame.period))
 
 
 def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
@@ -336,7 +332,11 @@ def eff_hamiltonian_matrix(
     callable t -> matrix, or a static matrix. Finite Hermitian input is
     required (NonHermitianError names t otherwise); the output is Hermitian
     whenever the frame is orthonormal and its derivatives are consistent.
+    Raises ValueError, before evaluating H or the frame, unless t is a real
+    finite scalar.
     """
+    if not (isinstance(t, numbers.Real) and np.isfinite(t)):
+        raise ValueError(f"t must be a real finite scalar, got {t!r}")
     if hasattr(hamiltonian, "evaluate"):
         h_t = hamiltonian.evaluate(t)
     elif callable(hamiltonian):

@@ -149,21 +149,9 @@ def schedule(params: ModelParams) -> HamiltonianSchedule:
     return HamiltonianSchedule(evaluate=h, evaluate_many=h, dim=2)
 
 
-def _basis_vector(theta: float, alpha: float, omega: float, branch: int, t) -> np.ndarray:
-    """Tilted basis column for branch +1/-1 at time(s) t."""
-    half = 0.5 * (theta - alpha)
-    phase = np.exp(-1j * omega * np.asarray(t, dtype=float))
-    if branch == +1:
-        upper, lower = np.cos(half) * phase, np.sin(half) * np.ones_like(phase)
-    elif branch == -1:
-        upper, lower = np.sin(half) * phase, -np.cos(half) * np.ones_like(phase)
-    else:
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    return np.stack([upper, lower], axis=-1)
-
-
 def _basis_value_and_derivative(theta: float, alpha: float, omega: float, branch: int, t):
-    """(_basis_vector, its time derivative) at time(s) t, from one exp(-i omega t).
+    """(w, d/dt w) for the tilted basis column w of branch +1/-1 at time(s) t,
+    from one exp(-i omega t); the frames and exact_solution both read it.
 
     Each is written into one (..., 2) array; the constant lower entry and its
     zero derivative are written as they are, which is what lower * 1 and 0
@@ -191,13 +179,7 @@ def _frame(params: ModelParams, alpha: float) -> MovingFrame:
     def joint_fn(n, t):
         return _basis_value_and_derivative(params.theta, alpha, params.omega, branches[n], t)
 
-    return _joint_frame(
-        joint_fn,
-        dim=2,
-        count=2,
-        value_fn=lambda n, t: _basis_vector(params.theta, alpha, params.omega, branches[n], t),
-        period=params.period,
-    )
+    return _joint_frame(joint_fn, dim=2, count=2, period=params.period)
 
 
 def tilted_frame(params: ModelParams) -> MovingFrame:
@@ -232,7 +214,7 @@ def exact_solution(params: ModelParams, branch: int, t) -> np.ndarray:
     """
     a = tilt_angle(params).alpha
     rate = -energy_expectation(params, branch) / params.hbar + connection_rate(params, branch)
-    w = _basis_vector(params.theta, a, params.omega, branch, t)
+    w = _basis_value_and_derivative(params.theta, a, params.omega, branch, t)[0]
     phase = np.exp(1j * rate * np.asarray(t, dtype=float))
     return w * phase[..., None] if np.ndim(t) else w * phase
 

@@ -282,7 +282,8 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 def rows_from_csv(text: str) -> list[SweepRow]:
     """Rows of rows_to_csv's text. run_sweep keeps commas out of statuses, so
     a row of any other field count than the columns' raises ValueError naming
-    its line."""
+    its line, and a field that does not parse as its column's type one naming
+    its line and column."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip() and not ln.startswith("#")]
     if not lines:
         return []
@@ -290,6 +291,7 @@ def rows_from_csv(text: str) -> list[SweepRow]:
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV columns: {header}")
     types = {f.name: f.type for f in fields(SweepRow)}
+    parsers = {"int": int, "float": float, "str": str}
     rows = []
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
@@ -297,12 +299,11 @@ def rows_from_csv(text: str) -> list[SweepRow]:
             raise ValueError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
         kwargs = {}
         for name, raw in zip(CSV_COLUMNS, parts):
-            if types[name] == "int":
-                kwargs[name] = int(raw)
-            elif types[name] == "float":
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = raw
+            try:
+                kwargs[name] = parsers[types[name]](raw)
+            except ValueError:
+                raise ValueError(f"line {lineno}, column {name}: cannot parse {raw!r} as "
+                                 f"{types[name]}") from None
         rows.append(SweepRow(**kwargs))
     return rows
 

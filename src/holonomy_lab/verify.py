@@ -31,7 +31,7 @@ from .frames import (
 from .phases import circular_distance, cyclic_geometric_phase
 from .tolerances import DEFAULT, Tolerances
 
-__all__ = ["CheckResult", "acceptance_checks", "extra_checks", "run_suite", "render_report"]
+__all__ = ["CheckResult", "run_suite", "render_report"]
 
 THETAS = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
 ETAS = (1e-2, 1.0, 1e2)
@@ -367,14 +367,6 @@ EXTRAS = (
 )
 
 
-def acceptance_checks(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> list[CheckResult]:
-    return _run(ACCEPTANCE, tol, quick, seed)
-
-
-def extra_checks(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> list[CheckResult]:
-    return _run(EXTRAS, tol, quick, seed)
-
-
 def _run(checks, tol: Tolerances, quick: bool, seed: int) -> list[CheckResult]:
     results = []
     for fn in checks:
@@ -386,7 +378,7 @@ def _run(checks, tol: Tolerances, quick: bool, seed: int) -> list[CheckResult]:
 
 
 def run_suite(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> list[CheckResult]:
-    return acceptance_checks(tol, quick, seed) + extra_checks(tol, quick, seed)
+    return _run(ACCEPTANCE + EXTRAS, tol, quick, seed)
 
 
 def render_report(results: list[CheckResult]) -> str:

@@ -7,6 +7,7 @@ import pytest
 
 from holonomy_lab import spin_model
 from holonomy_lab.errors import NonHermitianError, NormalizationDriftError
+from holonomy_lab.evolution import HamiltonianSchedule
 from holonomy_lab.frames import (
     GaugeFunction,
     MovingFrame,
@@ -281,6 +282,28 @@ def test_heff_rejects_non_hermitian_hamiltonian():
             eff_hamiltonian_matrix(frame, lambda t: np.diag([value, 1.0]), 0.25)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, 0.2]), 1j], ids=["nan", "inf", "array", "complex"])
+@pytest.mark.parametrize("kind", ["static", "callable", "schedule"])
+def test_heff_refuses_a_time_that_is_not_a_real_finite_scalar(kind, t):
+    # refused by expi_hermitian's rule for dt, before H or the frame is evaluated
+    calls = []
+    h = spin_model.hamiltonian(PARAMS, 0.0)
+    hamiltonian = {
+        "static": h,
+        "callable": counted(calls, "H", lambda t: h),
+        "schedule": HamiltonianSchedule(evaluate=counted(calls, "H", lambda t: h), dim=2),
+    }[kind]
+    tilted = spin_model.tilted_frame(PARAMS)
+    frame = MovingFrame(dim=2, count=2, value_fn=counted(calls, "value", tilted.value),
+                        derivative_fn=counted(calls, "derivative", tilted.derivative), period=PARAMS.period)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t must be a real finite scalar, got "):
+            eff_hamiltonian_matrix(frame, hamiltonian, t)
+    assert calls == []
+    assert eff_hamiltonian_matrix(frame, hamiltonian, 0.3).shape == (2, 2)
+
+
 def test_heff_gauge_covariance():
     # diagonal entries shift by hbar d(alpha)/dt, off-diagonal moduli untouched
     frame = spin_model.tilted_frame(PARAMS)
@@ -544,27 +567,40 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng):
+def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     calls = []
-    # the gauge and the model frame as built, with each callback counted
+    # the gauge and the model frame as built, with each joint callback counted
     drawn = random_periodic_gauge(PARAMS.period, rng)
-    gauge = _joint_gauge(counted(calls, "alpha_and_dalpha", drawn._joint), counted(calls, "alpha", drawn.alpha),
-                         drawn.period)
+    gauge = _joint_gauge(counted(calls, "gauge", drawn._joint), drawn.period)
     tilted = spin_model.tilted_frame(PARAMS)
-    base = _joint_frame(counted(calls, "value_and_derivative", tilted._joint_fn), dim=2, count=2,
-                        value_fn=counted(calls, "value", tilted.value_fn), period=tilted.period)
+    base = _joint_frame(counted(calls, "frame", tilted._joint_fn), dim=2, count=2, period=tilted.period)
     gauged = gauge_transform(base, gauge)
     for t in (0.3, np.linspace(0.0, PARAMS.period, 9)):
         calls.clear()
         connection(gauged, 0, t)
-        assert calls == ["alpha_and_dalpha", "value_and_derivative"]
+        assert calls == ["gauge", "frame"]
     calls.clear()
     eff_hamiltonian_matrix(gauged, spin_model.schedule(PARAMS), 0.3)
-    assert calls == ["alpha_and_dalpha", "value_and_derivative"] * 2
-    # value-only callers evaluate the angle and the base value alone
-    calls.clear()
-    gauged.value(0, 0.3)
-    assert calls == ["alpha", "value"]
+    assert calls == ["gauge", "frame"] * 2
+    # every public call of a package frame or gauge is one joint call: the
+    # gauged frame's is one call of its gauge and one of its base frame
+    for frame, one_joint_call in ((gauged, ["gauge", "frame"]), (base, ["frame"])):
+        for method in (frame.value, frame.derivative, frame.value_and_derivative):
+            calls.clear()
+            method(0, 0.3)
+            assert calls == one_joint_call
+    for method in (gauge.alpha, gauge.dalpha, gauge.alpha_and_dalpha):
+        calls.clear()
+        method(0, 0.3)
+        assert calls == ["gauge"]
+    # the spin model's own frames call their basis fill once per call too
+    fill = spin_model._basis_value_and_derivative
+    monkeypatch.setattr(spin_model, "_basis_value_and_derivative", counted(calls, "fill", fill))
+    model = spin_model.tilted_frame(PARAMS)
+    for method in (model.value, model.derivative, model.value_and_derivative):
+        calls.clear()
+        method(1, 0.3)
+        assert calls == ["fill"]
     # a copy made by dataclasses.replace has no joint path, and the same bits
     copy = dataclasses.replace(gauged)
     assert copy._joint_fn is None
@@ -598,8 +634,7 @@ E0 = np.array([1.0, 0.0], dtype=complex)
 def test_frame_calls_keep_their_shapes(value, derivative, joint):
     # constants and (dim,) vectors broadcast to shape(t) + (dim,) at scalar and array t
     if joint:
-        frame = _joint_frame(lambda n, t: (value(n, t), derivative(n, t)), dim=2, count=1, value_fn=value,
-                             period=1.0)
+        frame = _joint_frame(lambda n, t: (value(n, t), derivative(n, t)), dim=2, count=1, period=1.0)
     else:
         frame = MovingFrame(dim=2, count=1, value_fn=value, derivative_fn=derivative, period=1.0)
     for t in (0.3, np.linspace(0.0, 1.0, 5), np.array([0.5])):

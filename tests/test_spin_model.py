@@ -163,6 +163,39 @@ def test_exact_solution_satisfies_schrodinger_equation(theta, eta, branch):
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
+def stacked_basis_vector(theta, alpha, omega, branch, t):
+    """The tilted basis column built as a stack of its two entries, the
+    constant lower one times ones_like(phase): the reference for the fill."""
+    half = 0.5 * (theta - alpha)
+    phase = np.exp(-1j * omega * np.asarray(t, dtype=float))
+    if branch == +1:
+        upper, lower = np.cos(half) * phase, np.sin(half) * np.ones_like(phase)
+    else:
+        upper, lower = np.sin(half) * phase, -np.cos(half) * np.ones_like(phase)
+    return np.stack([upper, lower], axis=-1)
+
+
+def stacked_exact_solution(p, branch, t):
+    a = spin_model.tilt_angle(p).alpha
+    rate = -spin_model.energy_expectation(p, branch) / p.hbar + spin_model.connection_rate(p, branch)
+    w = stacked_basis_vector(p.theta, a, p.omega, branch, t)
+    phase = np.exp(1j * rate * np.asarray(t, dtype=float))
+    return w * phase[..., None] if np.ndim(t) else w * phase
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 3, np.pi / 2, np.pi])
+def test_exact_solution_keeps_the_bits_of_the_stacked_basis_vector(theta):
+    for eta in np.logspace(-6, 6):
+        p = ModelParams.from_eta(theta=theta, eta=eta)
+        nodes = np.linspace(0.0, 1.3 * p.period, 12)
+        for t in (0.37 * p.period, nodes, nodes.reshape(3, 4)):
+            for branch in (+1, -1):
+                got = spin_model.exact_solution(p, branch, t)
+                want = stacked_exact_solution(p, branch, t)
+                assert got.shape == want.shape == np.shape(t) + (2,)
+                assert got.tobytes() == want.tobytes()
+
+
 def test_exact_solution_period_endpoint_phase():
     p = ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
     alpha = spin_model.tilt_angle(p).alpha

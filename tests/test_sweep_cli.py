@@ -457,6 +457,18 @@ def test_rows_from_csv_refuses_a_row_of_the_wrong_field_count(edit, fields):
         rows_from_csv("\n".join(lines))
 
 
+@pytest.mark.parametrize("column, raw, kind", [("steps_used", "40x96", "int"), ("eta", "abc", "float")],
+                         ids=["int", "float"])
+def test_rows_from_csv_names_a_field_that_does_not_parse(column, raw, kind):
+    row = SweepRow(1.0, 0.5, 0.25, 1.0, 2.0, 1.0, 3.0, 1e-7, 1.0, 4096)
+    lines = rows_to_csv([row, row]).splitlines()
+    parts = lines[3].split(",")
+    parts[CSV_COLUMNS.index(column)] = raw
+    lines[3] = ",".join(parts)
+    with pytest.raises(ValueError, match=f"^line 4, column {column}: cannot parse '{raw}' as {kind}$"):
+        rows_from_csv("\n".join(lines))
+
+
 def test_json_rows_parse():
     rows = [run_point(np.pi / 3, 1.0, base_steps=256)]
     doc = json.loads(rows_to_json(rows))
