@@ -3,8 +3,8 @@
 The propagator is the exponential-midpoint rule: each step applies the
 exponential of the Hamiltonian frozen at the step midpoint. Second order
 accurate and unitary per step to round-off, which phase observables require:
-below dim 16 the step exponential is a unitary from its eigendecomposition
-(or closed form). From dim 16 up a step whose generator -i H dt / hbar has
+below dim 8 the step exponential is a unitary from its eigendecomposition
+(or closed form). From dim 8 up a step whose generator -i H dt / hbar has
 Frobenius norm at most 1 is applied to the state by a Taylor series accurate
 to 2^-53, and any other step by its unitary.
 
@@ -33,7 +33,6 @@ __all__ = [
     "TimeGrid",
     "HamiltonianSchedule",
     "Trajectory",
-    "TrajectoryBlock",
     "propagate",
     "expand_in_frame",
     "fidelity",
@@ -122,46 +121,28 @@ class Trajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
-class TrajectoryBlock(tuple):
-    """Trajectories of a block of initial states on one shared grid, in row order.
-
-    Exposes the shared `grid` and `dim` like a single Trajectory does.
-    """
-
-    __slots__ = ()
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self[0].grid
-
-    @property
-    def dim(self) -> int:
-        return self[0].dim
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """out = a @ b over two equal-length stacks of 2x2 complex matrices.
 
     The four entries are formed elementwise, which avoids matmul's
-    per-matrix overhead, each product into a row of `work`, a (3, >= len)
-    complex scratch buffer. Both entries of a row of the product are formed
-    before either is written, so `out` may be `a` itself; it defaults to a
-    new component-major stack (hilbert._empty_2x2).
+    per-matrix overhead. A row's four products go into `work`, a (4, >= len)
+    complex scratch buffer, before its two sums are written, so `out` may be
+    `a` itself; it defaults to a new component-major stack
+    (hilbert._empty_2x2).
     """
     count = a.shape[0]
     if out is None:
         out = hilbert._empty_2x2((count,))
     if work is None:
-        work = np.empty((3, count), dtype=complex)
-    prod, term, first = work[0, :count], work[1, :count], work[2, :count]
+        work = np.empty((4, count), dtype=complex)
+    p00, p10, p01, p11 = work[:, :count]
     for i in range(2):
-        np.multiply(a[:, i, 0], b[:, 0, 0], out=prod)
-        np.multiply(a[:, i, 1], b[:, 1, 0], out=term)
-        np.add(prod, term, out=first)
-        np.multiply(a[:, i, 0], b[:, 0, 1], out=prod)
-        np.multiply(a[:, i, 1], b[:, 1, 1], out=term)
-        np.add(prod, term, out=out[:, i, 1])
-        out[:, i, 0] = first
+        np.multiply(a[:, i, 0], b[:, 0, 0], out=p00)
+        np.multiply(a[:, i, 1], b[:, 1, 0], out=p10)
+        np.multiply(a[:, i, 0], b[:, 0, 1], out=p01)
+        np.multiply(a[:, i, 1], b[:, 1, 1], out=p11)
+        np.add(p00, p10, out=out[:, i, 0])
+        np.add(p01, p11, out=out[:, i, 1])
     return out
 
 
@@ -171,24 +152,22 @@ def _prefix_products(u: np.ndarray, work: np.ndarray | None = None) -> np.ndarra
 
     Work-efficient recursive scan (about 2n batched products) instead of a
     Python loop: the pair products u[2i+1] @ u[2i] are written over the odd
-    entries, which are scanned in place, and each even entry then takes its
-    product with the odd one before it. The balanced re-association keeps
-    unitary round-off growth logarithmic in the step count, and the
-    elementwise products (see _matmul) make the 2n products cheaper than n
-    steps in turn. Every level shares one scratch buffer of 3 n/2 entries.
+    entries, which are scanned in place, and every even entry from u[2] on
+    then takes its product with the odd one before it. The balanced
+    re-association keeps unitary round-off growth logarithmic in the step
+    count, and the elementwise products (see _matmul) make the 2n products
+    cheaper than n steps in turn. Every level shares one scratch buffer of
+    2n entries.
     """
     n = u.shape[0]
     if n <= 1:
         return u
-    m = n // 2
     if work is None:
-        work = np.empty((3, m), dtype=complex)
-    odd = u[1 : 2 * m : 2]
-    _matmul(odd, u[0 : 2 * m : 2], out=odd, work=work)
+        work = np.empty((4, n // 2), dtype=complex)
+    odd = u[1::2]
+    _matmul(odd, u[0 : n - 1 : 2], out=odd, work=work)
     _prefix_products(odd, work)
-    _matmul(u[2 : 2 * m : 2], odd[:-1], out=u[2 : 2 * m : 2], work=work)
-    if n % 2:
-        _matmul(u[-1:], odd[-1:], out=u[-1:], work=work)
+    _matmul(u[2::2], odd[: (n - 1) // 2], out=u[2::2], work=work)
     return u
 
 
@@ -203,9 +182,9 @@ _SCAN_BLOCK_STEPS = 1 << 16
 # 2^17 and 2^18; long grids at dims 3 to 8 took the same time at all four
 _STEP_BLOCK_ELEMENTS = 1 << 16
 # from this dim up a step's exponential is applied to the state by its Taylor
-# series (hilbert._step_series): below it eigh, whose per-call cost dominates
-# there, is cheaper than the series' matrix-vector products
-_SERIES_MIN_DIM = 16
+# series (hilbert._step_series): from dim 8 it took less time than eigh on
+# 1,024 and 10^5 steps, below dim 8 not always (README has the timings)
+_SERIES_MIN_DIM = 8
 
 
 def _block_steps(dim: int) -> int:
@@ -223,11 +202,11 @@ def propagate(
     grid: TimeGrid,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT,
-) -> Trajectory | TrajectoryBlock:
+) -> Trajectory | tuple[Trajectory, ...]:
     """Propagate psi0 over the grid: states[k+1] = exp(-i H(t_k + dt/2) dt / hbar) states[k].
 
     A 1-d psi0 gives one Trajectory. A block of initial states, shape
-    (m, dim), gives a TrajectoryBlock with one Trajectory per row: the
+    (m, dim), gives a tuple of one Trajectory per row, in row order: the
     Hamiltonian samples and step exponentials are shared by all rows, and
     each row equals the single-state propagation of that row exactly. Global
     error is O(dt^2) against the exact flow; each step is unitary to
@@ -237,14 +216,14 @@ def propagate(
     block's step unitaries are prefix-scanned and the products applied to
     each row's block start, so round-off grows logarithmically in the steps
     of a block and linearly across blocks.
-    Above dim 2 each row applies the block's steps one after another, so
-    round-off grows linearly in the steps and the states do not depend on
-    the block size. At dims 3 to 15 a step is one matrix-vector product with
-    its unitary from eigh. From dim 16 up a step whose generator
-    A = -i H dt / hbar has ||A||_F <= 1 is the Taylor series of A applied to
-    the state, at most 18 matrix-vector products, with the degree from that
-    step's own norm; any other step takes its unitary from eigh (see
-    hilbert._step_series).
+    Above dim 2 each row applies the block's step plans one after another
+    (hilbert._apply_step), so round-off grows linearly in the steps and the
+    states do not depend on the block size. Below _SERIES_MIN_DIM the plans
+    are the steps' unitaries from eigh, each one matrix-vector product. From
+    there up a step whose generator A = -i H dt / hbar has ||A||_F <= 1 is
+    the Taylor series of A applied to the state, at most 18 matrix-vector
+    products, with the degree from that step's own norm; any other step
+    takes its unitary from eigh (see hilbert._step_series).
 
     Raises ValueError before any sampling unless hbar is a positive finite
     real number, and NonHermitianError naming the offending midpoint if the
@@ -266,6 +245,7 @@ def propagate(
     states = np.empty((len(rows), grid.steps + 1, dim), dtype=complex)
     states[:, 0] = rows
     block = _block_steps(dim)
+    gens = work = None  # a unitary plan reads no series scratch
     if dim >= _SERIES_MIN_DIM:
         gens = np.empty((min(block, grid.steps), dim, dim + 1), dtype=complex)
         work = hilbert._series_work(dim)
@@ -279,18 +259,16 @@ def propagate(
             _prefix_products(prefixes)
             for row in states:
                 np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
-        elif dim < _SERIES_MIN_DIM:
-            unitaries = hilbert._step_unitaries(hams, grid.dt, hbar)
-            for row in states:
-                for k in range(take):
-                    np.matmul(unitaries[k], row[pos + k], out=row[pos + k + 1])
+            continue
+        if gens is None:
+            plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar), [None] * take
         else:
-            plans = hilbert._step_series(hams, grid.dt, hbar, out=gens)
-            for row in states:
-                for k, plan in enumerate(plans):
-                    hilbert._apply_step(plan, gens[k], row[pos + k], row[pos + k + 1], work)
-    trajs = [Trajectory(grid=grid, states=row) for row in states]
-    return trajs[0] if psis.ndim == 1 else TrajectoryBlock(trajs)
+            plans, gen_rows = hilbert._step_series(hams, grid.dt, hbar, out=gens), gens
+        for row in states:
+            for k, (plan, gen) in enumerate(zip(plans, gen_rows)):
+                hilbert._apply_step(plan, gen, row[pos + k], row[pos + k + 1], work)
+    trajs = tuple(Trajectory(grid=grid, states=row) for row in states)
+    return trajs[0] if psis.ndim == 1 else trajs
 
 
 def expand_in_frame(traj: Trajectory, frame) -> np.ndarray:

@@ -4,7 +4,7 @@ State vectors are 1-d complex numpy arrays, operators are square complex
 matrices. Nothing here holds state, and nothing passed in is mutated except
 the buffers a private kernel takes to write into. Propagation's step
 exponentials come in two forms: the unitaries themselves (_step_unitaries)
-and, from dim 16 up, for steps whose generator has Frobenius norm at most 1,
+and, from dim 8 up, for steps whose generator has Frobenius norm at most 1,
 their action on a state by a Taylor series (_step_series, _apply_step).
 """
 
@@ -183,7 +183,7 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     pinned dim-2 bytes keep that. At dim 2 the result's own entries hold the
     complex temporaries, so beside the samples and the result the kernel
     holds four real values and at most two complex ones per matrix. propagate
-    takes this kernel at dims 2 to 15, and from dim 16 up only for the steps
+    takes this kernel at dims 2 to 7, and from dim 8 up only for the steps
     whose generator has Frobenius norm above 1 (see _step_series). Raises
     ValueError unless hbar is positive and finite.
     """

@@ -226,6 +226,14 @@ def cyclic_geometric_phase(
     tol.replace(two_route=math.inf) to record the gap without enforcing it.
     `schedule` may be the node samples, as in dynamical_phase.
     """
+    report, direct = _cyclic_routes(traj, schedule, hbar, tol)
+    _require_routes_agree(report, direct, tol)
+    return report
+
+
+def _cyclic_routes(traj: Trajectory, schedule, hbar: float, tol: Tolerances) -> tuple[PhaseReport, float]:
+    """cyclic_geometric_phase's report without the route check, and the
+    connection-route value that the check compares it with."""
     defect = abs(abs(_endpoint_overlap(traj)) - 1.0)
     if defect > tol.cyclicity:
         raise NotCyclicError(
@@ -233,10 +241,15 @@ def cyclic_geometric_phase(
         )
     report = noncyclic_geometric_phase(traj, schedule, hbar=hbar, tol=tol)
     direct = cyclic_phase_from_connection(traj, tol=tol)
-    gap = circular_distance(report.geometric, direct)
+    return replace(report, route_agreement=circular_distance(report.geometric, direct)), direct
+
+
+def _require_routes_agree(report: PhaseReport, direct: float, tol: Tolerances) -> None:
+    """Raise ValueError when the two routes of a _cyclic_routes report
+    disagree by more than tol.two_route."""
+    gap = report.route_agreement
     if gap > tol.two_route:
         raise ValueError(
             f"geometric-phase routes disagree by {gap:.3e} rad (allowed {tol.two_route:.3e}); "
             f"decomposition gave {report.geometric:.9f}, connection route gave {direct:.9f}"
         )
-    return replace(report, route_agreement=gap)

@@ -15,7 +15,6 @@ from holonomy_lab.evolution import (
     HamiltonianSchedule,
     TimeGrid,
     Trajectory,
-    TrajectoryBlock,
     expand_in_frame,
     fidelity,
     propagate,
@@ -264,6 +263,57 @@ def test_prefix_products_scan_in_place_and_products_may_write_over_a(rng):
     assert np.max(np.abs(a - product)) <= 1e-15
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def component_major_unitaries(rng, n):
+    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return hilbert._step_unitaries(a + a.conj().swapaxes(-1, -2), 0.1, 1.0)
+
+
+def test_matmul_sums_its_products_formed_one_by_one(rng):
+    # each entry is the sum of its two products, each product formed on its
+    # own, also when the result is written over a
+    for n in (1, 2, 7, 4099):
+        for a, b in ((random_unitaries(rng, n, 2), random_unitaries(rng, n, 2)),
+                     (component_major_unitaries(rng, n), component_major_unitaries(rng, n))):
+            expected = np.empty((n, 2, 2), dtype=complex)
+            for i in range(2):
+                for j in range(2):
+                    first = np.multiply(a[:, i, 0], b[:, 0, j])
+                    second = np.multiply(a[:, i, 1], b[:, 1, j])
+                    expected[:, i, j] = np.add(first, second)
+            assert same_bits(evolution._matmul(a, b), expected)
+            assert evolution._matmul(a, b, out=a) is a
+            assert same_bits(a, expected)
+
+
+def scan_with_odd_tail(u, work):
+    """The scan's recursion with the last entry of an odd-length level taken
+    as a product of its own, as the scan was first written."""
+    n = u.shape[0]
+    if n <= 1:
+        return u
+    m = n // 2
+    odd = u[1 : 2 * m : 2]
+    evolution._matmul(odd, u[0 : 2 * m : 2], out=odd, work=work)
+    scan_with_odd_tail(odd, work)
+    evolution._matmul(u[2 : 2 * m : 2], odd[:-1], out=u[2 : 2 * m : 2], work=work)
+    if n % 2:
+        evolution._matmul(u[-1:], odd[-1:], out=u[-1:], work=work)
+    return u
+
+
+@pytest.mark.parametrize("lengths", [range(1, 301), [2**14 - 1, 2**14 + 1, 59_048, 65_536]],
+                         ids=["1-300", "long"])
+def test_prefix_products_keep_the_bits_of_the_odd_tail_scan(rng, lengths):
+    for n in lengths:
+        u = component_major_unitaries(rng, n)
+        expected = scan_with_odd_tail(u.copy(), np.empty((4, max(1, n // 2)), dtype=complex))
+        assert same_bits(evolution._prefix_products(u), expected), n
+
+
 def test_dim2_propagation_memory_guard():
     # both spin branches over the longest row of the default sweep grid; the
     # scan runs in the unitaries' buffer once the samples are dropped, so the
@@ -298,15 +348,34 @@ def random_periodic_schedule(rng, dim):
 
 def assert_block_equals_single_calls(sched, psis, grid):
     block = propagate(sched, psis, grid)
-    assert isinstance(block, TrajectoryBlock) and len(block) == len(psis)
-    assert block.grid == grid and block.dim == sched.dim
+    assert type(block) is tuple and len(block) == len(psis)
+    assert all(traj.grid is grid and traj.dim == sched.dim for traj in block)
     for psi, traj in zip(psis, block):
         assert np.array_equal(traj.states, propagate(sched, psi, grid).states)
 
 
 def all_states(result):
-    trajs = result if isinstance(result, TrajectoryBlock) else [result]
+    trajs = result if isinstance(result, tuple) else [result]
     return np.stack([traj.states for traj in trajs])
+
+
+@pytest.mark.parametrize("dim", [3, evolution._SERIES_MIN_DIM - 1])
+def test_unitary_steps_match_step_by_step_matmul(rng, monkeypatch, dim):
+    # below the series dim a step is its eigh unitary times the state; 16-step
+    # blocks, so the grid spans several
+    monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", 16 * dim * dim)
+    sched = random_periodic_schedule(rng, dim)
+    grid = TimeGrid(t_end=2.0, steps=100)
+    psis = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    psis /= np.linalg.norm(psis, axis=1)[:, None]
+    unitaries = hilbert._step_unitaries(sched.sample(grid.midpoints()), grid.dt, 1.0)
+    expected = np.empty((2, grid.steps + 1, dim), dtype=complex)
+    expected[:, 0] = psis
+    for row in expected:
+        for k in range(grid.steps):
+            np.matmul(unitaries[k], row[k], out=row[k + 1])
+    assert same_bits(propagate(sched, psis[1], grid).states, expected[1])
+    assert same_bits(all_states(propagate(sched, psis, grid)), expected)
 
 
 def test_block_matches_single_state_calls_on_spin_model():

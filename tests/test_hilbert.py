@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holonomy_lab import hilbert
+from holonomy_lab import evolution, hilbert
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
 from holonomy_lab.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
@@ -154,7 +154,7 @@ def series_action(hams, dt, hbar, psis):
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(
-    dim=st.integers(16, 64),
+    dim=st.integers(evolution._SERIES_MIN_DIM, 64),
     count=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-3.0, 3.0),

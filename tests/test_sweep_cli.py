@@ -234,6 +234,25 @@ def test_row_over_deviation_target_is_flagged(monkeypatch):
     assert row.status == "over_target"
 
 
+def test_row_over_target_says_so_when_its_routes_disagree(monkeypatch):
+    # too few steps and an error estimate of 0, so the route check keeps its
+    # default width: the row is over its target, and its routes disagree
+    monkeypatch.setattr(spin_model, "steps_for_phase_tolerance", lambda *args, **kwargs: 16)
+    monkeypatch.setattr(spin_model, "midpoint_phase_error_estimate", lambda *args, **kwargs: 0.0)
+    (row,) = run_sweep(np.pi / 3, [1.0], base_steps=256)
+    assert row.status == "over_target"
+    assert row.deviation_from_exact > DEFAULT.sweep_deviation
+
+
+def test_row_within_target_keeps_the_route_check(monkeypatch):
+    # at eta = 10 the row meets its target, but with an error estimate of 0 its
+    # 5.6e-7 route gap exceeds the check's default width
+    monkeypatch.setattr(spin_model, "midpoint_phase_error_estimate", lambda *args, **kwargs: 0.0)
+    with pytest.raises(ValueError, match=r"^geometric-phase routes disagree by .* rad \(allowed 6.283e-08\); "
+                       r"decomposition gave .*, connection route gave "):
+        run_point(np.pi / 3, 10.0, base_steps=256)
+
+
 def test_sweep_csv_bytes_are_pinned():
     # SHA-256 of this sweep's CSV since dim-2 steps took the closed-form
     # exponential; the digest depends on numpy's floating-point build
