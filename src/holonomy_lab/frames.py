@@ -143,8 +143,6 @@ class GaugeFunction:
 
     alpha: Callable[[int, np.ndarray], np.ndarray]
     dalpha: Callable[[int, np.ndarray], np.ndarray]
-    period: float | None = None
-
     # joint (alpha, dalpha) callback of the gauges this module builds; set by
     # _joint_gauge, and not copied by dataclasses.replace
     _joint: Callable[[int, np.ndarray], tuple] | None = field(
@@ -158,21 +156,20 @@ class GaugeFunction:
         return self._joint(n, t)
 
 
-def _joint_gauge(joint, period) -> GaugeFunction:
+def _joint_gauge(joint) -> GaugeFunction:
     """A GaugeFunction whose angle, rate and joint path all come from one
     callback, joint(n, t) -> (alpha, dalpha)."""
-    gauge = GaugeFunction(alpha=lambda n, t: joint(n, t)[0], dalpha=lambda n, t: joint(n, t)[1],
-                          period=period)
+    gauge = GaugeFunction(alpha=lambda n, t: joint(n, t)[0], dalpha=lambda n, t: joint(n, t)[1])
     object.__setattr__(gauge, "_joint", joint)
     return gauge
 
 
-def constant_gauge(c: float, period: float | None = None) -> GaugeFunction:
-    return GaugeFunction(alpha=lambda n, t: c, dalpha=lambda n, t: 0.0, period=period)
+def constant_gauge(c: float) -> GaugeFunction:
+    return GaugeFunction(alpha=lambda n, t: c, dalpha=lambda n, t: 0.0)
 
 
-def linear_gauge(rate: float, period: float | None = None) -> GaugeFunction:
-    return GaugeFunction(alpha=lambda n, t: rate * t, dalpha=lambda n, t: rate, period=period)
+def linear_gauge(rate: float) -> GaugeFunction:
+    return GaugeFunction(alpha=lambda n, t: rate * t, dalpha=lambda n, t: rate)
 
 
 def _sum_modes(terms: np.ndarray) -> np.ndarray:
@@ -201,7 +198,7 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
         rate = winding * w + _sum_modes(kw * (-a * sin_kwt + b * cos_kwt))
         return angle, rate
 
-    return _joint_gauge(joint, period)
+    return _joint_gauge(joint)
 
 
 def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
@@ -290,7 +287,7 @@ def parallel_transport_fix(
         k = np.clip(np.floor(t / dt), 0, steps - 1).astype(int)
         return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + rate), rate
 
-    return gauge_transform(frame, _joint_gauge(joint, frame.period))
+    return gauge_transform(frame, _joint_gauge(joint))
 
 
 def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,

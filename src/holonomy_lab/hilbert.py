@@ -30,34 +30,31 @@ __all__ = [
 ]
 
 
-def as_state(psi, dim: int | None = None, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Coerce to a finite 1-d complex vector, optionally enforcing its dimension."""
+def as_state(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Coerce to a finite 1-d complex vector of dimension at most tol.max_dim."""
     a = np.asarray(psi, dtype=complex)
     if a.ndim != 1 or a.size < 1:
         raise DimensionMismatchError(f"state must be a 1-d vector, got shape {a.shape}")
-    if a.size > tol.max_dim:
-        raise DimensionMismatchError(f"dimension {a.size} exceeds configured cap {tol.max_dim}")
-    if dim is not None and a.size != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {a.size}")
+    _require_operator_dim(a.size, None, tol)
     if not np.isfinite(a).all():
         raise ValueError("state contains non-finite amplitudes")
     return a
 
 
-def as_operator(m, dim: int | None = None, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Coerce to a finite square complex matrix."""
+def as_operator(m, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Coerce to a finite square complex matrix of dimension at most tol.max_dim."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"operator must be square, got shape {a.shape}")
-    _require_operator_dim(a.shape[0], dim, tol)
+    _require_operator_dim(a.shape[0], None, tol)
     if not np.isfinite(a).all():
         raise ValueError("operator contains non-finite entries")
     return a
 
 
 def _require_operator_dim(size: int, dim: int | None, tol: Tolerances) -> None:
-    """as_operator's checks of a square operator's size: at most tol.max_dim,
-    and equal to dim when given (DimensionMismatchError otherwise)."""
+    """A state's or square operator's size is at most tol.max_dim, and equal
+    to dim when given (DimensionMismatchError otherwise)."""
     if size > tol.max_dim:
         raise DimensionMismatchError(f"dimension {size} exceeds configured cap {tol.max_dim}")
     if dim is not None and size != dim:

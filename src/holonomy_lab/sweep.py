@@ -40,19 +40,6 @@ __all__ = [
 ]
 
 CSV_BANNER = "# holonomy-lab v1"
-CSV_COLUMNS = (
-    "eta",
-    "theta",
-    "alpha",
-    "geom_phase_plus",
-    "geom_phase_minus",
-    "geom_phase_exact_plus",
-    "berry_limit_plus",
-    "deviation_from_exact",
-    "endpoint_fidelity",
-    "steps_used",
-    "status",
-)
 
 
 @dataclass(frozen=True)
@@ -68,6 +55,9 @@ class SweepRow:
     endpoint_fidelity: float
     steps_used: int
     status: str = "ok"
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def csv_value(x) -> str:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import spin_model
-from holonomy_lab.errors import NonHermitianError, NormalizationDriftError
+from holonomy_lab.errors import DimensionMismatchError, NonHermitianError, NormalizationDriftError
 from holonomy_lab.evolution import HamiltonianSchedule
 from holonomy_lab.frames import (
     GaugeFunction,
@@ -104,7 +104,7 @@ def test_connection_rejects_norm_drift():
 
 def test_identity_gauge_leaves_frame_unchanged():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, constant_gauge(0.0, period=PARAMS.period))
+    gauged = gauge_transform(frame, constant_gauge(0.0))
     t = 0.3
     assert np.allclose(gauged.value(0, t), frame.value(0, t), atol=1e-15)
     assert np.allclose(gauged.derivative(0, t), frame.derivative(0, t), atol=1e-15)
@@ -112,7 +112,7 @@ def test_identity_gauge_leaves_frame_unchanged():
 
 def test_constant_gauge_preserves_holonomy():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, constant_gauge(0.83, period=PARAMS.period))
+    gauged = gauge_transform(frame, constant_gauge(0.83))
     assert holonomy(gauged, 0, steps=512) == pytest.approx(holonomy(frame, 0, steps=512), abs=1e-12)
 
 
@@ -282,6 +282,14 @@ def test_heff_rejects_non_hermitian_hamiltonian():
             eff_hamiltonian_matrix(frame, lambda t: np.diag([value, 1.0]), 0.25)
 
 
+@pytest.mark.parametrize("h, match", [(np.eye(3), r"^expected dimension 2, got 3$"),
+                                      (np.eye(65), r"^dimension 65 exceeds configured cap 64$")],
+                         ids=["other-dim", "over-cap"])
+def test_heff_refuses_a_hamiltonian_of_the_wrong_size(h, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        eff_hamiltonian_matrix(spin_model.tilted_frame(PARAMS), h, 0.0)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, 0.2]), 1j], ids=["nan", "inf", "array", "complex"])
 @pytest.mark.parametrize("kind", ["static", "callable", "schedule"])
 def test_heff_refuses_a_time_that_is_not_a_real_finite_scalar(kind, t):
@@ -312,7 +320,6 @@ def test_heff_gauge_covariance():
     gauge = GaugeFunction(
         alpha=lambda n, t: 0.4 * np.sin(w * t) if n == 0 else -0.2 * t,
         dalpha=lambda n, t: 0.4 * w * np.cos(w * t) if n == 0 else -0.2,
-        period=PARAMS.period,
     )
     gauged = gauge_transform(frame, gauge)
     for t in (0.1, 0.9, 2.7):
@@ -484,8 +491,8 @@ def joint_evaluation_frames():
     frames += [(f"random-gauge-{k}", gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng)))
                for k in range(8)]
     frames += [
-        ("constant-gauge", gauge_transform(tilted, constant_gauge(0.83, period=PARAMS.period))),
-        ("linear-gauge", gauge_transform(tilted, linear_gauge(PARAMS.omega, period=PARAMS.period))),
+        ("constant-gauge", gauge_transform(tilted, constant_gauge(0.83))),
+        ("linear-gauge", gauge_transform(tilted, linear_gauge(PARAMS.omega))),
         ("gauge-of-gauged", gauge_transform(gauged, random_periodic_gauge(PARAMS.period, rng))),
         ("transported", parallel_transport_fix(gauged, 0, steps=256)),
         ("finite-difference", fd_tilted_frame()),
@@ -571,7 +578,7 @@ def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     calls = []
     # the gauge and the model frame as built, with each joint callback counted
     drawn = random_periodic_gauge(PARAMS.period, rng)
-    gauge = _joint_gauge(counted(calls, "gauge", drawn._joint), drawn.period)
+    gauge = _joint_gauge(counted(calls, "gauge", drawn._joint))
     tilted = spin_model.tilted_frame(PARAMS)
     base = _joint_frame(counted(calls, "frame", tilted._joint_fn), dim=2, count=2, period=tilted.period)
     gauged = gauge_transform(base, gauge)

@@ -180,6 +180,24 @@ def test_two_routes_agree_on_well_resolved_run():
     cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=1e-7))
 
 
+def test_connection_route_without_richardson_falls_at_order_two():
+    # odd step counts take the stride-1 chain alone; on closed-form states its
+    # error falls at order 2, while an even count's Richardson sum is far below
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-2)
+    exact = spin_model.geometric_phase_exact(params, +1)
+
+    def error(steps):
+        traj = spin_model.exact_trajectory(params, +1, TimeGrid(t_end=params.period, steps=steps))
+        return circular_distance(cyclic_phase_from_connection(traj), exact)
+
+    odd = (1025, 2049, 4097)
+    errors = [error(steps) for steps in odd]
+    for k in range(2):
+        order = math.log(errors[k] / errors[k + 1]) / math.log(odd[k + 1] / odd[k])
+        assert order == pytest.approx(2.0, abs=0.01)
+    assert error(4096) <= 1e-3 * errors[-1]
+
+
 def test_route_mismatch_raises_on_coarse_run():
     # cyclic within tolerance at these settings, but the routes differ at the
     # integrator's secular error, far above the demanded agreement

@@ -696,6 +696,18 @@ EVOLVE_CONFIG = "theta = 1.0471975511965976\neta = 1.0\nsteps = 2048\n"
 SWEEP_CONFIG = "theta = 1.0471975511965976\nsteps = 256\nsweep.eta_min = 0.5\nsweep.eta_max = 2.0\nsweep.points = 3\n"
 
 
+def test_cli_sweep_with_linear_grid_from_json_string(tmp_path):
+    # a JSON config may give sweep.log as the string "false": rows on np.linspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta": 1.0471975511965976, "steps": 256, "sweep": {
+        "eta_min": 0.5, "eta_max": 1.5, "points": 3, "log": "false"}}))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    rows = rows_from_csv(out.read_text())
+    assert [r.eta for r in rows] == list(np.linspace(0.5, 1.5, 3))
+    assert [r.status for r in rows] == ["ok"] * 3
+
+
 @pytest.mark.parametrize(
     "command, config_text", [("evolve", EVOLVE_CONFIG), ("sweep", SWEEP_CONFIG)], ids=["evolve", "sweep"]
 )
@@ -763,6 +775,33 @@ def test_cli_verify_negative_seed_is_usage_error(monkeypatch, capsys):
     assert "non-negative integer" in capsys.readouterr().err
 
 
+def test_verify_reports_a_raising_check_as_failed_and_runs_the_rest(monkeypatch):
+    def check_that_raises(tol, quick, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "ACCEPTANCE", (check_that_raises,))
+    monkeypatch.setattr(verify, "EXTRAS", (verify.check_tilt_identity,))
+    results = verify.run_suite(quick=True)
+    assert [r.name for r in results] == ["check_that_raises", "tilt_identity"]
+    assert not results[0].passed and np.isnan(results[0].measured) and np.isnan(results[0].threshold)
+    assert results[1].passed
+    lines = verify.render_report(results).splitlines()
+    assert lines[0] == ("FAIL  check_that_raises            measured nan  allowed nan  "
+                        "raised RuntimeError('boom')")
+    assert lines[-1] == "1/2 checks passed"
+
+
+@pytest.mark.parametrize("name", ["unitarity", "orthonormality", "norm_preservation", "gauge_invariance",
+                                  "holonomy_modulus", "diagonality", "parallel_transport", "tilt_residual"])
+def test_cli_verify_refuses_a_tolerance_of_a_fixed_pass_line(tmp_path, monkeypatch, capsys, name):
+    # verify's pass lines are fixed, so a tol.* key that would move only one is unknown
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol.{name} = 1e-3\n")
+    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
+    assert f"unknown tolerance 'tol.{name}'" in capsys.readouterr().err
+
+
 def test_verify_checks_share_one_signature():
     for fn in verify.ACCEPTANCE + verify.EXTRAS:
         assert list(inspect.signature(fn).parameters) == ["tol", "quick", "seed"], fn.__name__
@@ -794,7 +833,7 @@ def test_cli_verify_tolerance_override_forces_failure(tmp_path):
     # a tolerance-only config is enough for verify
     res = run_cli(
         "verify", "--quick", "--quiet",
-        config_text="tol.unitarity = 1e-20\n", tmp_path=tmp_path,
+        config_text="tol.cyclicity = 1e-20\n", tmp_path=tmp_path,
     )
     assert res.returncode == 1
     assert "FAIL" in res.stdout
