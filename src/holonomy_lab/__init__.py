@@ -25,7 +25,7 @@ from .frames import (
     parallel_transport_fix,
     random_periodic_gauge,
 )
-from .hilbert import expi_hermitian, hermiticity_defect, inner, norm, unitarity_defect
+from .hilbert import expi_hermitian, inner, unitarity_defect
 from .phases import (
     PhaseReport,
     adiabatic_berry_phase,
@@ -33,9 +33,7 @@ from .phases import (
     cyclic_geometric_phase,
     cyclic_phase_from_connection,
     dynamical_phase,
-    mod_two_pi,
     noncyclic_geometric_phase,
-    total_phase,
 )
 from .spin_model import ModelParams, exact_solution, geometric_phase_exact, tilt_angle, tilted_frame
 from .tolerances import DEFAULT as DEFAULT_TOLERANCES, Tolerances
@@ -64,9 +62,7 @@ __all__ = [
     "parallel_transport_fix",
     "random_periodic_gauge",
     "expi_hermitian",
-    "hermiticity_defect",
     "inner",
-    "norm",
     "unitarity_defect",
     "PhaseReport",
     "adiabatic_berry_phase",
@@ -74,9 +70,7 @@ __all__ = [
     "cyclic_geometric_phase",
     "cyclic_phase_from_connection",
     "dynamical_phase",
-    "mod_two_pi",
     "noncyclic_geometric_phase",
-    "total_phase",
     "ModelParams",
     "exact_solution",
     "geometric_phase_exact",

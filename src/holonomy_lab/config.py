@@ -21,9 +21,7 @@ from .spin_model import _MAX_STEPS, _MIN_STEPS
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "SweepSpec",
     "RunConfig",
-    "parse_config_text",
     "load_config",
     "build_config",
     "tolerance_overrides",
@@ -35,7 +33,7 @@ _OUTPUT_KEYS = {"output.path", "output.format"}
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class _SweepSpec:
     eta_min: float
     eta_max: float
     points: int
@@ -60,7 +58,7 @@ class RunConfig:
     steps: int = 4096
     n_periods: int = 1
     hbar: float = 1.0
-    sweep: SweepSpec | None = None
+    sweep: _SweepSpec | None = None
     output_path: str | None = None
     output_format: str = "csv"
     tol_overrides: dict = field(default_factory=dict)
@@ -119,7 +117,7 @@ def _flatten(obj: dict, out: dict, prefix: str = "") -> None:
             out[key] = v
 
 
-def parse_config_text(text: str) -> dict:
+def _parse_config_text(text: str) -> dict:
     """Flat {dotted key: value} mapping from key = value lines or one JSON document."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -149,7 +147,7 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path: str | Path) -> dict:
     try:
-        return parse_config_text(Path(path).read_text())
+        return _parse_config_text(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
@@ -161,7 +159,7 @@ def _as_float(mapping: dict, key: str):
         raise ConfigError(f"{key} must be a number, got {v!r}")
     try:
         return float(v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number, got {v!r}") from exc
 
 
@@ -230,7 +228,7 @@ def build_config(mapping: dict, **cli_overrides) -> RunConfig:
         missing = {"sweep.eta_min", "sweep.eta_max", "sweep.points"} - mapping.keys()
         if missing:
             raise ConfigError(f"incomplete sweep spec, missing {sorted(missing)}")
-        kwargs["sweep"] = SweepSpec(
+        kwargs["sweep"] = _SweepSpec(
             eta_min=_as_float(mapping, "sweep.eta_min"),
             eta_max=_as_float(mapping, "sweep.eta_max"),
             points=_as_int(mapping, "sweep.points"),

@@ -190,7 +190,7 @@ _SERIES_MIN_DIM = 8
 def _block_steps(dim: int) -> int:
     """Grid points per sampled block at this dim: _SCAN_BLOCK_STEPS at dim 2,
     else _STEP_BLOCK_ELEMENTS / dim^2, at least 16. propagate's midpoints and
-    phases.dynamical_phase's nodes are cut by this one rule."""
+    phases._node_energies's nodes are cut by this one rule."""
     if dim == 2:
         return _SCAN_BLOCK_STEPS
     return max(16, _STEP_BLOCK_ELEMENTS // (dim * dim))
@@ -235,7 +235,7 @@ def propagate(
         raise DimensionMismatchError(
             f"initial state must be a vector or a non-empty (m, dim) block, got shape {psis.shape}"
         )
-    rows = [hilbert.check_normalized(psi, tol=tol) for psi in np.atleast_2d(psis)]
+    rows = [hilbert._check_normalized(psi, tol=tol) for psi in np.atleast_2d(psis)]
     dim = rows[0].size
     if dim != schedule.dim:
         raise DimensionMismatchError(

@@ -39,8 +39,6 @@ __all__ = [
     "adiabatic_berry_phase",
     "eff_hamiltonian_matrix",
     "orthonormality_defect",
-    "constant_gauge",
-    "linear_gauge",
     "random_periodic_gauge",
 ]
 
@@ -164,11 +162,11 @@ def _joint_gauge(joint) -> GaugeFunction:
     return gauge
 
 
-def constant_gauge(c: float) -> GaugeFunction:
+def _constant_gauge(c: float) -> GaugeFunction:
     return GaugeFunction(alpha=lambda n, t: c, dalpha=lambda n, t: 0.0)
 
 
-def linear_gauge(rate: float) -> GaugeFunction:
+def _linear_gauge(rate: float) -> GaugeFunction:
     return GaugeFunction(alpha=lambda n, t: rate * t, dalpha=lambda n, t: rate)
 
 

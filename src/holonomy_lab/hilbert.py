@@ -19,18 +19,13 @@ from .errors import DimensionMismatchError, NonHermitianError
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "as_state",
-    "as_operator",
     "inner",
-    "norm",
-    "hermiticity_defect",
     "unitarity_defect",
     "expi_hermitian",
-    "check_normalized",
 ]
 
 
-def as_state(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
+def _as_state(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Coerce to a finite 1-d complex vector of dimension at most tol.max_dim."""
     a = np.asarray(psi, dtype=complex)
     if a.ndim != 1 or a.size < 1:
@@ -41,7 +36,7 @@ def as_state(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
     return a
 
 
-def as_operator(m, tol: Tolerances = DEFAULT) -> np.ndarray:
+def _as_operator(m, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Coerce to a finite square complex matrix of dimension at most tol.max_dim."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -70,19 +65,15 @@ def inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def check_normalized(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
-    psi = as_state(psi, tol=tol)
-    drift = abs(norm(psi) - 1.0)
+def _check_normalized(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
+    psi = _as_state(psi, tol=tol)
+    drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if drift > tol.normalized_state:
         raise ValueError(f"state not normalized: | ||psi|| - 1 | = {drift:.3e}")
     return psi
 
 
-def hermiticity_defect(m) -> float:
+def _hermiticity_defect(m) -> float:
     """max|M - M^H|, zero for exactly Hermitian input, by the propagation
     screen's formula (see _hermiticity_defects)."""
     a = np.asarray(m, dtype=complex)
@@ -300,7 +291,7 @@ def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -
     result unitary to round-off, which phase extraction needs. Raises
     ValueError unless dt is a real finite scalar and hbar positive and finite.
     """
-    hams = as_operator(h, tol=tol)[None]
+    hams = _as_operator(h, tol=tol)[None]
     if not (isinstance(dt, numbers.Real) and np.isfinite(dt)):
         raise ValueError(f"dt must be a real finite scalar, got {dt!r}")
     _require_hermitian(hams, tol)

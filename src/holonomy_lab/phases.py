@@ -33,9 +33,7 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "PhaseReport",
-    "mod_two_pi",
     "circular_distance",
-    "total_phase",
     "dynamical_phase",
     "cyclic_geometric_phase",
     "cyclic_phase_from_connection",
@@ -46,7 +44,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def mod_two_pi(x: float) -> float:
+def _mod_two_pi(x: float) -> float:
     """Reduce to [0, 2 pi); NaN stays NaN."""
     r = float(x) % TWO_PI
     return 0.0 if r >= TWO_PI else r
@@ -81,7 +79,7 @@ def _endpoint_overlap(traj: Trajectory) -> complex:
     return complex(np.vdot(traj.states[0], traj.states[-1]))
 
 
-def total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
+def _total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     """Principal argument of <psi(0)|psi(T)>, in (-pi, pi].
 
     Undefined (raises) when the endpoints are orthogonal within tol.overlap_floor.
@@ -95,53 +93,40 @@ def total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     return float(np.angle(ov))
 
 
-def _node_energies(traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray) -> np.ndarray:
-    """<psi_k|H(t_k)|psi_k> on the trajectory's grid nodes, complex.
+def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule) -> list[np.ndarray]:
+    """<psi_k|H(t_k)|psi_k> on the nodes of the trajectories' shared grid:
+    one complex (steps+1,) array per trajectory.
 
-    `schedule` is sampled in blocks of nodes cut by propagate's rule (see
-    evolution._block_steps), so no full node stack is held; a
-    (steps+1, dim, dim) stack of the node samples is used as given, after a
-    shape check. Each node's energy is the same einsum either way.
+    `schedule` is sampled once per block of nodes cut by propagate's rule (see
+    evolution._block_steps), so no full node stack is held, and every
+    trajectory's energies are formed from that block by the same einsum, so
+    they are the bits the trajectory gives alone. The arrays are separate
+    because one (m, steps+1) stack of two 4096-step rows passes malloc's
+    128 KiB mmap threshold, and its pages were faulted in anew on every row.
     """
-    states = traj.states
-    if isinstance(schedule, HamiltonianSchedule):
-        if schedule.dim != traj.dim:
-            raise DimensionMismatchError(
-                f"trajectory dimension {traj.dim} does not match schedule dimension {schedule.dim}"
-            )
-        ts = traj.grid.nodes()
-        energies = np.empty(ts.size, dtype=complex)
-        block = _block_steps(schedule.dim)
-        for lo in range(0, ts.size, block):
-            hi = lo + block
-            hams = schedule.sample(ts[lo:hi])
-            np.einsum("ki,kij,kj->k", states[lo:hi].conj(), hams, states[lo:hi], out=energies[lo:hi])
-        return energies
-    hams = np.asarray(schedule, dtype=complex)
-    expected = (traj.grid.steps + 1, traj.dim, traj.dim)
-    if hams.shape != expected:
+    if not isinstance(schedule, HamiltonianSchedule):
+        raise TypeError(f"schedule must be a HamiltonianSchedule, got {type(schedule).__name__}")
+    grid, dim = trajs[0].grid, trajs[0].dim
+    if schedule.dim != dim:
         raise DimensionMismatchError(
-            f"node Hamiltonians must have shape {expected} for this trajectory, got {hams.shape}"
+            f"trajectory dimension {dim} does not match schedule dimension {schedule.dim}"
         )
-    return np.einsum("ki,kij,kj->k", states.conj(), hams, states)
+    ts = grid.nodes()
+    energies = [np.empty(ts.size, dtype=complex) for _ in trajs]
+    block = _block_steps(dim)
+    for lo in range(0, ts.size, block):
+        hi = lo + block
+        hams = schedule.sample(ts[lo:hi])
+        for traj, out in zip(trajs, energies):
+            psi = traj.states[lo:hi]
+            np.einsum("ki,kij,kj->k", psi.conj(), hams, psi, out=out[lo:hi])
+    return energies
 
 
-def dynamical_phase(
-    traj: Trajectory, schedule: HamiltonianSchedule | np.ndarray, hbar: float = 1.0
-) -> float:
-    """(1/hbar) * Int <psi(t)|H(t)|psi(t)> dt by the trapezoid rule on the grid.
-
-    `schedule` is the HamiltonianSchedule, sampled on the grid nodes in
-    blocks as propagate samples its midpoints, or its samples on the nodes as
-    a (steps+1, dim, dim) stack, so that trajectories on one grid can share a
-    single sampling; both give the same bits. Raises ValueError unless hbar
-    is a positive finite real number, DimensionMismatchError before any
-    sampling when the schedule's dim or the stack's shape does not fit the
-    trajectory, and NonHermitianError naming the first node whose energy is
-    not finite.
-    """
-    hilbert._require_hbar(hbar)
-    energies = _node_energies(traj, schedule).real
+def _dynamical(traj: Trajectory, energies: np.ndarray, hbar: float) -> float:
+    """The trapezoid rule over one trajectory's node energies, over hbar;
+    NonHermitianError names the first node whose energy is not finite."""
+    energies = energies.real
     phase = float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
     if not math.isfinite(phase):
         # a non-finite energy makes the sum non-finite, so only then are the
@@ -155,6 +140,20 @@ def dynamical_phase(
     return phase
 
 
+def dynamical_phase(traj: Trajectory, schedule: HamiltonianSchedule, hbar: float = 1.0) -> float:
+    """(1/hbar) * Int <psi(t)|H(t)|psi(t)> dt by the trapezoid rule on the grid.
+
+    The schedule is sampled on the grid nodes in blocks, as propagate samples
+    its midpoints. Raises ValueError unless hbar is a positive finite real
+    number, TypeError unless `schedule` is a HamiltonianSchedule, and
+    DimensionMismatchError when its dim is not the trajectory's, each before
+    any sampling, and NonHermitianError naming the first node whose energy is
+    not finite.
+    """
+    hilbert._require_hbar(hbar)
+    return _dynamical(traj, _node_energies((traj,), schedule)[0], hbar)
+
+
 def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     """Geometric phase of a cyclic trajectory from the connection of the
     phase-stripped loop, in [0, 2 pi).
@@ -166,7 +165,7 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
     their difference is taken in (-pi, pi] when it lies outside [-pi, pi].
     """
     steps = traj.grid.steps
-    base = total_phase(traj, tol=tol)
+    base = _total_phase(traj, tol)
 
     def chain(stride: int) -> float:
         seg = traj.states[::stride]
@@ -179,31 +178,18 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
         if abs(diff) > math.pi:
             # a stride-2 overlap argument wrapped past pi
             diff = math.pi - (math.pi - diff) % TWO_PI
-        return mod_two_pi(r1 + diff / 3.0)
-    return mod_two_pi(r1)
+        return _mod_two_pi(r1 + diff / 3.0)
+    return _mod_two_pi(r1)
 
 
-def noncyclic_geometric_phase(
-    traj: Trajectory,
-    schedule: HamiltonianSchedule | np.ndarray,
-    hbar: float = 1.0,
-    tol: Tolerances = DEFAULT,
-) -> PhaseReport:
-    """Pancharatnam geometric phase for a not-necessarily-cyclic trajectory.
-
-    arg<psi(0)|psi(T)> + dynamical, mod 2 pi; defined whenever the endpoint
-    overlap clears tol.overlap_floor. On a cyclic trajectory it is the
-    Aharonov-Anandan phase, which cyclic_geometric_phase builds on.
-    `schedule` may be the node samples, as in dynamical_phase.
-    """
-    total = total_phase(traj, tol=tol)
+def _pancharatnam(traj: Trajectory, total: float, dynamical: float, tol: Tolerances) -> PhaseReport:
+    """The report of a trajectory's total and dynamical phases."""
     ov = _endpoint_overlap(traj)
-    dyn = dynamical_phase(traj, schedule, hbar=hbar)
-    raw = total + dyn
+    raw = total + dynamical
     return PhaseReport(
         total=total,
-        dynamical=dyn,
-        geometric=mod_two_pi(raw),
+        dynamical=dynamical,
+        geometric=_mod_two_pi(raw),
         geometric_raw=raw,
         endpoint_overlap_modulus=min(abs(ov), 1.0),
         cyclic=bool(abs(abs(ov) - 1.0) <= tol.cyclicity),
@@ -211,9 +197,26 @@ def noncyclic_geometric_phase(
     )
 
 
+def noncyclic_geometric_phase(
+    traj: Trajectory,
+    schedule: HamiltonianSchedule,
+    hbar: float = 1.0,
+    tol: Tolerances = DEFAULT,
+) -> PhaseReport:
+    """Pancharatnam geometric phase for a not-necessarily-cyclic trajectory.
+
+    arg<psi(0)|psi(T)> + dynamical, mod 2 pi; defined whenever the endpoint
+    overlap clears tol.overlap_floor (OrthogonalEndpointsError otherwise). On
+    a cyclic trajectory it is the Aharonov-Anandan phase, which
+    cyclic_geometric_phase builds on.
+    """
+    total = _total_phase(traj, tol)
+    return _pancharatnam(traj, total, dynamical_phase(traj, schedule, hbar=hbar), tol)
+
+
 def cyclic_geometric_phase(
     traj: Trajectory,
-    schedule: HamiltonianSchedule | np.ndarray,
+    schedule: HamiltonianSchedule,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT,
 ) -> PhaseReport:
@@ -224,24 +227,38 @@ def cyclic_geometric_phase(
     connection-route value; a disagreement beyond tol.two_route raises, since
     it signals an under-resolved trajectory. Pass
     tol.replace(two_route=math.inf) to record the gap without enforcing it.
-    `schedule` may be the node samples, as in dynamical_phase.
     """
-    report, direct = _cyclic_routes(traj, schedule, hbar, tol)
+    [(report, direct)] = _cyclic_routes((traj,), schedule, hbar, tol)
     _require_routes_agree(report, direct, tol)
     return report
 
 
-def _cyclic_routes(traj: Trajectory, schedule, hbar: float, tol: Tolerances) -> tuple[PhaseReport, float]:
-    """cyclic_geometric_phase's report without the route check, and the
-    connection-route value that the check compares it with."""
-    defect = abs(abs(_endpoint_overlap(traj)) - 1.0)
-    if defect > tol.cyclicity:
-        raise NotCyclicError(
-            f"not cyclic at tolerance {tol.cyclicity:.3e}: | |overlap| - 1 | = {defect:.3e}"
-        )
-    report = noncyclic_geometric_phase(traj, schedule, hbar=hbar, tol=tol)
-    direct = cyclic_phase_from_connection(traj, tol=tol)
-    return replace(report, route_agreement=circular_distance(report.geometric, direct)), direct
+def _cyclic_routes(
+    trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule, hbar: float, tol: Tolerances
+) -> list[tuple[PhaseReport, float]]:
+    """For each of trajectories on one grid, cyclic_geometric_phase's report
+    without the route check, and the connection-route value that the check
+    compares it with.
+
+    Each trajectory is checked in turn: cyclicity, the overlap floor, then a
+    non-finite energy. The schedule's node blocks are sampled once for all of
+    them, after the first trajectory's first two checks.
+    """
+    routes = []
+    for k, traj in enumerate(trajs):
+        defect = abs(abs(_endpoint_overlap(traj)) - 1.0)
+        if defect > tol.cyclicity:
+            raise NotCyclicError(
+                f"not cyclic at tolerance {tol.cyclicity:.3e}: | |overlap| - 1 | = {defect:.3e}"
+            )
+        total = _total_phase(traj, tol)
+        if k == 0:
+            hilbert._require_hbar(hbar)
+            energies = _node_energies(trajs, schedule)
+        report = _pancharatnam(traj, total, _dynamical(traj, energies[k], hbar), tol)
+        direct = cyclic_phase_from_connection(traj, tol=tol)
+        routes.append((replace(report, route_agreement=circular_distance(report.geometric, direct)), direct))
+    return routes
 
 
 def _require_routes_agree(report: PhaseReport, direct: float, tol: Tolerances) -> None:

@@ -27,30 +27,23 @@ from .evolution import HamiltonianSchedule, TimeGrid, Trajectory
 from .frames import MovingFrame, _joint_frame
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "ModelParams",
-    "TiltAngle",
     "tilt_angle",
     "tilt_identity_residual",
     "hamiltonian",
     "schedule",
     "tilted_frame",
-    "eigenframe",
     "exact_solution",
     "exact_trajectory",
-    "energy_expectation",
-    "connection_rate",
     "geometric_phase_exact",
     "berry_limit_phase",
     "midpoint_phase_error_estimate",
     "steps_for_phase_tolerance",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class TiltAngle:
+class _TiltAngle:
     """Tilt alpha in [0, pi); `denominator_negative` flags the regime where
     2 mu B + omega cos(theta) < 0 (theta > pi/2 at large omega), where the
     branch is fixed by the two-argument arctangent rather than by tan alone."""
@@ -107,7 +100,7 @@ class TiltAngle:
     denominator_negative: bool
 
 
-def tilt_angle(params: ModelParams) -> TiltAngle:
+def tilt_angle(params: ModelParams) -> _TiltAngle:
     """Tilt angle from atan2(omega sin(theta), 2 mu B + omega cos(theta)).
 
     This branch is continuous in omega, with alpha -> 0 as omega -> 0 and
@@ -115,7 +108,7 @@ def tilt_angle(params: ModelParams) -> TiltAngle:
     """
     num = params.omega * np.sin(params.theta)
     den = 2.0 * params.mu * params.b_field + params.omega * np.cos(params.theta)
-    return TiltAngle(alpha=float(np.arctan2(num, den)), denominator_negative=bool(den < 0.0))
+    return _TiltAngle(alpha=float(np.arctan2(num, den)), denominator_negative=bool(den < 0.0))
 
 
 def tilt_identity_residual(params: ModelParams) -> float:
@@ -188,18 +181,18 @@ def tilted_frame(params: ModelParams) -> MovingFrame:
     return _frame(params, tilt_angle(params).alpha)
 
 
-def eigenframe(params: ModelParams) -> MovingFrame:
+def _eigenframe(params: ModelParams) -> MovingFrame:
     """Instantaneous eigenframe of H(t) (the tilted frame with alpha = 0)."""
     return _frame(params, 0.0)
 
 
-def energy_expectation(params: ModelParams, branch: int) -> float:
+def _energy_expectation(params: ModelParams, branch: int) -> float:
     """<w_branch | H | w_branch> = -branch * mu hbar B cos(alpha), constant in t."""
     a = tilt_angle(params).alpha
     return -branch * params.magnetic_energy * float(np.cos(a))
 
 
-def connection_rate(params: ModelParams, branch: int) -> float:
+def _connection_rate(params: ModelParams, branch: int) -> float:
     """<w_branch | i d/dt w_branch> = (omega/2)(1 + branch cos(theta - alpha)), constant."""
     a = tilt_angle(params).alpha
     return 0.5 * params.omega * (1.0 + branch * float(np.cos(params.theta - a)))
@@ -213,7 +206,7 @@ def exact_solution(params: ModelParams, branch: int, t) -> np.ndarray:
     Accepts scalar or array t.
     """
     a = tilt_angle(params).alpha
-    rate = -energy_expectation(params, branch) / params.hbar + connection_rate(params, branch)
+    rate = -_energy_expectation(params, branch) / params.hbar + _connection_rate(params, branch)
     w = _basis_value_and_derivative(params.theta, a, params.omega, branch, t)[0]
     phase = np.exp(1j * rate * np.asarray(t, dtype=float))
     return w * phase[..., None] if np.ndim(t) else w * phase

@@ -95,8 +95,7 @@ def _solve(
     route_tol = tol.replace(two_route=max(tol.two_route, 6.0 * err_estimate))
     psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
     trajs = propagate(sched, psi0, grid, hbar=params.hbar, tol=tol)
-    node_hams = sched.sample(grid.nodes())  # shared by every branch's dynamical phase
-    routes = [_cyclic_routes(traj, node_hams, params.hbar, tol) for traj in trajs]
+    routes = _cyclic_routes(trajs, sched, params.hbar, tol)
     reports = [report for report, _ in routes]
     if deviation_target is None or circular_distance(
         reports[0].geometric, spin_model.geometric_phase_exact(params, branches[0], n_periods)

@@ -19,9 +19,9 @@ from holonomy_lab.evolution import (
     fidelity,
     propagate,
 )
-from holonomy_lab.frames import gauge_transform, linear_gauge
+from holonomy_lab.frames import _linear_gauge, gauge_transform
 from holonomy_lab.phases import dynamical_phase
-from holonomy_lab.spin_model import SIGMA_Z
+from holonomy_lab.spin_model import _SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
 
 
@@ -77,7 +77,7 @@ def test_propagate_checks_hbar_before_sampling(hbar):
 
     def many(ts):
         calls.append(len(ts))
-        return np.broadcast_to(SIGMA_Z, (len(ts), 2, 2))
+        return np.broadcast_to(_SIGMA_Z, (len(ts), 2, 2))
 
     sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], dim=2, evaluate_many=many)
     with pytest.raises(ValueError, match="hbar must be positive and finite"):
@@ -96,7 +96,7 @@ def test_static_eigenstate_accumulates_pure_phase():
     # H = -mu hbar B sigma_z on spin-up: psi(t) = e^{+i mu B t} |up>
     mu_b = 1.3
     grid = TimeGrid(t_end=2.0, steps=64)
-    traj = propagate(static_schedule(-mu_b * SIGMA_Z), np.array([1.0, 0.0]), grid)
+    traj = propagate(static_schedule(-mu_b * _SIGMA_Z), np.array([1.0, 0.0]), grid)
     expected = np.exp(1j * mu_b * grid.nodes())
     assert np.allclose(traj.states[:, 0], expected, atol=1e-12)
     assert np.allclose(traj.states[:, 1], 0.0, atol=1e-15)
@@ -105,7 +105,7 @@ def test_static_eigenstate_accumulates_pure_phase():
 def test_propagate_requires_normalized_state():
     grid = TimeGrid(t_end=1.0, steps=16)
     with pytest.raises(ValueError, match="not normalized"):
-        propagate(static_schedule(SIGMA_Z), np.array([1.0, 1.0]), grid)
+        propagate(static_schedule(_SIGMA_Z), np.array([1.0, 1.0]), grid)
 
 
 def test_propagate_aborts_on_non_hermitian_with_offending_time():
@@ -207,7 +207,7 @@ def test_gauged_frame_rotates_coefficients():
     traj = spin_model.exact_trajectory(params, +1, grid)
     frame = spin_model.tilted_frame(params)
     rate = 0.77
-    gauged = gauge_transform(frame, linear_gauge(rate))
+    gauged = gauge_transform(frame, _linear_gauge(rate))
     base = expand_in_frame(traj, frame)
     rotated = expand_in_frame(traj, gauged)
     expected = base * np.exp(-1j * rate * grid.nodes())[:, None]
@@ -529,14 +529,14 @@ def test_block_rows_may_be_strided(rng):
 
 def test_block_non_hermitian_names_first_bad_midpoint():
     grid = TimeGrid(t_end=1.0, steps=16)
-    bad = HamiltonianSchedule(evaluate=lambda t: SIGMA_Z if t < 0.5 else np.array([[0, 1], [0, 0]]), dim=2)
+    bad = HamiltonianSchedule(evaluate=lambda t: _SIGMA_Z if t < 0.5 else np.array([[0, 1], [0, 0]]), dim=2)
     with pytest.raises(NonHermitianError, match=r"at t = 0\.53125:"):
         propagate(bad, np.eye(2), grid)
 
 
 def test_block_input_errors():
     grid = TimeGrid(t_end=1.0, steps=16)
-    sched = static_schedule(SIGMA_Z)
+    sched = static_schedule(_SIGMA_Z)
     with pytest.raises(DimensionMismatchError, match="schedule dimension"):
         propagate(sched, np.eye(3), grid)
     with pytest.raises(ValueError, match="not normalized"):

@@ -11,16 +11,16 @@ from holonomy_lab.evolution import HamiltonianSchedule
 from holonomy_lab.frames import (
     GaugeFunction,
     MovingFrame,
+    _constant_gauge,
     _joint_frame,
     _joint_gauge,
+    _linear_gauge,
     _sum_modes,
     adiabatic_berry_phase,
     connection,
-    constant_gauge,
     eff_hamiltonian_matrix,
     gauge_transform,
     holonomy,
-    linear_gauge,
     orthonormality_defect,
     parallel_transport_fix,
     random_periodic_gauge,
@@ -104,7 +104,7 @@ def test_connection_rejects_norm_drift():
 
 def test_identity_gauge_leaves_frame_unchanged():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, constant_gauge(0.0))
+    gauged = gauge_transform(frame, _constant_gauge(0.0))
     t = 0.3
     assert np.allclose(gauged.value(0, t), frame.value(0, t), atol=1e-15)
     assert np.allclose(gauged.derivative(0, t), frame.derivative(0, t), atol=1e-15)
@@ -112,19 +112,19 @@ def test_identity_gauge_leaves_frame_unchanged():
 
 def test_constant_gauge_preserves_holonomy():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, constant_gauge(0.83))
+    gauged = gauge_transform(frame, _constant_gauge(0.83))
     assert holonomy(gauged, 0, steps=512) == pytest.approx(holonomy(frame, 0, steps=512), abs=1e-12)
 
 
 def test_linear_gauge_shifts_connection_by_rate():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, linear_gauge(PARAMS.omega))
+    gauged = gauge_transform(frame, _linear_gauge(PARAMS.omega))
     for t in (0.0, 0.4, 1.3):
         shift = connection(gauged, 0, t) - connection(frame, 0, t)
         assert shift == pytest.approx(-PARAMS.omega, rel=1e-12)
     # numerical cross-check: same shift from pure finite differences
     fd_frame = MovingFrame(dim=2, count=2, value_fn=frame.value_fn, period=frame.period, fd_step=1e-5)
-    fd_gauged = gauge_transform(fd_frame, linear_gauge(PARAMS.omega))
+    fd_gauged = gauge_transform(fd_frame, _linear_gauge(PARAMS.omega))
     shift = connection(fd_gauged, 0, 0.4) - connection(fd_frame, 0, 0.4)
     assert shift == pytest.approx(-PARAMS.omega, rel=1e-8)
 
@@ -487,12 +487,12 @@ def joint_evaluation_frames():
     rng = np.random.default_rng(2024)
     tilted = spin_model.tilted_frame(PARAMS)
     gauged = gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng))
-    frames = [("tilted", tilted), ("eigenframe", spin_model.eigenframe(PARAMS))]
+    frames = [("tilted", tilted), ("eigenframe", spin_model._eigenframe(PARAMS))]
     frames += [(f"random-gauge-{k}", gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng)))
                for k in range(8)]
     frames += [
-        ("constant-gauge", gauge_transform(tilted, constant_gauge(0.83))),
-        ("linear-gauge", gauge_transform(tilted, linear_gauge(PARAMS.omega))),
+        ("constant-gauge", gauge_transform(tilted, _constant_gauge(0.83))),
+        ("linear-gauge", gauge_transform(tilted, _linear_gauge(PARAMS.omega))),
         ("gauge-of-gauged", gauge_transform(gauged, random_periodic_gauge(PARAMS.period, rng))),
         ("transported", parallel_transport_fix(gauged, 0, steps=256)),
         ("finite-difference", fd_tilted_frame()),
@@ -559,7 +559,7 @@ def test_joint_paths_equal_the_separate_formulas(rng):
         for t in (ts, 0.41):
             assert bits(tilted.value_and_derivative(n, t)[1]) == bits(spin_basis_derivative(n, t))
     for base in (tilted, fd_tilted_frame()):
-        for gauge in [random_periodic_gauge(PARAMS.period, rng) for _ in range(4)] + [linear_gauge(0.7)]:
+        for gauge in [random_periodic_gauge(PARAMS.period, rng) for _ in range(4)] + [_linear_gauge(0.7)]:
             gauged = gauge_transform(base, gauge)
             reference = separate_gauge_transform(base, gauge)
             for n in range(2):

@@ -12,10 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from holonomy_lab import evolution, hilbert
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
-from holonomy_lab.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from holonomy_lab.spin_model import _SIGMA_X, _SIGMA_Y, _SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
 
-PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI = np.stack([np.eye(2, dtype=complex), _SIGMA_X, _SIGMA_Y, _SIGMA_Z])
 
 
 def random_hermitian(rng, dim):
@@ -55,13 +55,13 @@ def test_expi_zero_hamiltonian_gives_identity():
 
 
 def test_expi_sigma_z_half_turn():
-    u = hilbert.expi_hermitian(SIGMA_Z, dt=np.pi)
+    u = hilbert.expi_hermitian(_SIGMA_Z, dt=np.pi)
     assert np.allclose(u, -np.eye(2), atol=1e-14)
 
 
 def test_expi_sigma_x_quarter_turn():
-    u = hilbert.expi_hermitian(SIGMA_X, dt=np.pi / 2)
-    assert np.allclose(u, -1j * SIGMA_X, atol=1e-14)
+    u = hilbert.expi_hermitian(_SIGMA_X, dt=np.pi / 2)
+    assert np.allclose(u, -1j * _SIGMA_X, atol=1e-14)
 
 
 def test_expi_rejects_non_hermitian():
@@ -71,7 +71,7 @@ def test_expi_rejects_non_hermitian():
 
 def test_expi_rejects_non_finite_dt():
     with pytest.raises(ValueError):
-        hilbert.expi_hermitian(SIGMA_Z, dt=np.inf)
+        hilbert.expi_hermitian(_SIGMA_Z, dt=np.inf)
 
 
 @pytest.mark.parametrize("dt", [1j, np.complex128(0.1), "0.1"])
@@ -279,18 +279,18 @@ def test_unitarity_defect_requires_square_matrix():
 
 
 def test_hermiticity_defect_examples():
-    assert hilbert.hermiticity_defect(SIGMA_Y) == 0
-    assert hilbert.hermiticity_defect(np.array([[0, 1], [0, 0]])) == 1
+    assert hilbert._hermiticity_defect(_SIGMA_Y) == 0
+    assert hilbert._hermiticity_defect(np.array([[0, 1], [0, 0]])) == 1
     # non-finite entries, without a RuntimeWarning: inf - inf on the diagonal is NaN
-    assert np.isnan(hilbert.hermiticity_defect(np.diag([np.inf, 0.0, 0.0])))
-    assert hilbert.hermiticity_defect(np.array([[0, np.inf], [0, 0]])) == np.inf
-    assert np.isnan(hilbert.hermiticity_defect(np.array([[0, np.nan], [0, 0]])))
+    assert np.isnan(hilbert._hermiticity_defect(np.diag([np.inf, 0.0, 0.0])))
+    assert hilbert._hermiticity_defect(np.array([[0, np.inf], [0, 0]])) == np.inf
+    assert np.isnan(hilbert._hermiticity_defect(np.array([[0, np.nan], [0, 0]])))
 
 
 def test_hermiticity_defect_doubles_antihermitian_part(rng):
     h = random_hermitian(rng, 4)
     eps = 1e-3
-    assert hilbert.hermiticity_defect(h + 1j * eps * np.eye(4)) == pytest.approx(2 * eps, rel=1e-12)
+    assert hilbert._hermiticity_defect(h + 1j * eps * np.eye(4)) == pytest.approx(2 * eps, rel=1e-12)
 
 
 def test_unitarity_of_expi_random(rng):
@@ -319,31 +319,31 @@ def test_inner_invariant_under_unitary(rng):
 
 def test_dimension_cap():
     with pytest.raises(DimensionMismatchError, match="cap"):
-        hilbert.as_state(np.ones(65))
+        hilbert._as_state(np.ones(65))
 
 
 def test_non_finite_state_rejected():
     with pytest.raises(ValueError):
-        hilbert.as_state([1.0, np.nan])
+        hilbert._as_state([1.0, np.nan])
 
 
 def test_strided_state_and_operator_accepted(rng):
     h = random_hermitian(rng, 4)
     column = np.linalg.eigh(h)[1][:, 0]
     assert not column.flags.contiguous
-    assert np.array_equal(hilbert.as_state(column), column)
-    assert np.array_equal(hilbert.check_normalized(column), column)
+    assert np.array_equal(hilbert._as_state(column), column)
+    assert np.array_equal(hilbert._check_normalized(column), column)
     assert not h.T.flags.c_contiguous
-    assert np.array_equal(hilbert.as_operator(h.T), h.T)
+    assert np.array_equal(hilbert._as_operator(h.T), h.T)
 
 
 def test_non_finite_strided_input_rejected():
     a = np.ones((3, 3), dtype=complex)
     a[1, 0] = complex(0.0, np.inf)
     with pytest.raises(ValueError, match="non-finite"):
-        hilbert.as_state(a[:, 0])
+        hilbert._as_state(a[:, 0])
     with pytest.raises(ValueError, match="non-finite"):
-        hilbert.as_operator(a.T)
+        hilbert._as_operator(a.T)
 
 
 def general_defects(hams):

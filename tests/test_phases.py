@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonomy_lab import evolution, spin_model
+from holonomy_lab import evolution, phases, spin_model
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError, NotCyclicError, OrthogonalEndpointsError
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, Trajectory, propagate
 from holonomy_lab.phases import (
+    _mod_two_pi,
+    _total_phase,
     adiabatic_berry_phase,
     circular_distance,
     cyclic_geometric_phase,
     cyclic_phase_from_connection,
     dynamical_phase,
-    mod_two_pi,
     noncyclic_geometric_phase,
-    total_phase,
 )
-from holonomy_lab.spin_model import SIGMA_Z
+from holonomy_lab.spin_model import _SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
 
 # Half-period Pancharatnam phase of the + branch at theta=pi/3, eta=1,
@@ -72,7 +72,7 @@ def model_run(theta=np.pi / 3, eta=1.0, steps=4096, branch=+1, n_periods=1):
 
 def test_mod_two_pi_range():
     for x in (-7.0, -1e-18, 0.0, 3.0, 2 * np.pi, 12.0):
-        r = mod_two_pi(x)
+        r = _mod_two_pi(x)
         assert 0.0 <= r < 2 * np.pi
         # unreduced and reduced values differ by an exact multiple of 2 pi
         k = round((x - r) / (2 * np.pi))
@@ -80,19 +80,19 @@ def test_mod_two_pi_range():
 
 
 def test_mod_two_pi_keeps_nan():
-    assert math.isnan(mod_two_pi(math.nan))
+    assert math.isnan(_mod_two_pi(math.nan))
 
 
 def test_total_phase_of_constructed_trajectory():
     traj = constant_phase_trajectory(np.pi / 3)
-    assert total_phase(traj) == pytest.approx(np.pi / 3, abs=1e-12)
+    assert _total_phase(traj) == pytest.approx(np.pi / 3, abs=1e-12)
 
 
 def test_total_phase_orthogonal_endpoints_rejected():
     grid = TimeGrid(t_end=1.0, steps=2)
     states = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
     with pytest.raises(OrthogonalEndpointsError, match="Pancharatnam"):
-        total_phase(Trajectory(grid=grid, states=states))
+        _total_phase(Trajectory(grid=grid, states=states))
 
 
 def test_total_phase_of_exact_model_solution():
@@ -102,7 +102,7 @@ def test_total_phase_of_exact_model_solution():
     alpha = spin_model.tilt_angle(params).alpha
     delta = params.theta - alpha
     expected_raw = (np.cos(alpha) + 0.5 * params.omega * (1 + np.cos(delta))) * params.period
-    got = total_phase(traj)
+    got = _total_phase(traj)
     assert -np.pi < got <= np.pi
     assert circular_distance(got, expected_raw) <= 1e-10
 
@@ -115,7 +115,7 @@ def test_dynamical_phase_zero_hamiltonian():
 
 def test_dynamical_phase_static_eigenstate():
     eps = -1.3  # eigenvalue of -1.3 sigma_z on spin-up
-    sched = HamiltonianSchedule(evaluate=lambda t: 1.3 * SIGMA_Z * -1.0, dim=2)
+    sched = HamiltonianSchedule(evaluate=lambda t: 1.3 * _SIGMA_Z * -1.0, dim=2)
     grid = TimeGrid(t_end=2.0, steps=128)
     traj = propagate(sched, np.array([1.0, 0.0]), grid)
     assert dynamical_phase(traj, sched) == pytest.approx(eps * 2.0, rel=1e-12)
@@ -130,7 +130,7 @@ def test_dynamical_phase_of_exact_model_solution():
 
 
 def test_cyclic_phase_static_eigenstate_vanishes():
-    sched = HamiltonianSchedule(evaluate=lambda t: -0.9 * SIGMA_Z, dim=2)
+    sched = HamiltonianSchedule(evaluate=lambda t: -0.9 * _SIGMA_Z, dim=2)
     grid = TimeGrid(t_end=3.0, steps=256)
     traj = propagate(sched, np.array([1.0, 0.0]), grid)
     report = cyclic_geometric_phase(traj, sched)
@@ -143,7 +143,7 @@ def test_cyclic_phase_of_model_both_branches(branch):
     params, sched, _, traj = model_run(branch=branch)
     report = cyclic_geometric_phase(traj, sched, tol=DEFAULT.replace(two_route=math.inf))
     delta = params.theta - spin_model.tilt_angle(params).alpha
-    expected = mod_two_pi(np.pi * (1 + branch * np.cos(delta)))
+    expected = _mod_two_pi(np.pi * (1 + branch * np.cos(delta)))
     assert circular_distance(report.geometric, expected) <= 1e-5
     assert report.geometric == pytest.approx(spin_model.geometric_phase_exact(params, branch), abs=1e-5)
     assert 0.0 <= report.geometric < 2 * np.pi
@@ -244,43 +244,24 @@ def test_cyclic_is_noncyclic_on_random_cyclic_trajectories(dim, seed, ray):
     assert abs(shifted.dynamical - base.dynamical) <= 1e-10
 
 
-def test_phases_from_node_samples_equal_schedule_path(rng):
-    # spin model, both branches as one block, cyclic and noncyclic reports
-    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=0.2)
-    sched = spin_model.schedule(params)
-    grid = TimeGrid(t_end=params.period, steps=2048)
-    psi0 = np.stack([spin_model.exact_solution(params, b, 0.0) for b in (+1, -1)])
-    node_hams = sched.sample(grid.nodes())
-    record_gap = DEFAULT.replace(two_route=math.inf)
-    for traj in propagate(sched, psi0, grid):
-        assert dynamical_phase(traj, node_hams) == dynamical_phase(traj, sched)
-        assert noncyclic_geometric_phase(traj, node_hams) == noncyclic_geometric_phase(traj, sched)
-        assert cyclic_geometric_phase(traj, node_hams, tol=record_gap) == cyclic_geometric_phase(
-            traj, sched, tol=record_gap
-        )
-    # random dim-4 schedule from a generic (noncyclic) start, hbar != 1
-    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    h0, h1, h2 = (a + a.conj().swapaxes(-1, -2)) / 4
+def test_node_sample_stack_is_refused_as_a_schedule():
+    # the phases take the schedule only; its node samples are refused with a
+    # TypeError before anything is sampled
+    calls = []
 
     def many(ts):
-        ts = np.asarray(ts, dtype=float)[:, None, None]
-        return h0 + h1 * np.cos(ts) + h2 * np.sin(2 * ts)
+        calls.append(len(ts))
+        return np.broadcast_to(-_SIGMA_Z, (len(ts), 2, 2))
 
-    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=4)
-    grid = TimeGrid(t_end=1.5, steps=300)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    traj = propagate(sched, psi / np.linalg.norm(psi), grid, hbar=0.7)
+    sched = HamiltonianSchedule(evaluate=None, evaluate_many=many, dim=2)
+    grid = TimeGrid(t_end=1.0, steps=8)
+    traj = propagate(sched, np.array([1.0, 0.0]), grid)
     node_hams = sched.sample(grid.nodes())
-    assert dynamical_phase(traj, node_hams, hbar=0.7) == dynamical_phase(traj, sched, hbar=0.7)
-    assert noncyclic_geometric_phase(traj, node_hams, hbar=0.7) == noncyclic_geometric_phase(
-        traj, sched, hbar=0.7
-    )
-    # a stack that is not (steps+1, dim, dim) is refused
-    for bad in (node_hams[:-1], node_hams[:, :3, :3], node_hams[0]):
-        with pytest.raises(DimensionMismatchError, match="node Hamiltonians must have shape"):
-            dynamical_phase(traj, bad)
-        with pytest.raises(DimensionMismatchError):
-            noncyclic_geometric_phase(traj, bad)
+    calls.clear()
+    for phase in (dynamical_phase, noncyclic_geometric_phase, cyclic_geometric_phase):
+        with pytest.raises(TypeError, match="schedule must be a HamiltonianSchedule, got ndarray"):
+            phase(traj, node_hams)
+    assert calls == []
 
 
 @pytest.mark.parametrize("steps", [8, 10])
@@ -313,13 +294,23 @@ def test_dynamical_phase_sampled_in_blocks_equals_node_stack(rng, monkeypatch, d
 
     sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
     grid = TimeGrid(t_end=2.0, steps=48)
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    traj = propagate(sched, psi / np.linalg.norm(psi), grid)
+    psis = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    trajs = propagate(sched, psis / np.linalg.norm(psis, axis=1)[:, None], grid)
     node_hams = sched.sample(grid.nodes())
+    traj = trajs[0]
     calls.clear()
     for hbar in (1.0, 0.7):
-        assert dynamical_phase(traj, sched, hbar=hbar) == dynamical_phase(traj, node_hams, hbar=hbar)
+        # the trapezoid sum of the energies of the whole node stack at once
+        energies = np.einsum("ki,kij,kj->k", traj.states.conj(), node_hams, traj.states).real
+        assert dynamical_phase(traj, sched, hbar=hbar) == float(np.trapezoid(energies, dx=grid.dt) / hbar)
     assert calls == [16, 16, 16, 1] * 2
+    # two trajectories on one grid: each block is sampled once for both, and
+    # each row is the bits of that trajectory's energies alone
+    calls.clear()
+    joint = phases._node_energies(trajs, sched)
+    assert calls == [16, 16, 16, 1]
+    for row, one in zip(joint, trajs):
+        assert row.tobytes() == phases._node_energies((one,), sched)[0].tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -330,13 +321,9 @@ def test_non_finite_node_energy_raises_naming_its_time(dim):
     grid = TimeGrid(t_end=1.0, steps=16)
     traj = propagate(sched, np.eye(dim)[0], grid)
     match = r"not finite at t = 0\.0:"
-    for source in (sched, sched.sample(grid.nodes())):
+    for phase in (dynamical_phase, cyclic_geometric_phase, noncyclic_geometric_phase):
         with pytest.raises(NonHermitianError, match=match):
-            dynamical_phase(traj, source)
-        with pytest.raises(NonHermitianError, match=match):
-            cyclic_geometric_phase(traj, source)
-        with pytest.raises(NonHermitianError, match=match):
-            noncyclic_geometric_phase(traj, source)
+            phase(traj, sched)
 
 
 @pytest.mark.parametrize("traj_dim, sched_dim", [(2, 3), (3, 2), (4, 17)])
@@ -387,14 +374,14 @@ def test_noncyclic_half_period_against_frozen_oracle():
 def test_berry_phase_of_eigenframe():
     for theta in (np.pi / 6, np.pi / 3, 2 * np.pi / 3):
         params = spin_model.ModelParams.from_eta(theta=theta, eta=1.0)
-        frame = spin_model.eigenframe(params)
+        frame = spin_model._eigenframe(params)
         assert adiabatic_berry_phase(frame, 0) == pytest.approx(np.pi * (1 + np.cos(theta)), rel=1e-10)
         assert adiabatic_berry_phase(frame, 1) == pytest.approx(np.pi * (1 - np.cos(theta)), rel=1e-10)
 
 
 def test_berry_phase_theta_zero_full_winding():
     params = spin_model.ModelParams.from_eta(theta=0.0, eta=1.0)
-    raw = adiabatic_berry_phase(spin_model.eigenframe(params), 0)
+    raw = adiabatic_berry_phase(spin_model._eigenframe(params), 0)
     assert raw == pytest.approx(2 * np.pi, rel=1e-12)
     assert circular_distance(raw, 0.0) <= 1e-10
 

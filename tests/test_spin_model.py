@@ -4,7 +4,7 @@ import pytest
 from holonomy_lab import spin_model
 from holonomy_lab.evolution import TimeGrid, fidelity, propagate
 from holonomy_lab.phases import circular_distance
-from holonomy_lab.spin_model import SIGMA_X, SIGMA_Z, ModelParams
+from holonomy_lab.spin_model import ModelParams, _SIGMA_X, _SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
 
 
@@ -27,12 +27,12 @@ def test_from_eta_roundtrip():
 def test_hamiltonian_polar_axis():
     p = ModelParams(mu=1.2, b_field=0.7, omega=1.0, theta=0.0)
     for t in (0.0, 0.3):
-        assert np.allclose(spin_model.hamiltonian(p, t), -1.2 * 0.7 * SIGMA_Z, atol=1e-15)
+        assert np.allclose(spin_model.hamiltonian(p, t), -1.2 * 0.7 * _SIGMA_Z, atol=1e-15)
 
 
 def test_hamiltonian_equator_at_t_zero():
     p = ModelParams(mu=1.0, b_field=1.0, omega=1.0, theta=np.pi / 2)
-    assert np.allclose(spin_model.hamiltonian(p, 0.0), -SIGMA_X, atol=1e-15)
+    assert np.allclose(spin_model.hamiltonian(p, 0.0), -_SIGMA_X, atol=1e-15)
 
 
 def test_hamiltonian_trace_det_and_batch():
@@ -113,8 +113,8 @@ def test_frame_expectations_match_closed_forms():
             assert conn == pytest.approx(
                 0.5 * p.hbar * p.omega * (1 + branch * np.cos(p.theta - alpha)), rel=1e-12
             )
-            assert energy == pytest.approx(spin_model.energy_expectation(p, branch), rel=1e-12)
-            assert conn / p.hbar == pytest.approx(spin_model.connection_rate(p, branch), rel=1e-12)
+            assert energy == pytest.approx(spin_model._energy_expectation(p, branch), rel=1e-12)
+            assert conn / p.hbar == pytest.approx(spin_model._connection_rate(p, branch), rel=1e-12)
 
 
 def test_frame_periodicity():
@@ -177,7 +177,7 @@ def stacked_basis_vector(theta, alpha, omega, branch, t):
 
 def stacked_exact_solution(p, branch, t):
     a = spin_model.tilt_angle(p).alpha
-    rate = -spin_model.energy_expectation(p, branch) / p.hbar + spin_model.connection_rate(p, branch)
+    rate = -spin_model._energy_expectation(p, branch) / p.hbar + spin_model._connection_rate(p, branch)
     w = stacked_basis_vector(p.theta, a, p.omega, branch, t)
     phase = np.exp(1j * rate * np.asarray(t, dtype=float))
     return w * phase[..., None] if np.ndim(t) else w * phase

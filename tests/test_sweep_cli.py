@@ -6,13 +6,14 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holonomy_lab import cli, evolution, spin_model, sweep, verify
-from holonomy_lab.config import build_config, parse_config_text
+from holonomy_lab.config import _parse_config_text, build_config
 from holonomy_lab.errors import ConfigError
 from holonomy_lab.phases import circular_distance
 from holonomy_lab.tolerances import DEFAULT
@@ -48,7 +49,7 @@ def run_cli(*args, config_text=None, tmp_path=None, cwd=None):
 
 
 def test_parse_key_value_text():
-    mapping = parse_config_text(
+    mapping = _parse_config_text(
         """
         # comment line
         theta = 1.0471975511965976
@@ -67,7 +68,7 @@ def test_parse_key_value_text():
 
 
 def test_parse_json_document():
-    mapping = parse_config_text(
+    mapping = _parse_config_text(
         json.dumps({"theta": 0.5, "sweep": {"eta_min": 0.1, "eta_max": 10, "points": 5}})
     )
     assert mapping == {"theta": 0.5, "sweep.eta_min": 0.1, "sweep.eta_max": 10, "sweep.points": 5}
@@ -167,7 +168,26 @@ def test_boolean_for_a_number_is_config_error(key, form, value):
     else:
         text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items())
     with pytest.raises(ConfigError, match=f"{key} must be a number, got {value!r}"):
-        build_config(parse_config_text(text))
+        build_config(_parse_config_text(text))
+
+
+@pytest.mark.parametrize("key", ["theta", "tol.cyclicity"])
+@pytest.mark.parametrize("form", ["key-value", "json"])
+def test_integer_past_float_range_is_config_error(tmp_path, monkeypatch, capsys, key, form):
+    # float() of a 401-digit integer raises OverflowError, which used to end
+    # the run as a numerical failure (exit 1)
+    refuse_to_run(monkeypatch)
+    mapping = {"theta": 1.0, "eta": 1.0, key: 10**400}
+    if form == "json":
+        text = json.dumps(nested(mapping))
+    else:
+        text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items())
+    with pytest.raises(ConfigError, match=f"{key} must be a number, got 1000"):
+        build_config(_parse_config_text(text))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["evolve", "--config", str(cfg), "--quiet"]) == 2
+    assert f"config error: {key} must be a number" in capsys.readouterr().err
 
 
 def test_steps_cap_is_the_sweep_cap():
@@ -215,6 +235,21 @@ def test_run_point_over_several_dim2_blocks_is_ok():
     assert row.steps_used > 2 * evolution._block_steps(2)
     assert row.status == "ok"
     assert row.deviation_from_exact <= DEFAULT.sweep_deviation
+
+
+def test_long_row_memory_guard():
+    # the longest row that still propagates (1,078,302 steps, over its
+    # target): the node energies are formed block by block, so no row holds
+    # a node stack beside both branches' states; 148.1 MiB traced, 181.2 MiB
+    # with the stack
+    tracemalloc.start()
+    try:
+        row = run_point(np.pi / 3, 3e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (row.steps_used, row.status) == (1_078_302, "over_target")
+    assert peak <= 160 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("n_periods", [2, 3])
