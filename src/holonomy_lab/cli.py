@@ -1,9 +1,10 @@
 """Command-line front end: evolve, sweep, verify.
 
 Exit codes: 0 success, 1 numerical/invariant failure, 2 usage or config
-error. Machine-readable output goes to --out, else the config's output.path,
-else stdout; human-readable progress goes to stderr and is silenced by --quiet.
-Each subcommand accepts only the flags it reads.
+error, an output path the OS refuses included. Machine-readable output goes
+to --out, else the config's output.path, else stdout, as UTF-8;
+human-readable progress goes to stderr and is silenced by --quiet. Each
+subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _emit(args, path: str | None, text: str) -> None:
     """Write text to the resolved output path (--out over output.path), or to
     stdout when there is none or it is empty."""
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
         _say(args, f"wrote {path}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: the OS refused the output path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

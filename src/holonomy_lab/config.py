@@ -1,19 +1,16 @@
-"""Run configuration: key = value files or a single JSON document.
+"""Run configuration: UTF-8 key = value files or a single JSON document.
 
-Recognized keys (dotted form):
-
-    theta, mu, b_field, omega | eta, steps, n_periods, hbar,
-    sweep.eta_min, sweep.eta_max, sweep.points, sweep.log,
-    output.path, output.format, tol.<tolerance-name>
-
-Unknown keys are rejected rather than ignored.
+Recognized keys (dotted form) are those of `_KEYS` and tol.<tolerance-name>;
+unknown keys are rejected rather than ignored. In key = value lines a `#`
+outside a JSON string starts a comment.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -27,9 +24,10 @@ __all__ = [
     "tolerance_overrides",
 ]
 
-_SCALAR_KEYS = {"theta", "mu", "b_field", "omega", "eta", "steps", "n_periods", "hbar"}
-_SWEEP_KEYS = {"sweep.eta_min", "sweep.eta_max", "sweep.points", "sweep.log"}
-_OUTPUT_KEYS = {"output.path", "output.format"}
+# run_sweep holds every row, and then the CSV text of all of them, until the
+# sweep ends: about 0.8 kB a row, so 80 MB at this bound, and rows take a few
+# milliseconds each or more, so a sweep this long already runs for minutes
+_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,8 @@ class _SweepSpec:
     log: bool = True
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ConfigError(f"sweep.points must be >= 2, got {self.points}")
+        if not 2 <= self.points <= _MAX_POINTS:
+            raise ConfigError(f"sweep.points must lie in [2, {_MAX_POINTS}], got {self.points}")
         if not (0 < self.eta_min < self.eta_max < math.inf):
             raise ConfigError(
                 f"need 0 < sweep.eta_min < sweep.eta_max < inf, got {self.eta_min}, {self.eta_max}"
@@ -117,6 +115,11 @@ def _flatten(obj: dict, out: dict, prefix: str = "") -> None:
             out[key] = v
 
 
+# the part of a line before its comment: a `#` inside a JSON string, closed
+# or not, is part of the value
+_UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:\\.|[^"\\])*"?)*')
+
+
 def _parse_config_text(text: str) -> dict:
     """Flat {dotted key: value} mapping from key = value lines or one JSON document."""
     stripped = text.lstrip()
@@ -132,7 +135,7 @@ def _parse_config_text(text: str) -> dict:
         return flat
     mapping: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(line).group().strip()
         if not line:
             continue
         if "=" not in line:
@@ -147,13 +150,12 @@ def _parse_config_text(text: str) -> dict:
 
 def load_config(path: str | Path) -> dict:
     try:
-        return _parse_config_text(Path(path).read_text())
-    except OSError as exc:
+        return _parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _as_float(mapping: dict, key: str):
-    v = mapping[key]
+def _as_float(key: str, v):
     # bool is an int subclass, so float(True) would read true as 1.0
     if isinstance(v, bool):
         raise ConfigError(f"{key} must be a number, got {v!r}")
@@ -163,8 +165,7 @@ def _as_float(mapping: dict, key: str):
         raise ConfigError(f"{key} must be a number, got {v!r}") from exc
 
 
-def _as_int(mapping: dict, key: str):
-    v = mapping[key]
+def _as_int(key: str, v):
     try:
         x = float(v)
         valid = not isinstance(v, bool) and x == int(x)
@@ -175,8 +176,7 @@ def _as_int(mapping: dict, key: str):
     return int(x)
 
 
-def _as_bool(mapping: dict, key: str):
-    v = mapping[key]
+def _as_bool(key: str, v):
     if isinstance(v, bool):
         return v
     if isinstance(v, str) and v.lower() in ("true", "false"):
@@ -184,9 +184,35 @@ def _as_bool(mapping: dict, key: str):
     raise ConfigError(f"{key} must be true or false, got {v!r}")
 
 
+def _as_str(key: str, v):
+    if not isinstance(v, str):
+        raise ConfigError(f"{key} must be a string, got {v!r}")
+    return v
+
+
+# every key but tol.*: its field of RunConfig, or of _SweepSpec for the
+# sweep.* keys, and the parser of its value
+_KEYS = {
+    "theta": ("theta", _as_float),
+    "mu": ("mu", _as_float),
+    "b_field": ("b_field", _as_float),
+    "omega": ("omega", _as_float),
+    "eta": ("eta", _as_float),
+    "hbar": ("hbar", _as_float),
+    "steps": ("steps", _as_int),
+    "n_periods": ("n_periods", _as_int),
+    "sweep.eta_min": ("eta_min", _as_float),
+    "sweep.eta_max": ("eta_max", _as_float),
+    "sweep.points": ("points", _as_int),
+    "sweep.log": ("log", _as_bool),
+    "output.path": ("output_path", _as_str),
+    "output.format": ("output_format", _as_str),
+}
+
+
 def tolerance_overrides(mapping: dict) -> dict:
     """Validated {field: value} overrides from the tol.* keys of a mapping."""
-    tol_names = set(Tolerances.field_names())
+    tol_names = {f.name for f in fields(Tolerances)}
     overrides = {}
     for key, value in mapping.items():
         if not key.startswith("tol."):
@@ -195,11 +221,11 @@ def tolerance_overrides(mapping: dict) -> dict:
         if name not in tol_names:
             raise ConfigError(f"unknown tolerance {key!r}")
         if name == "max_dim":
-            value = _as_int(mapping, key)
+            value = _as_int(key, value)
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
         else:
-            value = _as_float(mapping, key)
+            value = _as_float(key, value)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
         overrides[name] = value
@@ -208,39 +234,21 @@ def tolerance_overrides(mapping: dict) -> dict:
 
 def build_config(mapping: dict, **cli_overrides) -> RunConfig:
     """RunConfig from a flat mapping, with CLI flags taking precedence."""
-    mapping = dict(mapping)
-    known = _SCALAR_KEYS | _SWEEP_KEYS | _OUTPUT_KEYS
-    for key in mapping:
-        if key not in known and not key.startswith("tol."):
+    kwargs: dict = {}
+    sweep: dict = {}
+    for key, value in mapping.items():
+        if key in _KEYS:
+            name, parse = _KEYS[key]
+            (sweep if key.startswith("sweep.") else kwargs)[name] = parse(key, value)
+        elif not key.startswith("tol."):
             raise ConfigError(f"unknown config key {key!r}")
-    if "theta" not in mapping:
+    if "theta" not in kwargs:
         raise ConfigError("config must set theta")
-
-    kwargs: dict = {"theta": _as_float(mapping, "theta")}
-    for name in ("mu", "b_field", "omega", "eta", "hbar"):
-        if name in mapping:
-            kwargs[name] = _as_float(mapping, name)
-    for name in ("steps", "n_periods"):
-        if name in mapping:
-            kwargs[name] = _as_int(mapping, name)
-
-    if any(k in mapping for k in _SWEEP_KEYS):
+    if sweep:
         missing = {"sweep.eta_min", "sweep.eta_max", "sweep.points"} - mapping.keys()
         if missing:
             raise ConfigError(f"incomplete sweep spec, missing {sorted(missing)}")
-        kwargs["sweep"] = _SweepSpec(
-            eta_min=_as_float(mapping, "sweep.eta_min"),
-            eta_max=_as_float(mapping, "sweep.eta_max"),
-            points=_as_int(mapping, "sweep.points"),
-            log=_as_bool(mapping, "sweep.log") if "sweep.log" in mapping else True,
-        )
-    if "output.path" in mapping:
-        if not isinstance(mapping["output.path"], str):
-            raise ConfigError(f"output.path must be a string, got {mapping['output.path']!r}")
-        kwargs["output_path"] = mapping["output.path"]
-    if "output.format" in mapping:
-        kwargs["output_format"] = str(mapping["output.format"])
-
+        kwargs["sweep"] = _SweepSpec(**sweep)
     kwargs["tol_overrides"] = tolerance_overrides(mapping)
 
     for name, value in cli_overrides.items():

@@ -11,6 +11,7 @@ failed row is reported through its status field and does not stop the sweep.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import io
 import json
@@ -148,8 +149,8 @@ def run_point(
 def eta_grid(eta_min: float, eta_max: float, points: int, log: bool = True) -> np.ndarray:
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    if not (0 < eta_min < eta_max):
-        raise ValueError(f"need 0 < eta_min < eta_max, got {eta_min}, {eta_max}")
+    if not (0 < eta_min < eta_max < math.inf):
+        raise ValueError(f"need 0 < eta_min < eta_max < inf, got {eta_min}, {eta_max}")
     if log:
         return np.logspace(np.log10(eta_min), np.log10(eta_max), points)
     return np.linspace(eta_min, eta_max, points)
@@ -179,8 +180,8 @@ def run_sweep(
 
     With two rows or more, on a process that may run on two CPUs or more,
     one helper thread runs rows too: the calling thread takes rows from the
-    low-eta end, which need the most steps, and the helper from the high-eta
-    end, until the two meet. So two of the largest rows never run at once,
+    low-eta end of one deque, which need the most steps, and the helper from
+    the high-eta end, until it is empty. So two of the largest rows never run at once,
     and their buffers stay in the calling thread's malloc arena. The helper
     runs in a copy of the caller's context (np.errstate holds there too).
     Each row is computed alone, so the rows are the same on one thread or
@@ -189,21 +190,15 @@ def run_sweep(
     """
     etas = sorted(float(e) for e in np.asarray(etas))
     rows: list[SweepRow | None] = [None] * len(etas)
-    lock = threading.Lock()
-    ends = [0, len(etas)]  # the next row from the low end, one past the next from the high end
+    pending = collections.deque(range(len(etas)))  # pops from either end are thread-safe
     helper_errors: list[BaseException] = []
 
-    def run_rows(from_high: bool) -> None:
+    def run_rows(take) -> None:
         while True:
-            with lock:
-                if ends[0] >= ends[1]:
-                    return
-                if from_high:
-                    ends[1] -= 1
-                    k = ends[1]
-                else:
-                    k = ends[0]
-                    ends[0] += 1
+            try:
+                k = take()
+            except IndexError:  # no row left
+                return
             try:
                 rows[k] = run_point(
                     theta,
@@ -218,13 +213,12 @@ def run_sweep(
             except (ValueError, ArithmeticError) as exc:  # numerical and domain failures stay in their row
                 rows[k] = _error_row(theta, etas[k], base_steps, exc)
             except BaseException:
-                with lock:
-                    ends[1] = ends[0]  # the other thread stops after its current row
+                pending.clear()  # the other thread stops after its current row
                 raise
 
     def run_helper() -> None:
         try:
-            run_rows(from_high=True)
+            run_rows(pending.pop)
         except BaseException as exc:  # raised in the caller, never to threading.excepthook
             helper_errors.append(exc)
 
@@ -236,7 +230,7 @@ def run_sweep(
         except RuntimeError:  # no thread to be had: the calling thread runs every row
             helper = None
     try:
-        run_rows(from_high=False)
+        run_rows(pending.popleft)
     finally:
         if helper is not None:
             helper.join()
@@ -246,20 +240,11 @@ def run_sweep(
 
 
 def _error_row(theta: float, eta: float, base_steps: int, exc: Exception) -> SweepRow:
+    """A failed row: NaN in every column but eta, theta, steps_used and status."""
     status = f"error: {exc}".replace(",", ";").replace("\n", " ")  # keep the CSV rectangular
-    return SweepRow(
-        eta=eta,
-        theta=theta,
-        alpha=math.nan,
-        geom_phase_plus=math.nan,
-        geom_phase_minus=math.nan,
-        geom_phase_exact_plus=math.nan,
-        berry_limit_plus=math.nan,
-        deviation_from_exact=math.nan,
-        endpoint_fidelity=math.nan,
-        steps_used=base_steps,
-        status=status,
-    )
+    values = dict.fromkeys(CSV_COLUMNS, math.nan)
+    values.update(eta=eta, theta=theta, steps_used=base_steps, status=status)
+    return SweepRow(**values)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

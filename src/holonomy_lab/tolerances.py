@@ -28,9 +28,5 @@ class Tolerances:
     def replace(self, **overrides) -> "Tolerances":
         return dataclasses.replace(self, **overrides)
 
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
-
 
 DEFAULT = Tolerances()

@@ -1,18 +1,22 @@
+import errno
 import hashlib
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holonomy_lab import cli, evolution, spin_model, sweep, verify
+from holonomy_lab import cli, config, evolution, spin_model, sweep, verify
 from holonomy_lab.config import _parse_config_text, build_config
 from holonomy_lab.errors import ConfigError
 from holonomy_lab.phases import circular_distance
@@ -872,3 +876,106 @@ def test_cli_verify_tolerance_override_forces_failure(tmp_path):
     )
     assert res.returncode == 1
     assert "FAIL" in res.stdout
+
+
+# --- config text, grid bounds and output the OS refuses ------------------------
+
+
+def test_readme_config_block_builds_and_names_every_key():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Config files are .*?```\n(.*?)```", readme, flags=re.S)[1]
+    build_config(_parse_config_text(block))
+    # a key may appear in a comment, as omega does beside eta
+    named = set(re.findall(r"([\w.]+) = ", block))
+    assert set(config._KEYS) <= named
+    assert any(key.startswith("tol.") for key in named)
+
+
+@pytest.mark.parametrize(
+    "line, key, value",
+    [
+        ('output.path = "out#1.csv"', "output.path", "out#1.csv"),
+        ("theta = 1.0  # comment", "theta", 1.0),
+        ("output.path = sweep.csv  # a string; --out takes precedence", "output.path", "sweep.csv"),
+        (r'output.path = "a\"#b"  # c', "output.path", 'a"#b'),
+    ],
+)
+def test_hash_starts_a_comment_only_outside_a_json_string(line, key, value):
+    assert _parse_config_text(line + "\n") == {key: value}
+
+
+def test_quoted_output_path_with_a_hash_is_written_whole(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EVOLVE_CONFIG + f'output.path = "{tmp_path / "out#1.csv"}"\n', encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(cfg), "--quiet"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out#1.csv", "run.cfg"]
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, monkeypatch, capsys):
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(EVOLVE_CONFIG.encode() + b"\xff\n")
+    assert cli.main(["evolve", "--config", str(cfg), "--quiet"]) == 2
+    assert f"config error: cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_cli_reads_and_writes_utf8_without_the_locale_encoding(tmp_path):
+    # the second flag turns every read or write that falls back on the
+    # locale's encoding into an error
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    for command, config_text in (("evolve", EVOLVE_CONFIG), ("sweep", SWEEP_CONFIG)):
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("# θ = π/3\n" + config_text, encoding="utf-8")
+        out = tmp_path / f"{command}.out"
+        res = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "holonomy_lab.cli", command, "--config", str(cfg), "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert out.read_text(encoding="utf-8").startswith(CSV_BANNER)
+
+
+def test_sweep_points_past_the_bound_is_config_error(tmp_path, monkeypatch, capsys):
+    spec = {"theta": 1.0, "sweep.eta_min": 1e-3, "sweep.eta_max": 1e3}
+    assert build_config({**spec, "sweep.points": 100_000}).sweep.points == 100_000
+    with pytest.raises(ConfigError, match=r"sweep.points must lie in \[2, 100000\], got 100001"):
+        build_config({**spec, "sweep.points": 100_001})
+    refuse_to_run(monkeypatch)
+    monkeypatch.setattr(sweep, "eta_grid", lambda *args, **kwargs: pytest.fail("the grid was built"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 1.0\nsweep.eta_min = 1e-3\nsweep.eta_max = 1e3\nsweep.points = 1000000000000\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+    assert "config error: sweep.points must lie in [2, 100000]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log", [True, False])
+def test_eta_grid_refuses_an_infinite_bound(log):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="< inf"):
+            eta_grid(1e-3, math.inf, 4, log=log)
+
+
+def test_output_name_the_os_refuses_is_usage_error_before_the_run(tmp_path, monkeypatch, capsys):
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EVOLVE_CONFIG)
+    out = tmp_path / ("x" * 300)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}")
+    assert str(out) in err
+
+
+def test_output_write_the_os_refuses_is_usage_error(tmp_path, monkeypatch, capsys):
+    def disk_full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out}'\n"
