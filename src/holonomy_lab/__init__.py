@@ -20,6 +20,7 @@ from .frames import (
     MovingFrame,
     connection,
     eff_hamiltonian_matrix,
+    finite_difference_frame,
     gauge_transform,
     holonomy,
     parallel_transport_fix,
@@ -57,6 +58,7 @@ __all__ = [
     "MovingFrame",
     "connection",
     "eff_hamiltonian_matrix",
+    "finite_difference_frame",
     "gauge_transform",
     "holonomy",
     "parallel_transport_fix",

@@ -99,7 +99,9 @@ class RunConfig:
         if self.eta is not None:
             return self.eta
         if self.omega is not None:
-            return self.omega / (2.0 * self.mu * self.b_field)
+            scale = 2.0 * self.mu * self.b_field
+            # a scale that underflows to 0 makes eta infinite, which __post_init__ refuses
+            return self.omega / scale if scale else math.inf
         raise ConfigError("give exactly one of omega or eta")
 
     def tolerances(self) -> Tolerances:
@@ -124,14 +126,13 @@ def _parse_config_text(text: str) -> dict:
     """Flat {dotted key: value} mapping from key = value lines or one JSON document."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("JSON config must be an object")
         flat: dict = {}
-        _flatten(doc, flat)
+        # ValueError covers an integer past int's digit limit as well, and
+        # RecursionError a document nested too deep to decode or flatten
+        try:
+            _flatten(json.loads(text), flat)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"invalid JSON config: {exc}") from exc
         return flat
     mapping: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -143,7 +144,9 @@ def _parse_config_text(text: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         try:
             mapping[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            if '"' in raw:
+                raise ConfigError(f"line {lineno}: a value with a '\"' must parse as JSON, got {raw!r}") from None
             mapping[key] = raw
     return mapping
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "MovingFrame",
     "GaugeFunction",
+    "finite_difference_frame",
     "gauge_transform",
     "connection",
     "parallel_transport_fix",
@@ -43,30 +44,32 @@ __all__ = [
 ]
 
 
+def _shaped(vectors, shape: tuple) -> np.ndarray:
+    """The callback's complex array itself when it already has `shape`;
+    anything else (a constant, a (dim,) vector at array t) converted and
+    broadcast to it."""
+    if type(vectors) is np.ndarray and vectors.dtype == complex and vectors.shape == shape:
+        return vectors
+    return np.broadcast_to(np.asarray(vectors, dtype=complex), shape)
+
+
 @dataclass(frozen=True)
 class MovingFrame:
     """Time-parametrized orthonormal set of `count` vectors in dimension `dim`.
 
-    Vectors are sampled lazily through `value_fn(n, t)`; no grid is baked in,
-    so one frame serves many grids. Callbacks take a frame index n and a
-    scalar or 1-d array of times t, and return an array that broadcasts to
-    shape(t) + (dim,). If `derivative_fn` is None, derivatives fall back to a
-    symmetric finite difference with step `fd_step` (default 1e-6 times the
-    period, or 1e-6 for an aperiodic frame). `period` is the frame's period
-    T, or None for aperiodic frames. `period` and `fd_step` must each be None
-    or positive and finite (ValueError otherwise).
+    Vectors are sampled lazily through `fn(n, t)`, which takes a frame index
+    n and a scalar or 1-d array of times t and returns the pair
+    (v_n, d/dt v_n), each broadcasting to shape(t) + (dim,); no grid is baked
+    in, so one frame serves many grids. `period` is the frame's period T, or
+    None for aperiodic frames; it must be None or positive and finite
+    (ValueError otherwise). For a frame known by its values alone, see
+    finite_difference_frame.
     """
 
     dim: int
     count: int
-    value_fn: Callable[[int, np.ndarray], np.ndarray]
-    derivative_fn: Callable[[int, np.ndarray], np.ndarray] | None = None
+    fn: Callable[[int, np.ndarray], tuple]
     period: float | None = None
-    fd_step: float | None = None
-    # joint (v_n, d/dt v_n) callback of the frames this package builds; set
-    # by _joint_frame, and not copied by dataclasses.replace
-    _joint_fn: Callable[[int, np.ndarray], tuple] | None = field(
-        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.count <= self.dim):
@@ -74,56 +77,24 @@ class MovingFrame:
                 f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}"
             )
         _require_positive_or_none("period", self.period)
-        _require_positive_or_none("fd_step", self.fd_step)
 
-    def _times(self, n: int, t) -> np.ndarray:
+    def value_and_derivative(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
+        """(v_n, d/dt v_n) at scalar or array t, each of shape shape(t) + (dim,),
+        from one call of fn."""
         if not (0 <= n < self.count):
             raise IndexError(f"frame index {n} out of range [0, {self.count})")
-        return np.asarray(t, dtype=float)
-
-    def _shaped(self, vectors, t: np.ndarray) -> np.ndarray:
-        """The callback's complex array itself when it already has shape
-        shape(t) + (dim,); anything else (a constant, a (dim,) vector at array
-        t) converted and broadcast to that shape."""
+        t = np.asarray(t, dtype=float)
         shape = t.shape + (self.dim,)
-        if type(vectors) is np.ndarray and vectors.dtype == complex and vectors.shape == shape:
-            return vectors
-        return np.broadcast_to(np.asarray(vectors, dtype=complex), shape)
+        vec, deriv = self.fn(n, t)
+        return _shaped(vec, shape), _shaped(deriv, shape)
 
     def value(self, n: int, t) -> np.ndarray:
         """v_n at scalar or array t, shape shape(t) + (dim,)."""
-        t = self._times(n, t)
-        return self._shaped(self.value_fn(n, t), t)
+        return self.value_and_derivative(n, t)[0]
 
     def derivative(self, n: int, t) -> np.ndarray:
-        """d/dt v_n at t: analytic callback when present, else symmetric difference."""
-        if self.derivative_fn is not None:
-            t = self._times(n, t)
-            return self._shaped(self.derivative_fn(n, t), t)
-        h = self.fd_step if self.fd_step is not None else 1e-6 * (self.period or 1.0)
-        t = np.asarray(t, dtype=float)
-        return (self.value(n, t + h) - self.value(n, t - h)) / (2.0 * h)
-
-    def value_and_derivative(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
-        """(value(n, t), derivative(n, t)), bit for bit. The frames this
-        package builds (gauge_transform, parallel_transport_fix, the spin
-        model) make one call of their joint callback here, as value and
-        derivative each do; a frame built by the constructor calls value,
-        then derivative."""
-        if self._joint_fn is None:
-            return self.value(n, t), self.derivative(n, t)
-        t = self._times(n, t)
-        vec, deriv = self._joint_fn(n, t)
-        return self._shaped(vec, t), self._shaped(deriv, t)
-
-
-def _joint_frame(joint_fn, **fields) -> MovingFrame:
-    """A MovingFrame whose value, derivative and joint path all come from one
-    callback, joint_fn(n, t) -> (v_n, d/dt v_n)."""
-    frame = MovingFrame(value_fn=lambda n, t: joint_fn(n, t)[0],
-                        derivative_fn=lambda n, t: joint_fn(n, t)[1], **fields)
-    object.__setattr__(frame, "_joint_fn", joint_fn)
-    return frame
+        """d/dt v_n at scalar or array t, shape shape(t) + (dim,)."""
+        return self.value_and_derivative(n, t)[1]
 
 
 def _require_positive_or_none(name: str, value) -> None:
@@ -131,43 +102,32 @@ def _require_positive_or_none(name: str, value) -> None:
         raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
 
 
+def finite_difference_frame(dim: int, count: int, value_fn: Callable[[int, np.ndarray], np.ndarray],
+                            period: float | None = None, fd_step: float | None = None) -> MovingFrame:
+    """MovingFrame from its values alone: value_fn(n, t) returns v_n, and the
+    derivative is the symmetric difference (v_n(t + h) - v_n(t - h)) / (2 h)
+    with h = fd_step (default 1e-6 times the period, or 1e-6 for an aperiodic
+    frame). Each evaluation calls value_fn three times. `period` and
+    `fd_step` must each be None or positive and finite (ValueError otherwise).
+    """
+    _require_positive_or_none("fd_step", fd_step)
+    h = fd_step if fd_step is not None else 1e-6 * (period or 1.0)
+
+    def fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vec = value_fn(n, t)
+        shape = t.shape + (dim,)
+        return vec, (_shaped(value_fn(n, t + h), shape) - _shaped(value_fn(n, t - h), shape)) / (2.0 * h)
+
+    return MovingFrame(dim, count, fn, period)
+
+
 @dataclass(frozen=True)
 class GaugeFunction:
-    """Smooth per-index phase angles alpha(n, t) and their time derivative dalpha(n, t).
+    """Smooth per-index phase angles and their rate: fn(n, t) returns the pair
+    (alpha_n(t), d/dt alpha_n(t)) for a scalar or 1-d array t, each
+    broadcasting to shape(t)."""
 
-    Both callbacks take a scalar or 1-d array t and return values that
-    broadcast to shape(t).
-    """
-
-    alpha: Callable[[int, np.ndarray], np.ndarray]
-    dalpha: Callable[[int, np.ndarray], np.ndarray]
-    # joint (alpha, dalpha) callback of the gauges this module builds; set by
-    # _joint_gauge, and not copied by dataclasses.replace
-    _joint: Callable[[int, np.ndarray], tuple] | None = field(
-        default=None, init=False, compare=False, repr=False)
-
-    def alpha_and_dalpha(self, n: int, t) -> tuple:
-        """(alpha(n, t), dalpha(n, t)), bit for bit; the gauges built by this
-        module evaluate both in one pass."""
-        if self._joint is None:
-            return self.alpha(n, t), self.dalpha(n, t)
-        return self._joint(n, t)
-
-
-def _joint_gauge(joint) -> GaugeFunction:
-    """A GaugeFunction whose angle, rate and joint path all come from one
-    callback, joint(n, t) -> (alpha, dalpha)."""
-    gauge = GaugeFunction(alpha=lambda n, t: joint(n, t)[0], dalpha=lambda n, t: joint(n, t)[1])
-    object.__setattr__(gauge, "_joint", joint)
-    return gauge
-
-
-def _constant_gauge(c: float) -> GaugeFunction:
-    return GaugeFunction(alpha=lambda n, t: c, dalpha=lambda n, t: 0.0)
-
-
-def _linear_gauge(rate: float) -> GaugeFunction:
-    return GaugeFunction(alpha=lambda n, t: rate * t, dalpha=lambda n, t: rate)
+    fn: Callable[[int, np.ndarray], tuple]
 
 
 def _sum_modes(terms: np.ndarray) -> np.ndarray:
@@ -189,35 +149,32 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     w = 2.0 * np.pi / period
     kw = np.arange(1, a.size + 1) * w
 
-    def joint(n: int, t) -> tuple[np.ndarray, np.ndarray]:
+    def fn(n: int, t) -> tuple[np.ndarray, np.ndarray]:
         kwt = np.multiply.outer(t, kw)
         cos_kwt, sin_kwt = np.cos(kwt), np.sin(kwt)
         angle = a0 + winding * w * t + _sum_modes(a * cos_kwt + b * sin_kwt)
         rate = winding * w + _sum_modes(kw * (-a * sin_kwt + b * cos_kwt))
         return angle, rate
 
-    return _joint_gauge(joint)
+    return GaugeFunction(fn)
 
 
 def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
     """Frame with v_n replaced by e^{i alpha_n(t)} v_n; orthonormality is preserved exactly.
 
     The derivative is the product rule e^{i alpha_n} (i d(alpha_n)/dt v_n + d/dt v_n),
-    with d/dt v_n from the original frame (analytic or finite difference). The
-    value and the derivative are evaluated together, whichever of them is
-    asked for: one angle and rate, one phase and one joint evaluation of the
-    original frame per call.
+    with d/dt v_n from the original frame. Each call evaluates one angle and
+    rate, one phase and the original frame once.
     """
 
-    def joint_fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        alpha, rate = gauge.alpha_and_dalpha(n, t)
+    def fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        alpha, rate = gauge.fn(n, t)
         phase = np.exp(1j * np.asarray(alpha))[..., None]
         vec, deriv = frame.value_and_derivative(n, t)
         with np.errstate(invalid="ignore"):  # a non-finite frame is named by connection
             return phase * vec, phase * (1j * np.asarray(rate)[..., None] * vec + deriv)
 
-    return _joint_frame(joint_fn, dim=frame.dim, count=frame.count, period=frame.period,
-                        fd_step=frame.fd_step)
+    return MovingFrame(frame.dim, frame.count, fn, frame.period)
 
 
 def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
@@ -278,14 +235,14 @@ def parallel_transport_fix(
     dt = ts[1] - ts[0]
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * dt)])
 
-    def joint(m: int, t: np.ndarray):
+    def fn(m: int, t: np.ndarray):
         if m != n:
             return 0.0, 0.0
         rate = connection(frame, n, t, tol=tol)
         k = np.clip(np.floor(t / dt), 0, steps - 1).astype(int)
         return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + rate), rate
 
-    return gauge_transform(frame, _joint_gauge(joint))
+    return gauge_transform(frame, GaugeFunction(fn))
 
 
 def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
@@ -311,7 +268,8 @@ def holonomy(frame: MovingFrame, n: int, steps: int = 4096, tol: Tolerances = DE
     checked as in adiabatic_berry_phase.
     """
     integral = adiabatic_berry_phase(frame, n, steps=steps, tol=tol)
-    return inner(frame.value(n, 0.0), frame.value(n, frame.period)) * np.exp(1j * integral)
+    ends = frame.value(n, np.array([0.0, frame.period]))
+    return inner(ends[0], ends[1]) * np.exp(1j * integral)
 
 
 def eff_hamiltonian_matrix(

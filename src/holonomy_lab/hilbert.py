@@ -73,15 +73,6 @@ def _check_normalized(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
     return psi
 
 
-def _hermiticity_defect(m) -> float:
-    """max|M - M^H|, zero for exactly Hermitian input, by the propagation
-    screen's formula (see _hermiticity_defects)."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"operator must be square, got shape {a.shape}")
-    return float(_hermiticity_defects(a[None])[0][0])
-
-
 def unitarity_defect(u) -> float:
     """max|U^H U - I|."""
     a = np.asarray(u, dtype=complex)

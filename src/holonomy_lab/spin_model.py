@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .evolution import HamiltonianSchedule, TimeGrid, Trajectory
-from .frames import MovingFrame, _joint_frame
+from .frames import MovingFrame
 
 __all__ = [
     "ModelParams",
@@ -40,10 +40,6 @@ __all__ = [
     "midpoint_phase_error_estimate",
     "steps_for_phase_tolerance",
 ]
-
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -166,24 +162,16 @@ def _basis_value_and_derivative(theta: float, alpha: float, omega: float, branch
     return vec, deriv
 
 
-def _frame(params: ModelParams, alpha: float) -> MovingFrame:
-    branches = (+1, -1)
-
-    def joint_fn(n, t):
-        return _basis_value_and_derivative(params.theta, alpha, params.omega, branches[n], t)
-
-    return _joint_frame(joint_fn, dim=2, count=2, period=params.period)
-
-
 def tilted_frame(params: ModelParams) -> MovingFrame:
     """Periodic frame (index 0: branch +, index 1: branch -) that diagonalizes
     the moving-frame effective Hamiltonian; analytic derivative supplied."""
-    return _frame(params, tilt_angle(params).alpha)
+    alpha = tilt_angle(params).alpha
+    branches = (+1, -1)
 
+    def fn(n, t):
+        return _basis_value_and_derivative(params.theta, alpha, params.omega, branches[n], t)
 
-def _eigenframe(params: ModelParams) -> MovingFrame:
-    """Instantaneous eigenframe of H(t) (the tilted frame with alpha = 0)."""
-    return _frame(params, 0.0)
+    return MovingFrame(2, 2, fn, params.period)
 
 
 def _energy_expectation(params: ModelParams, branch: int) -> float:

@@ -311,15 +311,13 @@ def check_gauge_covariance(tol: Tolerances = DEFAULT, quick: bool = False, seed:
     sched = spin_model.schedule(params)
     w = 2 * np.pi / params.period
     gauge = GaugeFunction(
-        alpha=lambda n, t: (0.3 + 0.7 * np.sin(w * t)) if n == 0 else 0.0,
-        dalpha=lambda n, t: (0.7 * w * np.cos(w * t)) if n == 0 else 0.0,
-    )
+        lambda n, t: (0.3 + 0.7 * np.sin(w * t), 0.7 * w * np.cos(w * t)) if n == 0 else (0.0, 0.0))
     transformed = gauge_transform(frame, gauge)
     worst = 0.0
     for t in np.linspace(0.0, params.period, 9):
         m0 = eff_hamiltonian_matrix(frame, sched, t, hbar=params.hbar, tol=tol)
         m1 = eff_hamiltonian_matrix(transformed, sched, t, hbar=params.hbar, tol=tol)
-        shift = (m1[0, 0] - m0[0, 0]).real - params.hbar * gauge.dalpha(0, t)
+        shift = (m1[0, 0] - m0[0, 0]).real - params.hbar * gauge.fn(0, t)[1]
         worst = max(worst, abs(shift), abs(abs(m1[0, 1]) - abs(m0[0, 1])))
     return CheckResult("heff_gauge_covariance", worst <= 1e-10, worst, 1e-10,
                        "diagonal shift vs hbar d(alpha)/dt")
@@ -359,18 +357,14 @@ EXTRAS = (
 )
 
 
-def _run(checks, tol: Tolerances, quick: bool, seed: int) -> list[CheckResult]:
+def run_suite(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> list[CheckResult]:
     results = []
-    for fn in checks:
+    for fn in ACCEPTANCE + EXTRAS:
         try:
             results.append(fn(tol, quick, seed))
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check, not a crash of the suite
             results.append(CheckResult(fn.__name__, False, math.nan, math.nan, f"raised {exc!r}"))
     return results
-
-
-def run_suite(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> list[CheckResult]:
-    return _run(ACCEPTANCE + EXTRAS, tol, quick, seed)
 
 
 def render_report(results: list[CheckResult]) -> str:

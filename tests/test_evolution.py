@@ -19,10 +19,11 @@ from holonomy_lab.evolution import (
     fidelity,
     propagate,
 )
-from holonomy_lab.frames import _linear_gauge, gauge_transform
+from holonomy_lab.frames import GaugeFunction, MovingFrame, gauge_transform
 from holonomy_lab.phases import dynamical_phase
-from holonomy_lab.spin_model import _SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
+
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def static_schedule(h):
@@ -179,13 +180,11 @@ def test_fidelity_grid_mismatch():
 
 
 def test_expand_in_canonical_basis_returns_raw_amplitudes():
-    from holonomy_lab.frames import MovingFrame
-
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
     grid = TimeGrid(t_end=params.period, steps=64)
     traj = propagate(spin_model.schedule(params), spin_model.exact_solution(params, +1, 0.0), grid)
     vecs = np.eye(2, dtype=complex)
-    canonical = MovingFrame(dim=2, count=2, value_fn=lambda n, t: vecs[n], period=params.period)
+    canonical = MovingFrame(dim=2, count=2, fn=lambda n, t: (vecs[n], 0.0), period=params.period)
     coeffs = expand_in_frame(traj, canonical)
     assert np.allclose(coeffs, traj.states, atol=1e-15)
 
@@ -207,7 +206,7 @@ def test_gauged_frame_rotates_coefficients():
     traj = spin_model.exact_trajectory(params, +1, grid)
     frame = spin_model.tilted_frame(params)
     rate = 0.77
-    gauged = gauge_transform(frame, _linear_gauge(rate))
+    gauged = gauge_transform(frame, GaugeFunction(lambda n, t: (rate * t, rate)))
     base = expand_in_frame(traj, frame)
     rotated = expand_in_frame(traj, gauged)
     expected = base * np.exp(-1j * rate * grid.nodes())[:, None]
@@ -215,12 +214,10 @@ def test_gauged_frame_rotates_coefficients():
 
 
 def test_expand_dimension_mismatch():
-    from holonomy_lab.frames import MovingFrame
-
     grid = TimeGrid(t_end=1.0, steps=4)
     traj = Trajectory(grid=grid, states=np.tile([1.0 + 0j, 0.0], (5, 1)))
     vecs = np.eye(3, dtype=complex)
-    frame = MovingFrame(dim=3, count=3, value_fn=lambda n, t: vecs[n])
+    frame = MovingFrame(dim=3, count=3, fn=lambda n, t: (vecs[n], 0.0))
     with pytest.raises(DimensionMismatchError):
         expand_in_frame(traj, frame)
 

@@ -11,14 +11,11 @@ from holonomy_lab.evolution import HamiltonianSchedule
 from holonomy_lab.frames import (
     GaugeFunction,
     MovingFrame,
-    _constant_gauge,
-    _joint_frame,
-    _joint_gauge,
-    _linear_gauge,
     _sum_modes,
     adiabatic_berry_phase,
     connection,
     eff_hamiltonian_matrix,
+    finite_difference_frame,
     gauge_transform,
     holonomy,
     orthonormality_defect,
@@ -31,21 +28,28 @@ PARAMS = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
 DELTA = PARAMS.theta - spin_model.tilt_angle(PARAMS).alpha
 
 
+def constant_gauge(c):
+    return GaugeFunction(lambda n, t: (c, 0.0))
+
+
+def linear_gauge(rate):
+    return GaugeFunction(lambda n, t: (rate * t, rate))
+
+
 def phase_winding_frame(rate, period=None):
     """Single fixed direction with winding phase: v(t) = e^{-i rate t} e_0."""
     u = np.array([1.0, 0.0], dtype=complex)
     return MovingFrame(
         dim=2,
         count=1,
-        value_fn=lambda n, t: np.exp(-1j * rate * t)[..., None] * u,
-        derivative_fn=lambda n, t: -1j * rate * np.exp(-1j * rate * t)[..., None] * u,
+        fn=lambda n, t: (np.exp(-1j * rate * t)[..., None] * u, -1j * rate * np.exp(-1j * rate * t)[..., None] * u),
         period=period,
     )
 
 
 def constant_frame():
     vecs = np.eye(3, dtype=complex)
-    return MovingFrame(dim=3, count=3, value_fn=lambda n, t: vecs[n], period=1.0)
+    return MovingFrame(dim=3, count=3, fn=lambda n, t: (vecs[n], 0.0), period=1.0)
 
 
 def test_model_frame_orthonormal():
@@ -84,9 +88,7 @@ def test_connection_of_model_frame_matches_closed_form():
     for t in (0.0, 0.2, 1.1):
         assert connection(frame, 0, t) == pytest.approx(expected, rel=1e-12)
     # cross-check against a finite-difference frame with no analytic callback
-    fd_frame = MovingFrame(
-        dim=2, count=2, value_fn=frame.value_fn, period=frame.period, fd_step=1e-5
-    )
+    fd_frame = finite_difference_frame(2, 2, frame.value, period=frame.period, fd_step=1e-5)
     assert connection(fd_frame, 0, 0.7) == pytest.approx(expected, rel=1e-8)
 
 
@@ -94,8 +96,7 @@ def test_connection_rejects_norm_drift():
     frame = MovingFrame(
         dim=2,
         count=1,
-        value_fn=lambda n, t: (1.0 + t) * np.array([1.0, 0.0], dtype=complex),
-        derivative_fn=lambda n, t: np.array([1.0, 0.0], dtype=complex),
+        fn=lambda n, t: ((1.0 + t) * np.array([1.0, 0.0], dtype=complex), np.array([1.0, 0.0], dtype=complex)),
         period=1.0,
     )
     with pytest.raises(NormalizationDriftError):
@@ -104,7 +105,7 @@ def test_connection_rejects_norm_drift():
 
 def test_identity_gauge_leaves_frame_unchanged():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, _constant_gauge(0.0))
+    gauged = gauge_transform(frame, constant_gauge(0.0))
     t = 0.3
     assert np.allclose(gauged.value(0, t), frame.value(0, t), atol=1e-15)
     assert np.allclose(gauged.derivative(0, t), frame.derivative(0, t), atol=1e-15)
@@ -112,19 +113,19 @@ def test_identity_gauge_leaves_frame_unchanged():
 
 def test_constant_gauge_preserves_holonomy():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, _constant_gauge(0.83))
+    gauged = gauge_transform(frame, constant_gauge(0.83))
     assert holonomy(gauged, 0, steps=512) == pytest.approx(holonomy(frame, 0, steps=512), abs=1e-12)
 
 
 def test_linear_gauge_shifts_connection_by_rate():
     frame = spin_model.tilted_frame(PARAMS)
-    gauged = gauge_transform(frame, _linear_gauge(PARAMS.omega))
+    gauged = gauge_transform(frame, linear_gauge(PARAMS.omega))
     for t in (0.0, 0.4, 1.3):
         shift = connection(gauged, 0, t) - connection(frame, 0, t)
         assert shift == pytest.approx(-PARAMS.omega, rel=1e-12)
     # numerical cross-check: same shift from pure finite differences
-    fd_frame = MovingFrame(dim=2, count=2, value_fn=frame.value_fn, period=frame.period, fd_step=1e-5)
-    fd_gauged = gauge_transform(fd_frame, _linear_gauge(PARAMS.omega))
+    fd_frame = finite_difference_frame(2, 2, frame.value, period=frame.period, fd_step=1e-5)
+    fd_gauged = gauge_transform(fd_frame, linear_gauge(PARAMS.omega))
     shift = connection(fd_gauged, 0, 0.4) - connection(fd_frame, 0, 0.4)
     assert shift == pytest.approx(-PARAMS.omega, rel=1e-8)
 
@@ -179,11 +180,11 @@ def counting_frame(period):
     frame = phase_winding_frame(1.0, period=period)
     calls = []
 
-    def value_fn(n, t):
+    def fn(n, t):
         calls.append(t)
-        return frame.value_fn(n, t)
+        return frame.fn(n, t)
 
-    return MovingFrame(dim=2, count=1, value_fn=value_fn, derivative_fn=frame.derivative_fn, period=period), calls
+    return MovingFrame(dim=2, count=1, fn=fn, period=period), calls
 
 
 @pytest.mark.parametrize(
@@ -220,9 +221,9 @@ def test_holonomy_of_model_frame():
 
 
 def test_holonomy_without_analytic_derivative():
-    # finite-difference fallback (default fd_step) reproduces the closed form
+    # finite differences (default fd_step) reproduce the closed form
     frame = spin_model.tilted_frame(PARAMS)
-    fd_frame = MovingFrame(dim=2, count=2, value_fn=frame.value_fn, period=frame.period)
+    fd_frame = finite_difference_frame(2, 2, frame.value, period=frame.period)
     expected = np.exp(1j * np.pi * (1 + np.cos(DELTA)))
     assert holonomy(fd_frame, 0, steps=1024) == pytest.approx(expected, abs=1e-5)
 
@@ -242,7 +243,7 @@ def test_holonomy_requires_period():
 
 def test_heff_identity_frame_returns_raw_hamiltonian():
     vecs = np.eye(2, dtype=complex)
-    identity = MovingFrame(dim=2, count=2, value_fn=lambda n, t: vecs[n], period=1.0)
+    identity = MovingFrame(dim=2, count=2, fn=lambda n, t: (vecs[n], 0.0), period=1.0)
     sched = spin_model.schedule(PARAMS)
     t = 0.42
     m = eff_hamiltonian_matrix(identity, sched, t)
@@ -253,7 +254,7 @@ def test_heff_static_eigenbasis_is_diagonal(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = (a + a.conj().T) / 2
     evals, evecs = np.linalg.eigh(h)
-    frame = MovingFrame(dim=4, count=4, value_fn=lambda n, t: evecs[:, n], period=1.0)
+    frame = MovingFrame(dim=4, count=4, fn=lambda n, t: (evecs[:, n], 0.0), period=1.0)
     m = eff_hamiltonian_matrix(frame, lambda t: h, 0.0)
     assert np.allclose(m, np.diag(evals), atol=1e-10)
 
@@ -302,8 +303,7 @@ def test_heff_refuses_a_time_that_is_not_a_real_finite_scalar(kind, t):
         "schedule": HamiltonianSchedule(evaluate=counted(calls, "H", lambda t: h), dim=2),
     }[kind]
     tilted = spin_model.tilted_frame(PARAMS)
-    frame = MovingFrame(dim=2, count=2, value_fn=counted(calls, "value", tilted.value),
-                        derivative_fn=counted(calls, "derivative", tilted.derivative), period=PARAMS.period)
+    frame = MovingFrame(dim=2, count=2, fn=counted(calls, "frame", tilted.fn), period=PARAMS.period)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^t must be a real finite scalar, got "):
@@ -317,16 +317,13 @@ def test_heff_gauge_covariance():
     frame = spin_model.tilted_frame(PARAMS)
     sched = spin_model.schedule(PARAMS)
     w = 2 * np.pi / PARAMS.period
-    gauge = GaugeFunction(
-        alpha=lambda n, t: 0.4 * np.sin(w * t) if n == 0 else -0.2 * t,
-        dalpha=lambda n, t: 0.4 * w * np.cos(w * t) if n == 0 else -0.2,
-    )
+    gauge = GaugeFunction(lambda n, t: (0.4 * np.sin(w * t), 0.4 * w * np.cos(w * t)) if n == 0 else (-0.2 * t, -0.2))
     gauged = gauge_transform(frame, gauge)
     for t in (0.1, 0.9, 2.7):
         m0 = eff_hamiltonian_matrix(frame, sched, t)
         m1 = eff_hamiltonian_matrix(gauged, sched, t)
         for n in range(2):
-            assert (m1[n, n] - m0[n, n]).real == pytest.approx(gauge.dalpha(n, t), abs=1e-12)
+            assert (m1[n, n] - m0[n, n]).real == pytest.approx(gauge.fn(n, t)[1], abs=1e-12)
         assert abs(m1[0, 1]) == pytest.approx(abs(m0[0, 1]), abs=1e-10)
 
 
@@ -335,7 +332,7 @@ def test_random_gauge_is_periodic_mod_two_pi(rng):
     for _ in range(8):
         gauge = random_periodic_gauge(period, rng)
         for n in range(2):
-            jump = gauge.alpha(n, period) - gauge.alpha(n, 0.0)
+            jump = gauge.fn(n, period)[0] - gauge.fn(n, 0.0)[0]
             assert abs(jump - 2.0 * np.pi * round(jump / (2.0 * np.pi))) <= 1e-12
 
 
@@ -343,8 +340,12 @@ def test_random_gauge_is_periodic_mod_two_pi(rng):
                                           ("fd_step", np.inf), ("period", -1.0), ("period", 0.0),
                                           ("period", np.nan), ("period", np.inf)])
 def test_frame_refuses_bad_fd_step_or_period(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be None or positive and finite"):
-        MovingFrame(dim=2, count=1, value_fn=lambda n, t: np.array([1.0, 0.0]), **{field: value})
+    match = f"{field} must be None or positive and finite"
+    with pytest.raises(ValueError, match=match):
+        finite_difference_frame(2, 1, lambda n, t: np.array([1.0, 0.0]), **{field: value})
+    if field == "period":
+        with pytest.raises(ValueError, match=match):
+            MovingFrame(dim=2, count=1, fn=lambda n, t: (np.array([1.0, 0.0]), 0.0), period=value)
 
 
 @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
@@ -363,8 +364,8 @@ def frame_bad_after_one(bad, where):
             return out
         return fn
 
-    return MovingFrame(dim=2, count=1, value_fn=fill(1.0, where == "value"),
-                       derivative_fn=fill(0.0, where == "derivative"), period=4.0)
+    value, derivative = fill(1.0, where == "value"), fill(0.0, where == "derivative")
+    return MovingFrame(dim=2, count=1, fn=lambda n, t: (value(n, t), derivative(n, t)), period=4.0)
 
 
 @pytest.mark.parametrize("where", ["value", "derivative"])
@@ -403,7 +404,7 @@ def test_gauged_non_finite_frame_is_named_without_a_warning(rng, bad, where):
 
 def fd_tilted_frame():
     frame = spin_model.tilted_frame(PARAMS)
-    return MovingFrame(dim=2, count=2, value_fn=frame.value_fn, period=frame.period)
+    return finite_difference_frame(2, 2, frame.value, period=frame.period)
 
 
 def test_gauged_fd_frame_holonomy_matches_closed_form(rng):
@@ -418,6 +419,42 @@ def test_gauged_fd_frame_holonomy_matches_closed_form(rng):
         assert circular_distance(adiabatic_berry_phase(gauged, 0, steps=2048), exact) <= 1e-9
 
 
+@pytest.mark.parametrize("period, fd_step", [(PARAMS.period, None), (None, None), (PARAMS.period, 1e-5)],
+                         ids=["default-step", "aperiodic", "given-step"])
+def test_finite_difference_frame_keeps_the_symmetric_difference_bits(period, fd_step):
+    # the symmetric difference as MovingFrame.derivative formed it without a
+    # derivative callback: both samples shaped as value shapes them, then
+    # subtracted and divided by 2h
+    tilted = spin_model.tilted_frame(PARAMS)
+
+    def value_fn(n, t):  # a real list at scalar t, as a user's callback may give
+        vec = tilted.value(n, t)
+        return vec.real.tolist() if vec.ndim == 1 else vec
+
+    frame = finite_difference_frame(2, 2, value_fn, period=period, fd_step=fd_step)
+    h = fd_step if fd_step is not None else 1e-6 * (period or 1.0)
+    for t in (np.asarray(0.41), np.linspace(-0.2, 1.3 * PARAMS.period, 29)):
+        for n in range(2):
+            def shaped(s):
+                return np.broadcast_to(np.asarray(value_fn(n, s), dtype=complex), t.shape + (2,))
+
+            want = (shaped(t + h) - shaped(t - h)) / (2.0 * h)
+            value, derivative = frame.value_and_derivative(n, t)
+            assert bits(derivative) == bits(want) and bits(frame.derivative(n, t)) == bits(want)
+            assert bits(value) == bits(shaped(t)) and bits(frame.value(n, t)) == bits(shaped(t))
+
+
+def test_holonomy_of_a_gauged_fd_frame_samples_its_base_six_times(rng):
+    # three value_fn calls (the value and two difference samples) for the
+    # connection on the quadrature grid, and three for both endpoints at once
+    calls = []
+    base = spin_model.tilted_frame(PARAMS)
+    fd_frame = finite_difference_frame(2, 2, counted(calls, "value", base.value), period=PARAMS.period)
+    gauged = gauge_transform(fd_frame, random_periodic_gauge(PARAMS.period, rng))
+    holonomy(gauged, 0, steps=64)
+    assert calls == ["value"] * 6
+
+
 def unitary_flow_frame(rng, dim, period=1.0):
     """Columns of V(t) = exp(-i K t) U0 for random Hermitian K and unitary U0,
     with the analytic derivative -i K V."""
@@ -426,13 +463,11 @@ def unitary_flow_frame(rng, dim, period=1.0):
     u0 = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
     coeffs = w.conj().T @ u0  # column n of U0 in the eigenbasis of K
 
-    def value_fn(n, t):
-        return (np.exp(-1j * np.multiply.outer(t, k_evals)) * coeffs[:, n]) @ w.T
+    def fn(n, t):
+        phases = np.exp(-1j * np.multiply.outer(t, k_evals))
+        return (phases * coeffs[:, n]) @ w.T, (-1j * k_evals * phases * coeffs[:, n]) @ w.T
 
-    def derivative_fn(n, t):
-        return (-1j * k_evals * np.exp(-1j * np.multiply.outer(t, k_evals)) * coeffs[:, n]) @ w.T
-
-    frame = MovingFrame(dim=dim, count=dim, value_fn=value_fn, derivative_fn=derivative_fn, period=period)
+    frame = MovingFrame(dim=dim, count=dim, fn=fn, period=period)
     return frame, (a + a.conj().T), u0
 
 
@@ -470,8 +505,8 @@ def test_connection_drift_names_first_bad_time():
     frame = MovingFrame(
         dim=2,
         count=1,
-        value_fn=lambda n, t: np.maximum(1.0, t)[..., None] * np.array([1.0, 0.0], dtype=complex),
-        derivative_fn=lambda n, t: (t > 1.0)[..., None] * np.array([1.0, 0.0], dtype=complex),
+        fn=lambda n, t: (np.maximum(1.0, t)[..., None] * np.array([1.0, 0.0], dtype=complex),
+                         (t > 1.0)[..., None] * np.array([1.0, 0.0], dtype=complex)),
         period=4.0,
     )
     assert np.all(connection(frame, 0, [0.0, 0.5]) == 0.0)
@@ -482,17 +517,24 @@ def test_connection_drift_names_first_bad_time():
 # --- the joint value-and-derivative evaluation ---------------------------------
 
 
+def eigenframe(params):
+    """Instantaneous eigenframe of H(t): the tilted frame with alpha = 0."""
+    def fn(n, t):
+        return spin_model._basis_value_and_derivative(params.theta, 0.0, params.omega, (+1, -1)[n], t)
+    return MovingFrame(2, 2, fn, params.period)
+
+
 def joint_evaluation_frames():
     """(id, frame) for every kind of frame the package builds."""
     rng = np.random.default_rng(2024)
     tilted = spin_model.tilted_frame(PARAMS)
     gauged = gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng))
-    frames = [("tilted", tilted), ("eigenframe", spin_model._eigenframe(PARAMS))]
+    frames = [("tilted", tilted), ("eigenframe", eigenframe(PARAMS))]
     frames += [(f"random-gauge-{k}", gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng)))
                for k in range(8)]
     frames += [
-        ("constant-gauge", gauge_transform(tilted, _constant_gauge(0.83))),
-        ("linear-gauge", gauge_transform(tilted, _linear_gauge(PARAMS.omega))),
+        ("constant-gauge", gauge_transform(tilted, constant_gauge(0.83))),
+        ("linear-gauge", gauge_transform(tilted, linear_gauge(PARAMS.omega))),
         ("gauge-of-gauged", gauge_transform(gauged, random_periodic_gauge(PARAMS.period, rng))),
         ("transported", parallel_transport_fix(gauged, 0, steps=256)),
         ("finite-difference", fd_tilted_frame()),
@@ -510,9 +552,9 @@ def bits(x):
 
 @pytest.mark.parametrize("name, frame", JOINT_EVALUATION_FRAMES, ids=[n for n, _ in JOINT_EVALUATION_FRAMES])
 def test_joint_evaluation_keeps_every_bit(name, frame):
-    # the joint path gives what separate value and derivative calls give
-    reference = MovingFrame(dim=frame.dim, count=frame.count, value_fn=frame.value,
-                            derivative_fn=frame.derivative, period=frame.period)
+    # value_and_derivative gives what separate value and derivative calls give
+    reference = MovingFrame(dim=frame.dim, count=frame.count, period=frame.period,
+                            fn=lambda n, t: (frame.value(n, t), frame.derivative(n, t)))
     sched = spin_model.schedule(PARAMS)
     ts = np.linspace(0.0, 1.3 * PARAMS.period, 37)
     for n in range(frame.count):
@@ -528,20 +570,18 @@ def test_joint_evaluation_keeps_every_bit(name, frame):
 
 
 def separate_gauge_transform(frame, gauge):
-    """gauge_transform with the value and the product rule as two callbacks,
-    each evaluating its own angle and phase: the reference for its joint path."""
+    """gauge_transform with the value and the product rule written apart,
+    each evaluating its own angle and phase: the reference for its one callback."""
 
     def phase(n, t):
-        return np.exp(1j * np.asarray(gauge.alpha(n, t)))[..., None]
+        return np.exp(1j * np.asarray(gauge.fn(n, t)[0]))[..., None]
 
-    return MovingFrame(
-        dim=frame.dim,
-        count=frame.count,
-        value_fn=lambda n, t: phase(n, t) * frame.value(n, t),
-        derivative_fn=lambda n, t: phase(n, t) * (
-            1j * np.asarray(gauge.dalpha(n, t))[..., None] * frame.value(n, t) + frame.derivative(n, t)),
-        period=frame.period,
-    )
+    def fn(n, t):
+        rate = np.asarray(gauge.fn(n, t)[1])[..., None]
+        return (phase(n, t) * frame.value(n, t),
+                phase(n, t) * (1j * rate * frame.value(n, t) + frame.derivative(n, t)))
+
+    return MovingFrame(dim=frame.dim, count=frame.count, fn=fn, period=frame.period)
 
 
 def spin_basis_derivative(n, t):
@@ -559,7 +599,7 @@ def test_joint_paths_equal_the_separate_formulas(rng):
         for t in (ts, 0.41):
             assert bits(tilted.value_and_derivative(n, t)[1]) == bits(spin_basis_derivative(n, t))
     for base in (tilted, fd_tilted_frame()):
-        for gauge in [random_periodic_gauge(PARAMS.period, rng) for _ in range(4)] + [_linear_gauge(0.7)]:
+        for gauge in [random_periodic_gauge(PARAMS.period, rng) for _ in range(4)] + [linear_gauge(0.7)]:
             gauged = gauge_transform(base, gauge)
             reference = separate_gauge_transform(base, gauge)
             for n in range(2):
@@ -576,11 +616,11 @@ def counted(calls, name, fn):
 
 def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     calls = []
-    # the gauge and the model frame as built, with each joint callback counted
+    # the gauge and the model frame as built, with each callback counted
     drawn = random_periodic_gauge(PARAMS.period, rng)
-    gauge = _joint_gauge(counted(calls, "gauge", drawn._joint))
+    gauge = GaugeFunction(counted(calls, "gauge", drawn.fn))
     tilted = spin_model.tilted_frame(PARAMS)
-    base = _joint_frame(counted(calls, "frame", tilted._joint_fn), dim=2, count=2, period=tilted.period)
+    base = MovingFrame(dim=2, count=2, fn=counted(calls, "frame", tilted.fn), period=tilted.period)
     gauged = gauge_transform(base, gauge)
     for t in (0.3, np.linspace(0.0, PARAMS.period, 9)):
         calls.clear()
@@ -589,17 +629,13 @@ def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     calls.clear()
     eff_hamiltonian_matrix(gauged, spin_model.schedule(PARAMS), 0.3)
     assert calls == ["gauge", "frame"] * 2
-    # every public call of a package frame or gauge is one joint call: the
-    # gauged frame's is one call of its gauge and one of its base frame
-    for frame, one_joint_call in ((gauged, ["gauge", "frame"]), (base, ["frame"])):
+    # every public call of a frame is one call of its callback: the gauged
+    # frame's is one call of its gauge and one of its base frame
+    for frame, one_call in ((gauged, ["gauge", "frame"]), (base, ["frame"])):
         for method in (frame.value, frame.derivative, frame.value_and_derivative):
             calls.clear()
             method(0, 0.3)
-            assert calls == one_joint_call
-    for method in (gauge.alpha, gauge.dalpha, gauge.alpha_and_dalpha):
-        calls.clear()
-        method(0, 0.3)
-        assert calls == ["gauge"]
+            assert calls == one_call
     # the spin model's own frames call their basis fill once per call too
     fill = spin_model._basis_value_and_derivative
     monkeypatch.setattr(spin_model, "_basis_value_and_derivative", counted(calls, "fill", fill))
@@ -608,22 +644,34 @@ def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
         calls.clear()
         method(1, 0.3)
         assert calls == ["fill"]
-    # a copy made by dataclasses.replace has no joint path, and the same bits
-    copy = dataclasses.replace(gauged)
-    assert copy._joint_fn is None
-    assert bits(copy.value_and_derivative(0, 0.3)) == bits(gauged.value_and_derivative(0, 0.3))
+
+
+def test_replace_copy_of_a_package_frame_makes_one_call_per_evaluation(rng, monkeypatch):
+    # dataclasses.replace copies the one callback, so a copy evaluates as the original does
+    calls = []
+    fill = spin_model._basis_value_and_derivative
+    monkeypatch.setattr(spin_model, "_basis_value_and_derivative", counted(calls, "fill", fill))
+    tilted = spin_model.tilted_frame(PARAMS)
+    gauged = gauge_transform(tilted, random_periodic_gauge(PARAMS.period, rng))
+    transported = parallel_transport_fix(tilted, 0, steps=64)
+    for frame, fills in ((tilted, 1), (gauged, 1), (transported, 2)):
+        copy = dataclasses.replace(frame)
+        for method in (copy.value, copy.derivative, copy.value_and_derivative):
+            calls.clear()
+            method(0, 0.3)
+            assert calls == ["fill"] * fills
+        assert bits(copy.value_and_derivative(0, 0.3)) == bits(frame.value_and_derivative(0, 0.3))
 
 
 def test_transported_frame_evaluates_the_base_connection_once():
     calls = []
     base = phase_winding_frame(2.3, period=2 * np.pi / 2.3)
-    counting = MovingFrame(dim=2, count=1, value_fn=counted(calls, "value", base.value_fn),
-                           derivative_fn=counted(calls, "derivative", base.derivative_fn), period=base.period)
+    counting = MovingFrame(dim=2, count=1, fn=counted(calls, "frame", base.fn), period=base.period)
     fixed = parallel_transport_fix(counting, 0, steps=64)
     calls.clear()
     connection(fixed, 0, 0.4)
-    # one pair for the base connection inside the gauge, one for the product rule
-    assert sorted(calls) == ["derivative", "derivative", "value", "value"]
+    # one call for the base connection inside the gauge, one for the product rule
+    assert calls == ["frame", "frame"]
 
 
 # --- callback shapes, the mode sum and the benchmark's frames outputs ----------
@@ -637,13 +685,13 @@ E0 = np.array([1.0, 0.0], dtype=complex)
     (lambda n, t: [1.0, 0.0], lambda n, t: np.zeros(2)),
     (lambda n, t: np.exp(-1j * np.asarray(t))[..., None] * E0, lambda n, t: 0),
 ], ids=["vector-and-scalar", "list-and-real-vector", "array-and-int"])
-@pytest.mark.parametrize("joint", [False, True])
-def test_frame_calls_keep_their_shapes(value, derivative, joint):
-    # constants and (dim,) vectors broadcast to shape(t) + (dim,) at scalar and array t
-    if joint:
-        frame = _joint_frame(lambda n, t: (value(n, t), derivative(n, t)), dim=2, count=1, period=1.0)
-    else:
-        frame = MovingFrame(dim=2, count=1, value_fn=value, derivative_fn=derivative, period=1.0)
+@pytest.mark.parametrize("copied", [False, True])
+def test_frame_calls_keep_their_shapes(value, derivative, copied):
+    # constants and (dim,) vectors broadcast to shape(t) + (dim,) at scalar and
+    # array t, in a frame and in its dataclasses.replace copy
+    frame = MovingFrame(dim=2, count=1, fn=lambda n, t: (value(n, t), derivative(n, t)), period=1.0)
+    if copied:
+        frame = dataclasses.replace(frame)
     for t in (0.3, np.linspace(0.0, 1.0, 5), np.array([0.5])):
         shape = np.shape(t) + (2,)
         got = [frame.value(0, t), frame.derivative(0, t), *frame.value_and_derivative(0, t)]
@@ -657,15 +705,15 @@ def test_frame_calls_keep_their_shapes(value, derivative, joint):
 def test_frame_returns_a_callback_array_of_its_shape_as_it_is():
     own = {}
 
-    def value_fn(n, t):
+    def fn(n, t):
         own["value"] = np.exp(-1j * t)[..., None] * E0
-        return own["value"]
+        return own["value"], np.zeros(2)
 
-    frame = MovingFrame(dim=2, count=1, value_fn=value_fn, derivative_fn=lambda n, t: np.zeros(2), period=1.0)
+    frame = MovingFrame(dim=2, count=1, fn=fn, period=1.0)
     for t in (0.3, np.linspace(0.0, 1.0, 5)):
         assert frame.value(0, t) is own["value"]
     # a real array of the right shape is converted, not returned
-    real = MovingFrame(dim=2, count=1, value_fn=lambda n, t: own.setdefault("real", np.ones(2)), period=1.0)
+    real = MovingFrame(dim=2, count=1, fn=lambda n, t: (own.setdefault("real", np.ones(2)), 0.0), period=1.0)
     assert real.value(0, 0.3) is not own["real"] and real.value(0, 0.3).dtype == complex
 
 
@@ -715,8 +763,7 @@ def test_random_gauge_sums_its_modes_as_numpy_does():
         reference = numpy_sum_gauge(PARAMS.period, np.random.default_rng(seed))
         for t in (ts, np.asarray(0.0), np.asarray(-0.0), np.asarray(1.3)):
             want = reference(0, t)
-            assert bits(gauge.alpha_and_dalpha(0, t)) == bits(want)
-            assert bits(gauge.alpha(0, t)) == bits(want[0]) and bits(gauge.dalpha(0, t)) == bits(want[1])
+            assert bits(gauge.fn(0, t)) == bits(want)
 
 
 def test_frames_outputs_of_the_benchmark_are_pinned():

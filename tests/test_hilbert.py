@@ -12,9 +12,11 @@ from hypothesis.extra.numpy import arrays
 
 from holonomy_lab import evolution, hilbert
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
-from holonomy_lab.spin_model import _SIGMA_X, _SIGMA_Y, _SIGMA_Z
 from holonomy_lab.tolerances import DEFAULT
 
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([np.eye(2, dtype=complex), _SIGMA_X, _SIGMA_Y, _SIGMA_Z])
 
 
@@ -278,19 +280,24 @@ def test_unitarity_defect_requires_square_matrix():
         hilbert.unitarity_defect(np.zeros((2, 3)))
 
 
+def hermiticity_defect(m) -> float:
+    """max|M - M^H| of one square matrix, by the propagation screen's formula."""
+    return float(hilbert._hermiticity_defects(np.asarray(m, dtype=complex)[None])[0][0])
+
+
 def test_hermiticity_defect_examples():
-    assert hilbert._hermiticity_defect(_SIGMA_Y) == 0
-    assert hilbert._hermiticity_defect(np.array([[0, 1], [0, 0]])) == 1
+    assert hermiticity_defect(_SIGMA_Y) == 0
+    assert hermiticity_defect(np.array([[0, 1], [0, 0]])) == 1
     # non-finite entries, without a RuntimeWarning: inf - inf on the diagonal is NaN
-    assert np.isnan(hilbert._hermiticity_defect(np.diag([np.inf, 0.0, 0.0])))
-    assert hilbert._hermiticity_defect(np.array([[0, np.inf], [0, 0]])) == np.inf
-    assert np.isnan(hilbert._hermiticity_defect(np.array([[0, np.nan], [0, 0]])))
+    assert np.isnan(hermiticity_defect(np.diag([np.inf, 0.0, 0.0])))
+    assert hermiticity_defect(np.array([[0, np.inf], [0, 0]])) == np.inf
+    assert np.isnan(hermiticity_defect(np.array([[0, np.nan], [0, 0]])))
 
 
 def test_hermiticity_defect_doubles_antihermitian_part(rng):
     h = random_hermitian(rng, 4)
     eps = 1e-3
-    assert hilbert._hermiticity_defect(h + 1j * eps * np.eye(4)) == pytest.approx(2 * eps, rel=1e-12)
+    assert hermiticity_defect(h + 1j * eps * np.eye(4)) == pytest.approx(2 * eps, rel=1e-12)
 
 
 def test_unitarity_of_expi_random(rng):

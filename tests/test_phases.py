@@ -18,8 +18,10 @@ from holonomy_lab.phases import (
     dynamical_phase,
     noncyclic_geometric_phase,
 )
-from holonomy_lab.spin_model import _SIGMA_Z
+from holonomy_lab.frames import MovingFrame
 from holonomy_lab.tolerances import DEFAULT
+
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Half-period Pancharatnam phase of the + branch at theta=pi/3, eta=1,
 # frozen from an independent dense-grid oracle (closed-form states sampled on
@@ -371,33 +373,36 @@ def test_noncyclic_half_period_against_frozen_oracle():
     )
 
 
+def eigenframe(params):
+    """Instantaneous eigenframe of H(t): the tilted frame with alpha = 0."""
+    def fn(n, t):
+        return spin_model._basis_value_and_derivative(params.theta, 0.0, params.omega, (+1, -1)[n], t)
+    return MovingFrame(2, 2, fn, params.period)
+
+
 def test_berry_phase_of_eigenframe():
     for theta in (np.pi / 6, np.pi / 3, 2 * np.pi / 3):
         params = spin_model.ModelParams.from_eta(theta=theta, eta=1.0)
-        frame = spin_model._eigenframe(params)
+        frame = eigenframe(params)
         assert adiabatic_berry_phase(frame, 0) == pytest.approx(np.pi * (1 + np.cos(theta)), rel=1e-10)
         assert adiabatic_berry_phase(frame, 1) == pytest.approx(np.pi * (1 - np.cos(theta)), rel=1e-10)
 
 
 def test_berry_phase_theta_zero_full_winding():
     params = spin_model.ModelParams.from_eta(theta=0.0, eta=1.0)
-    raw = adiabatic_berry_phase(spin_model._eigenframe(params), 0)
+    raw = adiabatic_berry_phase(eigenframe(params), 0)
     assert raw == pytest.approx(2 * np.pi, rel=1e-12)
     assert circular_distance(raw, 0.0) <= 1e-10
 
 
 def test_berry_phase_constant_frame_zero():
-    from holonomy_lab.frames import MovingFrame
-
     vecs = np.eye(2, dtype=complex)
-    frame = MovingFrame(dim=2, count=2, value_fn=lambda n, t: vecs[n], period=1.0)
+    frame = MovingFrame(dim=2, count=2, fn=lambda n, t: (vecs[n], 0.0), period=1.0)
     assert adiabatic_berry_phase(frame, 0) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_berry_phase_requires_periodic_frame():
-    from holonomy_lab.frames import MovingFrame
-
     vecs = np.eye(2, dtype=complex)
-    frame = MovingFrame(dim=2, count=2, value_fn=lambda n, t: vecs[n], period=None)
+    frame = MovingFrame(dim=2, count=2, fn=lambda n, t: (vecs[n], 0.0), period=None)
     with pytest.raises(ValueError, match="periodic"):
         adiabatic_berry_phase(frame, 0)

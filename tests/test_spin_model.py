@@ -4,8 +4,11 @@ import pytest
 from holonomy_lab import spin_model
 from holonomy_lab.evolution import TimeGrid, fidelity, propagate
 from holonomy_lab.phases import circular_distance
-from holonomy_lab.spin_model import ModelParams, _SIGMA_X, _SIGMA_Z
+from holonomy_lab.spin_model import ModelParams
 from holonomy_lab.tolerances import DEFAULT
+
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_params_validation():

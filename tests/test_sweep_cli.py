@@ -904,6 +904,19 @@ def test_hash_starts_a_comment_only_outside_a_json_string(line, key, value):
     assert _parse_config_text(line + "\n") == {key: value}
 
 
+@pytest.mark.parametrize("line", ['output.path = "abc.csv  # note', 'output.path = abc.csv"  # note'],
+                         ids=["open-quote", "close-quote"])
+def test_value_with_an_unbalanced_quote_is_config_error(tmp_path, monkeypatch, capsys, line):
+    # either line used to name a file with a quote (and the comment) in its name
+    with pytest.raises(ConfigError, match=r"^line 2: a value with a '\"' must parse as JSON, got "):
+        _parse_config_text("theta = 1.0\n" + line + "\n")
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EVOLVE_CONFIG + line + "\n", encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(cfg), "--quiet"]) == 2
+    assert "config error: line 4: a value with a '\"' must parse as JSON" in capsys.readouterr().err
+
+
 def test_quoted_output_path_with_a_hash_is_written_whole(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(EVOLVE_CONFIG + f'output.path = "{tmp_path / "out#1.csv"}"\n', encoding="utf-8")
