@@ -107,15 +107,11 @@ def cmd_evolve(args) -> int:
     if config.output_format == "json":
         _emit(args, config.output_path, json.dumps(payload, indent=2))
     else:
-        cols = (
-            "eta", "theta", "alpha", "total", "dynamical", "geometric",
-            "geometric_exact", "deviation_from_exact", "fidelity_vs_exact", "steps_used",
-        )
-        vals = (
-            params.eta, params.theta, tilt.alpha, report.total, report.dynamical,
-            report.geometric, exact_geom, payload["deviation_from_exact"], fid, grid.steps,
-        )
-        lines = [sweep_mod.CSV_BANNER, ",".join(cols), ",".join(sweep_mod.csv_value(v) for v in vals)]
+        row = {"eta": params.eta, "theta": params.theta, "alpha": tilt.alpha, "total": report.total,
+               "dynamical": report.dynamical, "geometric": report.geometric, "geometric_exact": exact_geom,
+               "deviation_from_exact": payload["deviation_from_exact"], "fidelity_vs_exact": fid,
+               "steps_used": grid.steps}
+        lines = [sweep_mod.CSV_BANNER, ",".join(row), ",".join(sweep_mod.csv_value(v) for v in row.values())]
         _emit(args, config.output_path, "\n".join(lines) + "\n")
     _say(
         args,

@@ -19,7 +19,6 @@ not depend on it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,12 +46,11 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        # bool is an int subclass; numpy integers are accepted
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+        if not hilbert._is_integer(self.steps):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not (isinstance(self.t_end, numbers.Real) and self.t_end > 0.0 and np.isfinite(self.t_end)):
+        if not (hilbert._finite_real(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
 
     @property
@@ -227,7 +225,8 @@ def propagate(
 
     Raises ValueError before any sampling unless hbar is a positive finite
     real number, and NonHermitianError naming the offending midpoint if the
-    schedule is not Hermitian or not finite there.
+    schedule is not Hermitian or not finite there, or its step exponential
+    overflows (see hilbert._step_unitaries).
     """
     hilbert._require_hbar(hbar)
     psis = np.asarray(psi0, dtype=complex)
@@ -251,19 +250,20 @@ def propagate(
         work = hilbert._series_work(dim)
     for pos in range(0, grid.steps, block):
         take = min(block, grid.steps - pos)
-        hams = schedule.sample(mids[pos : pos + take])
-        hilbert._require_hermitian(hams, tol, times=mids[pos : pos + take])
+        times = mids[pos : pos + take]
+        hams = schedule.sample(times)
+        hilbert._require_hermitian(hams, tol, times=times)
         if dim == 2:
-            prefixes = hilbert._step_unitaries(hams, grid.dt, hbar)
+            prefixes = hilbert._step_unitaries(hams, grid.dt, hbar, times)
             del hams  # the scan runs in the unitaries' buffer, without the samples
             _prefix_products(prefixes)
             for row in states:
                 np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
             continue
         if gens is None:
-            plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar), [None] * take
+            plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar, times), [None] * take
         else:
-            plans, gen_rows = hilbert._step_series(hams, grid.dt, hbar, out=gens), gens
+            plans, gen_rows = hilbert._step_series(hams, grid.dt, hbar, gens, times), gens
         for row in states:
             for k, (plan, gen) in enumerate(zip(plans, gen_rows)):
                 hilbert._apply_step(plan, gen, row[pos + k], row[pos + k + 1], work)

@@ -17,8 +17,6 @@ Parallel transport is the gauge choice that zeroes the connection.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationDriftError
 from .evolution import TimeGrid
-from .hilbert import _require_hermitian, _require_operator_dim, inner
+from .hilbert import _finite_real, _is_integer, _require_hermitian, _require_operator_dim, inner
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -60,9 +58,11 @@ class MovingFrame:
     Vectors are sampled lazily through `fn(n, t)`, which takes a frame index
     n and a scalar or 1-d array of times t and returns the pair
     (v_n, d/dt v_n), each broadcasting to shape(t) + (dim,); no grid is baked
-    in, so one frame serves many grids. `period` is the frame's period T, or
-    None for aperiodic frames; it must be None or positive and finite
-    (ValueError otherwise). For a frame known by its values alone, see
+    in, so one frame serves many grids. `dim` and `count` are integers with
+    1 <= count <= dim (DimensionMismatchError when out of order, ValueError
+    when not integers). `period` is the frame's period T, or None for
+    aperiodic frames; it must be None or positive and finite (ValueError
+    otherwise). For a frame known by its values alone, see
     finite_difference_frame.
     """
 
@@ -72,6 +72,8 @@ class MovingFrame:
     period: float | None = None
 
     def __post_init__(self):
+        if not (_is_integer(self.dim) and _is_integer(self.count)):
+            raise ValueError(f"dim and count must be integers, got dim={self.dim!r}, count={self.count!r}")
         if not (1 <= self.count <= self.dim):
             raise DimensionMismatchError(
                 f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}"
@@ -98,7 +100,7 @@ class MovingFrame:
 
 
 def _require_positive_or_none(name: str, value) -> None:
-    if value is not None and not (value > 0 and math.isfinite(value)):
+    if value is not None and not (_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
 
 
@@ -111,6 +113,7 @@ def finite_difference_frame(dim: int, count: int, value_fn: Callable[[int, np.nd
     `fd_step` must each be None or positive and finite (ValueError otherwise).
     """
     _require_positive_or_none("fd_step", fd_step)
+    _require_positive_or_none("period", period)
     h = fd_step if fd_step is not None else 1e-6 * (period or 1.0)
 
     def fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +144,14 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     """Random smooth gauge, periodic mod 2 pi: an offset uniform in [-pi, pi),
     four Fourier modes with coefficients uniform in [-1, 1), and an integer
     winding in [-2, 2]. A period that is not positive and finite raises ValueError."""
+    if period is None:
+        raise ValueError("a random periodic gauge needs a period, got None")
     _require_positive_or_none("period", period)
     a = rng.uniform(-1.0, 1.0, size=4)
     b = rng.uniform(-1.0, 1.0, size=4)
     a0 = rng.uniform(-np.pi, np.pi)
     winding = int(rng.integers(-2, 3))
-    w = 2.0 * np.pi / period
+    w = 2.0 * np.pi / float(period)  # inf, not a numpy overflow, for a subnormal period
     kw = np.arange(1, a.size + 1) * w
 
     def fn(n: int, t) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +293,7 @@ def eff_hamiltonian_matrix(
     Raises ValueError, before evaluating H or the frame, unless t is a real
     finite scalar.
     """
-    if not (isinstance(t, numbers.Real) and np.isfinite(t)):
+    if not _finite_real(t):
         raise ValueError(f"t must be a real finite scalar, got {t!r}")
     if hasattr(hamiltonian, "evaluate"):
         h_t = hamiltonian.evaluate(t)

@@ -39,8 +39,8 @@ def _as_state(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
 def _as_operator(m, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Coerce to a finite square complex matrix of dimension at most tol.max_dim."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"operator must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size < 1:
+        raise DimensionMismatchError(f"operator must be square and non-empty, got shape {a.shape}")
     _require_operator_dim(a.shape[0], None, tol)
     if not np.isfinite(a).all():
         raise ValueError("operator contains non-finite entries")
@@ -140,12 +140,26 @@ def _empty_2x2(lead: tuple[int, ...]) -> np.ndarray:
     return buf.transpose(tuple(range(2, buf.ndim)) + (0, 1))  # np.moveaxis, without its overhead
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a real number (a numpy one included) that is finite as a
+    float; an int past the float range is not."""
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _require_hbar(hbar) -> None:
-    if not (isinstance(hbar, numbers.Real) and hbar > 0.0 and np.isfinite(hbar)):
+    if not (_finite_real(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
 
 
-def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+def _step_unitaries(hams: np.ndarray, dt: float, hbar: float, times=None) -> np.ndarray:
     """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack.
 
     Like eigh, both branches read only the lower triangle and the real
@@ -164,10 +178,32 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     holds four real values and at most two complex ones per matrix. propagate
     takes this kernel at dims 2 to 7, and from dim 8 up only for the steps
     whose generator has Frobenius norm above 1 (see _step_series). Raises
-    ValueError unless hbar is positive and finite.
+    ValueError unless hbar is positive and finite, and NonHermitianError,
+    naming times[k] when given, for the first matrix whose exponential
+    overflows to a non-finite entry: a finite H near the float maximum (the
+    closed form adds its diagonal entries), or H dt / hbar past it.
     """
     _require_hbar(hbar)
-    tau = dt / hbar
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _exponentials(hams, dt / hbar)
+    except FloatingPointError:  # the overflowed matrix is found on a second pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = dt / hbar
+            out = _exponentials(hams, tau)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
+    if bad.size:
+        k = int(bad[0])
+        where = "" if times is None else f" at t = {float(times[k])!r}"
+        raise NonHermitianError(
+            f"Hamiltonian too large for its step{where}: "
+            f"exp(-i H dt / hbar) overflows (dt / hbar = {tau:.3e})"
+        )
+    return out
+
+
+def _exponentials(hams: np.ndarray, tau: float) -> np.ndarray:
+    """_step_unitaries's exp(-i H tau), with no check of its own."""
     if hams.shape[-2:] != (2, 2):
         evals, evecs = np.linalg.eigh(hams)
         scaled = evecs * np.exp(-1j * evals * tau)[..., None, :]
@@ -206,7 +242,7 @@ _SERIES_MAX_DEGREE = 18
 _INV_FACTORIALS = np.array([1.0 / math.factorial(j) for j in range(_SERIES_MAX_DEGREE + 2)])
 
 
-def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> list:
+def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray, times=None) -> list:
     """Plan exp(A_k), A_k = -i H_k dt / hbar, for each matrix of a Hermitian
     (k, dim, dim) stack; _apply_step applies a plan.
 
@@ -218,29 +254,35 @@ def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> l
     ||A_k||_F <= 1 is planned as its Taylor series, and its plan is the degree
     m_k: the smallest whose tail bound nu^(m+1) / (m+1)! / (1 - nu / (m+2)),
     nu = ||A_k||_F, is below 2^-53, at most 18. Every other step, one whose
-    norm overflowed included, is planned as its unitary from _step_unitaries.
-    Each plan depends on its own step alone, so it does not depend on how a
-    grid is cut into stacks.
+    norm overflowed included, is planned as its unitary from _step_unitaries,
+    which names times[k] when given if that unitary overflows. Each plan
+    depends on its own step alone, so it does not depend on how a grid is cut
+    into stacks.
     """
     count, dim = hams.shape[:2]
     gens = out[:count, :, :dim]
-    np.multiply(hams, -1j * (dt / hbar), out=gens)
-    # -A^H, A^T with its real part negated, is formed after the multiply:
-    # -i tau conj(H_ji) can differ from -conj(-i tau H_ji) in a zero's sign
-    flipped = gens.swapaxes(-1, -2).copy()
-    np.negative(flipped.real, out=flipped.real)
-    np.copyto(gens, flipped, where=~np.tri(dim, dtype=bool))
-    diag = np.arange(dim)
-    gens.real[:, diag, diag] = 0.0
-    real = gens.view(float)
-    norms = np.sqrt(np.einsum("kij,kij->k", real, real))
+    # an overflowed generator has a norm that is not <= 1, so its step takes
+    # _step_unitaries, which refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(hams, -1j * (dt / hbar), out=gens)
+        # -A^H, A^T with its real part negated, is formed after the multiply:
+        # -i tau conj(H_ji) can differ from -conj(-i tau H_ji) in a zero's sign
+        flipped = gens.swapaxes(-1, -2).copy()
+        np.negative(flipped.real, out=flipped.real)
+        np.copyto(gens, flipped, where=~np.tri(dim, dtype=bool))
+        diag = np.arange(dim)
+        gens.real[:, diag, diag] = 0.0
+        real = gens.view(float)
+        norms = np.sqrt(np.einsum("kij,kij->k", real, real))
     unitary = ~(norms <= 1.0)
     nu = np.minimum(norms, 1.0)[:, None]  # a unitary step's degree is never read
     orders = np.arange(1, _SERIES_MAX_DEGREE + 1)
     tails = nu ** (orders + 1) * _INV_FACTORIALS[orders + 1] / (1.0 - nu / (orders + 2))
     plans = (1 + np.argmax(tails < 2.0**-53, axis=1)).tolist()
     if unitary.any():
-        for k, u in zip(np.flatnonzero(unitary), _step_unitaries(hams[unitary], dt, hbar)):
+        steps = np.flatnonzero(unitary)
+        unitaries = _step_unitaries(hams[steps], dt, hbar, None if times is None else times[steps])
+        for k, u in zip(steps, unitaries):
             plans[k] = u
     return plans
 
@@ -280,10 +322,11 @@ def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -
     eigendecomposition, assembled as the phase-scaled eigenvectors times their
     conjugate transpose in one matmul (see _step_unitaries). Both keep the
     result unitary to round-off, which phase extraction needs. Raises
-    ValueError unless dt is a real finite scalar and hbar positive and finite.
+    ValueError unless dt is a real finite scalar and hbar positive and finite,
+    and NonHermitianError when the exponential overflows (see _step_unitaries).
     """
     hams = _as_operator(h, tol=tol)[None]
-    if not (isinstance(dt, numbers.Real) and np.isfinite(dt)):
+    if not _finite_real(dt):
         raise ValueError(f"dt must be a real finite scalar, got {dt!r}")
     _require_hermitian(hams, tol)
     return _step_unitaries(hams, dt, hbar)[0]

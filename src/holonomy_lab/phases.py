@@ -21,7 +21,7 @@ agreement is a real consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +75,16 @@ class PhaseReport:
     route_agreement: float | None = None
 
 
-def _endpoint_overlap(traj: Trajectory) -> complex:
-    return complex(np.vdot(traj.states[0], traj.states[-1]))
-
-
 def _total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
     """Principal argument of <psi(0)|psi(T)>, in (-pi, pi].
 
     Undefined (raises) when the endpoints are orthogonal within tol.overlap_floor.
     """
-    ov = _endpoint_overlap(traj)
+    return _overlap_argument(complex(np.vdot(traj.states[0], traj.states[-1])), tol)
+
+
+def _overlap_argument(ov: complex, tol: Tolerances) -> float:
+    """arg ov, or OrthogonalEndpointsError when |ov| <= tol.overlap_floor."""
     if abs(ov) <= tol.overlap_floor:
         raise OrthogonalEndpointsError(
             f"orthogonal endpoints: Pancharatnam phase undefined "
@@ -124,19 +124,19 @@ def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule)
 
 
 def _dynamical(traj: Trajectory, energies: np.ndarray, hbar: float) -> float:
-    """The trapezoid rule over one trajectory's node energies, over hbar;
-    NonHermitianError names the first node whose energy is not finite."""
+    """The trapezoid rule over one trajectory's node energies, over hbar.
+    NonHermitianError names the first node whose energy is not finite, or,
+    when finite energies overflow the phase, the node of the largest."""
     energies = energies.real
-    phase = float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
-    if not math.isfinite(phase):
-        # a non-finite energy makes the sum non-finite, so only then are the
-        # nodes searched; finite energies whose sum overflows are not refused
+    with np.errstate(over="ignore", invalid="ignore"):  # a phase that is not finite is refused below
+        phase = float(np.trapezoid(energies, dx=traj.grid.dt) / hbar)
+    if not math.isfinite(phase):  # only then are the nodes searched
         bad = np.flatnonzero(~np.isfinite(energies))
-        if bad.size:
-            k = int(bad[0])
-            raise NonHermitianError(
-                f"energy <psi|H|psi> not finite at t = {float(traj.grid.nodes()[k])!r}: {energies[k]}"
-            )
+        k = int(bad[0]) if bad.size else int(np.argmax(np.abs(energies)))
+        what = "not finite" if bad.size else "too large for the dynamical phase"
+        raise NonHermitianError(
+            f"energy <psi|H|psi> {what} at t = {float(traj.grid.nodes()[k])!r}: {energies[k]}"
+        )
     return phase
 
 
@@ -148,7 +148,7 @@ def dynamical_phase(traj: Trajectory, schedule: HamiltonianSchedule, hbar: float
     number, TypeError unless `schedule` is a HamiltonianSchedule, and
     DimensionMismatchError when its dim is not the trajectory's, each before
     any sampling, and NonHermitianError naming the first node whose energy is
-    not finite.
+    not finite, or the largest energy when the phase overflows.
     """
     hilbert._require_hbar(hbar)
     return _dynamical(traj, _node_energies((traj,), schedule)[0], hbar)
@@ -164,17 +164,19 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
     Hamiltonian evaluation is involved. Each sum is right only mod 2 pi, so
     their difference is taken in (-pi, pi] when it lies outside [-pi, pi].
     """
-    steps = traj.grid.steps
-    base = _total_phase(traj, tol)
+    return _connection_route(traj, _total_phase(traj, tol))
 
+
+def _connection_route(traj: Trajectory, total: float) -> float:
+    """cyclic_phase_from_connection of a trajectory whose total phase is `total`."""
     def chain(stride: int) -> float:
         seg = traj.states[::stride]
         ov = np.einsum("ki,ki->k", seg[:-1].conj(), seg[1:])
         return float(np.sum(np.angle(ov)))
 
-    r1 = base - chain(1)
-    if steps >= 4 and steps % 2 == 0:
-        diff = r1 - (base - chain(2))
+    r1 = total - chain(1)
+    if traj.grid.steps >= 4 and traj.grid.steps % 2 == 0:
+        diff = r1 - (total - chain(2))
         if abs(diff) > math.pi:
             # a stride-2 overlap argument wrapped past pi
             diff = math.pi - (math.pi - diff) % TWO_PI
@@ -182,19 +184,35 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
     return _mod_two_pi(r1)
 
 
-def _pancharatnam(traj: Trajectory, total: float, dynamical: float, tol: Tolerances) -> PhaseReport:
-    """The report of a trajectory's total and dynamical phases."""
-    ov = _endpoint_overlap(traj)
-    raw = total + dynamical
-    return PhaseReport(
-        total=total,
-        dynamical=dynamical,
-        geometric=_mod_two_pi(raw),
-        geometric_raw=raw,
-        endpoint_overlap_modulus=min(abs(ov), 1.0),
-        cyclic=bool(abs(abs(ov) - 1.0) <= tol.cyclicity),
-        cyclic_tol=tol.cyclicity,
-    )
+def _phase_reports(
+    trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule, hbar: float, tol: Tolerances, cyclic: bool
+) -> list[PhaseReport]:
+    """Reports of trajectories on one grid: noncyclic_geometric_phase's, or,
+    when `cyclic`, cyclic_geometric_phase's before its route check.
+
+    Each trajectory is checked in turn: cyclicity (only when `cyclic`), the
+    overlap floor, then a non-finite energy. The schedule's node blocks are
+    sampled once for all of them, after the first trajectory's checks.
+    """
+    reports = []
+    for k, traj in enumerate(trajs):
+        ov = complex(np.vdot(traj.states[0], traj.states[-1]))
+        defect = abs(abs(ov) - 1.0)
+        if cyclic and defect > tol.cyclicity:
+            raise NotCyclicError(
+                f"not cyclic at tolerance {tol.cyclicity:.3e}: | |overlap| - 1 | = {defect:.3e}"
+            )
+        total = _overlap_argument(ov, tol)
+        if k == 0:
+            hilbert._require_hbar(hbar)
+            energies = _node_energies(trajs, schedule)
+        dynamical = _dynamical(traj, energies[k], hbar)
+        raw = total + dynamical
+        geometric = _mod_two_pi(raw)
+        gap = circular_distance(geometric, _connection_route(traj, total)) if cyclic else None
+        reports.append(PhaseReport(total, dynamical, geometric, raw, min(abs(ov), 1.0),
+                                   bool(defect <= tol.cyclicity), tol.cyclicity, gap))
+    return reports
 
 
 def noncyclic_geometric_phase(
@@ -210,8 +228,7 @@ def noncyclic_geometric_phase(
     a cyclic trajectory it is the Aharonov-Anandan phase, which
     cyclic_geometric_phase builds on.
     """
-    total = _total_phase(traj, tol)
-    return _pancharatnam(traj, total, dynamical_phase(traj, schedule, hbar=hbar), tol)
+    return _phase_reports((traj,), schedule, hbar, tol, cyclic=False)[0]
 
 
 def cyclic_geometric_phase(
@@ -228,44 +245,17 @@ def cyclic_geometric_phase(
     it signals an under-resolved trajectory. Pass
     tol.replace(two_route=math.inf) to record the gap without enforcing it.
     """
-    [(report, direct)] = _cyclic_routes((traj,), schedule, hbar, tol)
-    _require_routes_agree(report, direct, tol)
+    [report] = _phase_reports((traj,), schedule, hbar, tol, cyclic=True)
+    _require_routes_agree(report, traj, tol)
     return report
 
 
-def _cyclic_routes(
-    trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule, hbar: float, tol: Tolerances
-) -> list[tuple[PhaseReport, float]]:
-    """For each of trajectories on one grid, cyclic_geometric_phase's report
-    without the route check, and the connection-route value that the check
-    compares it with.
-
-    Each trajectory is checked in turn: cyclicity, the overlap floor, then a
-    non-finite energy. The schedule's node blocks are sampled once for all of
-    them, after the first trajectory's first two checks.
-    """
-    routes = []
-    for k, traj in enumerate(trajs):
-        defect = abs(abs(_endpoint_overlap(traj)) - 1.0)
-        if defect > tol.cyclicity:
-            raise NotCyclicError(
-                f"not cyclic at tolerance {tol.cyclicity:.3e}: | |overlap| - 1 | = {defect:.3e}"
-            )
-        total = _total_phase(traj, tol)
-        if k == 0:
-            hilbert._require_hbar(hbar)
-            energies = _node_energies(trajs, schedule)
-        report = _pancharatnam(traj, total, _dynamical(traj, energies[k], hbar), tol)
-        direct = cyclic_phase_from_connection(traj, tol=tol)
-        routes.append((replace(report, route_agreement=circular_distance(report.geometric, direct)), direct))
-    return routes
-
-
-def _require_routes_agree(report: PhaseReport, direct: float, tol: Tolerances) -> None:
-    """Raise ValueError when the two routes of a _cyclic_routes report
-    disagree by more than tol.two_route."""
+def _require_routes_agree(report: PhaseReport, traj: Trajectory, tol: Tolerances) -> None:
+    """Raise ValueError when the two routes of traj's cyclic report disagree
+    by more than tol.two_route."""
     gap = report.route_agreement
     if gap > tol.two_route:
+        direct = _connection_route(traj, report.total)
         raise ValueError(
             f"geometric-phase routes disagree by {gap:.3e} rad (allowed {tol.two_route:.3e}); "
             f"decomposition gave {report.geometric:.9f}, connection route gave {direct:.9f}"

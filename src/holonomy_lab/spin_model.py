@@ -25,6 +25,7 @@ import numpy as np
 
 from .evolution import HamiltonianSchedule, TimeGrid, Trajectory
 from .frames import MovingFrame
+from .hilbert import _finite_real
 
 __all__ = [
     "ModelParams",
@@ -44,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Rotating-field parameters. theta in [0, pi], B and omega positive."""
+    """Rotating-field parameters. theta in [0, pi]; mu, B, omega and hbar
+    positive and finite, and omega large enough for a finite period."""
 
     mu: float
     b_field: float
@@ -53,13 +55,15 @@ class ModelParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.b_field > 0 and self.omega > 0 and self.hbar > 0):
+        if not all(_finite_real(p) and p > 0 for p in (self.mu, self.b_field, self.omega, self.hbar)):
             raise ValueError(
-                f"mu, b_field, omega, hbar must be positive, got "
+                f"mu, b_field, omega, hbar must be positive and finite, got "
                 f"mu={self.mu}, b_field={self.b_field}, omega={self.omega}, hbar={self.hbar}"
             )
-        if not (0.0 <= self.theta <= np.pi):
+        if not (_finite_real(self.theta) and 0.0 <= self.theta <= np.pi):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if 2.0 * np.pi / float(self.omega) == np.inf:
+            raise ValueError(f"omega = {self.omega} gives a period 2 pi / omega past the float range")
 
     @classmethod
     def from_eta(

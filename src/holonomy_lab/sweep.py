@@ -24,7 +24,8 @@ import numpy as np
 
 from . import spin_model
 from .evolution import TimeGrid, Trajectory, propagate
-from .phases import PhaseReport, _cyclic_routes, _require_routes_agree, circular_distance
+from .hilbert import _is_integer
+from .phases import PhaseReport, _phase_reports, _require_routes_agree, circular_distance
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -85,8 +86,14 @@ def _solve(
     same estimate, since both effects share the secular error. It is made
     once every branch is reported, and skipped when the first branch's phase
     is off the closed form by more than `deviation_target`: that row is over
-    its target, which run_point reports.
+    its target, which run_point reports. A `base_steps` that is not an integer
+    in [_MIN_STEPS, _MAX_STEPS] raises ValueError before anything is sampled.
     """
+    if not (_is_integer(base_steps) and spin_model._MIN_STEPS <= base_steps <= spin_model._MAX_STEPS):
+        raise ValueError(
+            f"base_steps must be an integer in [{spin_model._MIN_STEPS}, {spin_model._MAX_STEPS}], "
+            f"got {base_steps!r}"
+        )
     steps = base_steps + (base_steps % 2)
     if deviation_target is not None:
         steps = max(steps, spin_model.steps_for_phase_tolerance(params, deviation_target / 3.0, n_periods))
@@ -96,13 +103,12 @@ def _solve(
     route_tol = tol.replace(two_route=max(tol.two_route, 6.0 * err_estimate))
     psi0 = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in branches])
     trajs = propagate(sched, psi0, grid, hbar=params.hbar, tol=tol)
-    routes = _cyclic_routes(trajs, sched, params.hbar, tol)
-    reports = [report for report, _ in routes]
+    reports = _phase_reports(trajs, sched, params.hbar, tol, cyclic=True)
     if deviation_target is None or circular_distance(
         reports[0].geometric, spin_model.geometric_phase_exact(params, branches[0], n_periods)
     ) <= deviation_target:
-        for report, direct in routes:
-            _require_routes_agree(report, direct, route_tol)
+        for traj, report in zip(trajs, reports):
+            _require_routes_agree(report, traj, route_tol)
     return trajs, reports
 
 
@@ -119,10 +125,10 @@ def run_point(
     """One sweep row: propagate both branches at eta and compare to the closed form.
 
     Both branches are propagated as one block through the same step
-    unitaries. `base_steps` is a floor; the step count is refined against
-    tol.sweep_deviation, and a row whose measured deviation still exceeds it
-    (the estimate was optimistic, or the step count hit its cap) gets status
-    `over_target`.
+    unitaries. `base_steps`, an integer in [16, 2^21], is a floor; the step
+    count is refined against tol.sweep_deviation, and a row whose measured
+    deviation still exceeds it (the estimate was optimistic, or the step
+    count hit its cap) gets status `over_target`.
     """
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
     trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, tol.sweep_deviation, tol)
