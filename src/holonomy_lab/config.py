@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .spin_model import _MAX_STEPS, _MIN_STEPS
+from .spin_model import _MAX_POINTS, _MAX_STEPS, _MIN_STEPS
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -23,11 +23,6 @@ __all__ = [
     "build_config",
     "tolerance_overrides",
 ]
-
-# run_sweep holds every row, and then the CSV text of all of them, until the
-# sweep ends: about 0.8 kB a row, so 80 MB at this bound, and rows take a few
-# milliseconds each or more, so a sweep this long already runs for minutes
-_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)

@@ -40,18 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, t_end] with `steps` intervals."""
+    """Uniform grid on [0, t_end] with `steps` intervals, steps in [1, 2^53]."""
 
     t_end: float
     steps: int
 
     def __post_init__(self):
-        if not hilbert._is_integer(self.steps):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not (hilbert._finite_real(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
+        object.__setattr__(self, "steps", hilbert._count("steps", self.steps, 1))
+        object.__setattr__(self, "t_end", hilbert._real("t_end", self.t_end, positive=True))
 
     @property
     def dt(self) -> float:
@@ -223,12 +219,12 @@ def propagate(
     products, with the degree from that step's own norm; any other step
     takes its unitary from eigh (see hilbert._step_series).
 
-    Raises ValueError before any sampling unless hbar is a positive finite
-    real number, and NonHermitianError naming the offending midpoint if the
-    schedule is not Hermitian or not finite there, or its step exponential
-    overflows (see hilbert._step_unitaries).
+    Raises ValueError before any sampling unless hbar passes README's numeric
+    boundary (hbar > 0), and NonHermitianError naming the offending midpoint
+    if the schedule is not Hermitian or not finite there, or its step
+    exponential overflows (see hilbert._step_unitaries).
     """
-    hilbert._require_hbar(hbar)
+    hbar = hilbert._real("hbar", hbar, positive=True)
     psis = np.asarray(psi0, dtype=complex)
     if psis.ndim not in (1, 2) or psis.size == 0:
         raise DimensionMismatchError(

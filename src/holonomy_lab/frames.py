@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationDriftError
 from .evolution import TimeGrid
-from .hilbert import _finite_real, _is_integer, _require_hermitian, _require_operator_dim, inner
+from .hilbert import _count, _real, _require_hermitian, _require_operator_dim, inner
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -58,12 +58,10 @@ class MovingFrame:
     Vectors are sampled lazily through `fn(n, t)`, which takes a frame index
     n and a scalar or 1-d array of times t and returns the pair
     (v_n, d/dt v_n), each broadcasting to shape(t) + (dim,); no grid is baked
-    in, so one frame serves many grids. `dim` and `count` are integers with
-    1 <= count <= dim (DimensionMismatchError when out of order, ValueError
-    when not integers). `period` is the frame's period T, or None for
-    aperiodic frames; it must be None or positive and finite (ValueError
-    otherwise). For a frame known by its values alone, see
-    finite_difference_frame.
+    in, so one frame serves many grids. `dim` and `count` are counts with
+    1 <= count <= dim (DimensionMismatchError when out of order); `period`
+    is the frame's period T, or None for an aperiodic frame. For a frame
+    known by its values alone, see finite_difference_frame.
     """
 
     dim: int
@@ -72,19 +70,17 @@ class MovingFrame:
     period: float | None = None
 
     def __post_init__(self):
-        if not (_is_integer(self.dim) and _is_integer(self.count)):
-            raise ValueError(f"dim and count must be integers, got dim={self.dim!r}, count={self.count!r}")
-        if not (1 <= self.count <= self.dim):
-            raise DimensionMismatchError(
-                f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}"
-            )
-        _require_positive_or_none("period", self.period)
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
+        object.__setattr__(self, "count", _count("count", self.count, 1))
+        if self.count > self.dim:
+            raise DimensionMismatchError(f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}")
+        object.__setattr__(self, "period", _real("period", self.period, positive=True, optional=True))
 
     def value_and_derivative(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
         """(v_n, d/dt v_n) at scalar or array t, each of shape shape(t) + (dim,),
-        from one call of fn."""
-        if not (0 <= n < self.count):
-            raise IndexError(f"frame index {n} out of range [0, {self.count})")
+        from one call of fn; IndexError unless n is a count in [0, count)."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < self.count:
+            raise IndexError(f"frame index {n!r} out of range [0, {self.count})")
         t = np.asarray(t, dtype=float)
         shape = t.shape + (self.dim,)
         vec, deriv = self.fn(n, t)
@@ -99,21 +95,16 @@ class MovingFrame:
         return self.value_and_derivative(n, t)[1]
 
 
-def _require_positive_or_none(name: str, value) -> None:
-    if value is not None and not (_finite_real(value) and value > 0):
-        raise ValueError(f"{name} must be None or positive and finite, got {value!r}")
-
-
 def finite_difference_frame(dim: int, count: int, value_fn: Callable[[int, np.ndarray], np.ndarray],
                             period: float | None = None, fd_step: float | None = None) -> MovingFrame:
     """MovingFrame from its values alone: value_fn(n, t) returns v_n, and the
     derivative is the symmetric difference (v_n(t + h) - v_n(t - h)) / (2 h)
     with h = fd_step (default 1e-6 times the period, or 1e-6 for an aperiodic
     frame). Each evaluation calls value_fn three times. `period` and
-    `fd_step` must each be None or positive and finite (ValueError otherwise).
+    `fd_step` are each None or coerced as MovingFrame's `period` is.
     """
-    _require_positive_or_none("fd_step", fd_step)
-    _require_positive_or_none("period", period)
+    fd_step = _real("fd_step", fd_step, positive=True, optional=True)
+    period = _real("period", period, positive=True, optional=True)
     h = fd_step if fd_step is not None else 1e-6 * (period or 1.0)
 
     def fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,15 +134,16 @@ def _sum_modes(terms: np.ndarray) -> np.ndarray:
 def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunction:
     """Random smooth gauge, periodic mod 2 pi: an offset uniform in [-pi, pi),
     four Fourier modes with coefficients uniform in [-1, 1), and an integer
-    winding in [-2, 2]. A period that is not positive and finite raises ValueError."""
+    winding in [-2, 2]. `period` is coerced as MovingFrame's is, and None is
+    refused (ValueError)."""
     if period is None:
         raise ValueError("a random periodic gauge needs a period, got None")
-    _require_positive_or_none("period", period)
+    period = _real("period", period, positive=True, optional=True)
     a = rng.uniform(-1.0, 1.0, size=4)
     b = rng.uniform(-1.0, 1.0, size=4)
     a0 = rng.uniform(-np.pi, np.pi)
     winding = int(rng.integers(-2, 3))
-    w = 2.0 * np.pi / float(period)  # inf, not a numpy overflow, for a subnormal period
+    w = 2.0 * np.pi / period  # inf, not a numpy overflow, for a subnormal period
     kw = np.arange(1, a.size + 1) * w
 
     def fn(n: int, t) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +201,9 @@ def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
 
 
 def _quadrature_nodes(t_end: float, steps: int) -> np.ndarray:
-    """steps + 1 uniform nodes on [0, t_end]. Raises ValueError, by TimeGrid's
-    rule, unless steps is an integer >= 1 and t_end positive and finite."""
-    TimeGrid(t_end=t_end, steps=steps)
-    return np.linspace(0.0, t_end, steps + 1)
+    """steps + 1 uniform nodes on [0, t_end], both coerced by TimeGrid's rule."""
+    grid = TimeGrid(t_end=t_end, steps=steps)
+    return np.linspace(0.0, grid.t_end, grid.steps + 1)
 
 
 def parallel_transport_fix(
@@ -290,11 +281,11 @@ def eff_hamiltonian_matrix(
     callable t -> matrix, or a static matrix. Finite Hermitian input is
     required (NonHermitianError names t otherwise); the output is Hermitian
     whenever the frame is orthonormal and its derivatives are consistent.
-    Raises ValueError, before evaluating H or the frame, unless t is a real
-    finite scalar.
+    Raises ValueError, before evaluating H or the frame, unless t and hbar
+    pass README's numeric boundary (hbar > 0).
     """
-    if not _finite_real(t):
-        raise ValueError(f"t must be a real finite scalar, got {t!r}")
+    t = _real("t", t)
+    hbar = _real("hbar", hbar, positive=True)
     if hasattr(hamiltonian, "evaluate"):
         h_t = hamiltonian.evaluate(t)
     elif callable(hamiltonian):

@@ -140,23 +140,30 @@ def _empty_2x2(lead: tuple[int, ...]) -> np.ndarray:
     return buf.transpose(tuple(range(2, buf.ndim)) + (0, 1))  # np.moveaxis, without its overhead
 
 
-def _finite_real(x) -> bool:
-    """Whether x is a real number (a numpy one included) that is finite as a
-    float; an int past the float range is not."""
+# Largest count a float64 holds exactly, so that a grid's dt = t_end / steps is finite
+_MAX_COUNT = 1 << 53
+
+
+def _real(name: str, x, positive: bool = False, optional: bool = False) -> float | None:
+    """x as a Python float, finite (and > 0 when `positive`), or None when
+    `optional`; ValueError naming `name` otherwise. See README's numeric boundary."""
+    if optional and x is None:
+        return None
     try:
-        return isinstance(x, numbers.Real) and math.isfinite(x)
-    except OverflowError:
-        return False
+        value = float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        value = math.nan
+    if math.isfinite(value) and (value > 0.0 or not positive):
+        return value
+    rule = "positive and finite" if positive else "a real finite scalar"
+    raise ValueError(f"{name} must be {'None or ' if optional else ''}{rule}, got {x!r}")
 
 
-def _is_integer(x) -> bool:
-    """Whether x is an int or a numpy integer; a bool is not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _require_hbar(hbar) -> None:
-    if not (_finite_real(hbar) and hbar > 0.0):
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+def _count(name: str, x, lo: int, hi: int = _MAX_COUNT) -> int:
+    """x, an int or numpy integer but not a bool, as an int in [lo, hi], else ValueError."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x <= hi:
+        return int(x)
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
 
 
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float, times=None) -> np.ndarray:
@@ -177,13 +184,12 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float, times=None) -> np.
     complex temporaries, so beside the samples and the result the kernel
     holds four real values and at most two complex ones per matrix. propagate
     takes this kernel at dims 2 to 7, and from dim 8 up only for the steps
-    whose generator has Frobenius norm above 1 (see _step_series). Raises
-    ValueError unless hbar is positive and finite, and NonHermitianError,
-    naming times[k] when given, for the first matrix whose exponential
-    overflows to a non-finite entry: a finite H near the float maximum (the
-    closed form adds its diagonal entries), or H dt / hbar past it.
+    whose generator has Frobenius norm above 1 (see _step_series). dt and
+    hbar are floats its callers have coerced (hbar > 0). Raises
+    NonHermitianError, naming times[k] when given, for the first matrix whose
+    exponential overflows to a non-finite entry: a finite H near the float
+    maximum (the closed form adds its diagonal entries), or H dt / hbar past it.
     """
-    _require_hbar(hbar)
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _exponentials(hams, dt / hbar)
@@ -322,11 +328,11 @@ def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -
     eigendecomposition, assembled as the phase-scaled eigenvectors times their
     conjugate transpose in one matmul (see _step_unitaries). Both keep the
     result unitary to round-off, which phase extraction needs. Raises
-    ValueError unless dt is a real finite scalar and hbar positive and finite,
+    ValueError unless dt and hbar pass README's numeric boundary (hbar > 0),
     and NonHermitianError when the exponential overflows (see _step_unitaries).
     """
     hams = _as_operator(h, tol=tol)[None]
-    if not _finite_real(dt):
-        raise ValueError(f"dt must be a real finite scalar, got {dt!r}")
+    dt = _real("dt", dt)
+    hbar = _real("hbar", hbar, positive=True)
     _require_hermitian(hams, tol)
     return _step_unitaries(hams, dt, hbar)[0]

@@ -150,7 +150,7 @@ def dynamical_phase(traj: Trajectory, schedule: HamiltonianSchedule, hbar: float
     any sampling, and NonHermitianError naming the first node whose energy is
     not finite, or the largest energy when the phase overflows.
     """
-    hilbert._require_hbar(hbar)
+    hbar = hilbert._real("hbar", hbar, positive=True)
     return _dynamical(traj, _node_energies((traj,), schedule)[0], hbar)
 
 
@@ -204,7 +204,7 @@ def _phase_reports(
             )
         total = _overlap_argument(ov, tol)
         if k == 0:
-            hilbert._require_hbar(hbar)
+            hbar = hilbert._real("hbar", hbar, positive=True)
             energies = _node_energies(trajs, schedule)
         dynamical = _dynamical(traj, energies[k], hbar)
         raw = total + dynamical

@@ -25,7 +25,7 @@ import numpy as np
 
 from .evolution import HamiltonianSchedule, TimeGrid, Trajectory
 from .frames import MovingFrame
-from .hilbert import _finite_real
+from .hilbert import _count, _real
 
 __all__ = [
     "ModelParams",
@@ -45,8 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Rotating-field parameters. theta in [0, pi]; mu, B, omega and hbar
-    positive and finite, and omega large enough for a finite period."""
+    """Rotating-field parameters, as floats: theta in [0, pi]; mu, B, omega
+    and hbar positive and finite, and omega large enough for a finite period."""
 
     mu: float
     b_field: float
@@ -55,14 +55,12 @@ class ModelParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not all(_finite_real(p) and p > 0 for p in (self.mu, self.b_field, self.omega, self.hbar)):
-            raise ValueError(
-                f"mu, b_field, omega, hbar must be positive and finite, got "
-                f"mu={self.mu}, b_field={self.b_field}, omega={self.omega}, hbar={self.hbar}"
-            )
-        if not (_finite_real(self.theta) and 0.0 <= self.theta <= np.pi):
+        for name in ("mu", "b_field", "omega", "hbar"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), positive=True))
+        object.__setattr__(self, "theta", _real("theta", self.theta))
+        if not 0.0 <= self.theta <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if 2.0 * np.pi / float(self.omega) == np.inf:
+        if 2.0 * np.pi / self.omega == np.inf:
             raise ValueError(f"omega = {self.omega} gives a period 2 pi / omega past the float range")
 
     @classmethod
@@ -75,7 +73,8 @@ class ModelParams:
         hbar: float = 1.0,
     ) -> "ModelParams":
         """Parameters with the adiabaticity ratio eta = omega / (2 mu B) given directly."""
-        return cls(mu=mu, b_field=b_field, omega=2.0 * mu * b_field * eta, theta=theta, hbar=hbar)
+        omega = 2.0 * _real("mu", mu) * _real("b_field", b_field) * _real("eta", eta)
+        return cls(mu=mu, b_field=b_field, omega=omega, theta=theta, hbar=hbar)
 
     @property
     def period(self) -> float:
@@ -215,6 +214,7 @@ def geometric_phase_exact(params: ModelParams, branch: int, n_periods: int = 1) 
     The phase accrues at a constant rate, so n periods carry n times the
     one-period phase.
     """
+    n_periods = _count("n_periods", n_periods, 1)
     a = tilt_angle(params).alpha
     return float((n_periods * np.pi * (1.0 + branch * np.cos(params.theta - a))) % (2.0 * np.pi))
 
@@ -235,6 +235,7 @@ def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: in
     """Calibrated estimate of the propagated geometric-phase error at `steps`;
     inf where dt^2 is past the float range (tiny eta), unless the geometric
     factor makes it 0."""
+    steps, n_periods = _count("steps", steps, 1), _count("n_periods", n_periods, 1)
     a = tilt_angle(params).alpha
     total_t = n_periods * params.period
     dt = total_t / steps
@@ -247,17 +248,20 @@ def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: in
         return np.inf if geometry else 0.0
 
 
-# Fewest and most steps of a propagation grid, for the sweep's step
-# refinement and for configured runs alike.
+# Fewest and most steps of a propagation grid, and most points of an eta grid,
+# for the sweep and for configured runs alike. run_sweep holds every row, and
+# then the CSV text of all of them, until the sweep ends: about 0.8 kB a row,
+# so 80 MB at _MAX_POINTS, and rows take a few milliseconds each or more, so a
+# sweep that long already runs for minutes
 _MIN_STEPS = 16
 _MAX_STEPS = 1 << 21
+_MAX_POINTS = 100_000
 
 
 def steps_for_phase_tolerance(params: ModelParams, phase_tol: float, n_periods: int = 1) -> int:
     """Smallest even step count in [_MIN_STEPS, _MAX_STEPS] whose estimated
-    phase error stays below phase_tol."""
-    if phase_tol <= 0:
-        raise ValueError(f"phase_tol must be positive, got {phase_tol}")
+    phase error stays below phase_tol, which must be positive and finite."""
+    phase_tol = _real("phase_tol", phase_tol, positive=True)
     coeff = midpoint_phase_error_estimate(params, steps=1, n_periods=n_periods)
     needed = int(min(np.ceil(np.sqrt(coeff / phase_tol)), _MAX_STEPS)) if coeff > 0 else _MIN_STEPS
     needed += needed % 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spin_model
 from .evolution import TimeGrid, Trajectory, propagate
-from .hilbert import _is_integer
+from .hilbert import _count, _real
 from .phases import PhaseReport, _phase_reports, _require_routes_agree, circular_distance
 from .tolerances import DEFAULT, Tolerances
 
@@ -87,13 +87,11 @@ def _solve(
     once every branch is reported, and skipped when the first branch's phase
     is off the closed form by more than `deviation_target`: that row is over
     its target, which run_point reports. A `base_steps` that is not an integer
-    in [_MIN_STEPS, _MAX_STEPS] raises ValueError before anything is sampled.
+    in [_MIN_STEPS, _MAX_STEPS], or an `n_periods` that is not a count, raises
+    ValueError before anything is sampled.
     """
-    if not (_is_integer(base_steps) and spin_model._MIN_STEPS <= base_steps <= spin_model._MAX_STEPS):
-        raise ValueError(
-            f"base_steps must be an integer in [{spin_model._MIN_STEPS}, {spin_model._MAX_STEPS}], "
-            f"got {base_steps!r}"
-        )
+    base_steps = _count("base_steps", base_steps, spin_model._MIN_STEPS, spin_model._MAX_STEPS)
+    n_periods = _count("n_periods", n_periods, 1)
     steps = base_steps + (base_steps % 2)
     if deviation_target is not None:
         steps = max(steps, spin_model.steps_for_phase_tolerance(params, deviation_target / 3.0, n_periods))
@@ -128,8 +126,9 @@ def run_point(
     unitaries. `base_steps`, an integer in [16, 2^21], is a floor; the step
     count is refined against tol.sweep_deviation, and a row whose measured
     deviation still exceeds it (the estimate was optimistic, or the step
-    count hit its cap) gets status `over_target`.
+    count hit its cap) gets status `over_target`. The row holds theta and eta as floats.
     """
+    theta, eta = _real("theta", theta), _real("eta", eta, positive=True)
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
     trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, tol.sweep_deviation, tol)
     exact_end = spin_model.exact_solution(params, +1, trajs[0].grid.nodes()[-1:])[0]
@@ -153,13 +152,18 @@ def run_point(
 
 
 def eta_grid(eta_min: float, eta_max: float, points: int, log: bool = True) -> np.ndarray:
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    if not (0 < eta_min < eta_max < math.inf):
+    """`points` etas in [eta_min, eta_max], log-spaced if `log`; every input is
+    checked before anything is allocated (ValueError)."""
+    points = _count("points", points, 2, spin_model._MAX_POINTS)
+    try:
+        lo, hi = _real("eta_min", eta_min), _real("eta_max", eta_max)
+    except ValueError:  # one message for every bad bound, an infinite one included
+        lo = hi = math.nan
+    if not 0 < lo < hi:
         raise ValueError(f"need 0 < eta_min < eta_max < inf, got {eta_min}, {eta_max}")
     if log:
-        return np.logspace(np.log10(eta_min), np.log10(eta_max), points)
-    return np.linspace(eta_min, eta_max, points)
+        return np.logspace(np.log10(lo), np.log10(hi), points)
+    return np.linspace(lo, hi, points)
 
 
 def _cpu_count() -> int:
@@ -182,7 +186,8 @@ def run_sweep(
     """Independent rows, ascending in eta. Row failures land in `status`.
 
     A row that raises ValueError (every library error) or ArithmeticError
-    becomes an `error:` row; any other exception is a bug and propagates.
+    becomes an `error:` row; any other exception is a bug and propagates. A
+    theta or base_steps that fails the numeric boundary raises before any row.
 
     With two rows or more, on a process that may run on two CPUs or more,
     one helper thread runs rows too: the calling thread takes rows from the
@@ -194,6 +199,8 @@ def run_sweep(
     two. A bug in either thread stops both after their current row, and is
     raised here once the helper has ended, the calling thread's own first.
     """
+    theta = _real("theta", theta)
+    base_steps = _count("base_steps", base_steps, spin_model._MIN_STEPS, spin_model._MAX_STEPS)
     etas = sorted(float(e) for e in np.asarray(etas))
     rows: list[SweepRow | None] = [None] * len(etas)
     pending = collections.deque(range(len(etas)))  # pops from either end are thread-safe

@@ -8,7 +8,7 @@ exception."""
 import json
 import math
 import struct
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from unittest import mock
 
 import numpy as np
@@ -19,9 +19,10 @@ from hypothesis.extra import numpy as hnp
 from holonomy_lab import cli, config, spin_model, sweep
 from holonomy_lab.errors import ConfigError, NonHermitianError
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, Trajectory, propagate
-from holonomy_lab.frames import MovingFrame, finite_difference_frame, random_periodic_gauge
+from holonomy_lab.frames import (MovingFrame, eff_hamiltonian_matrix, finite_difference_frame,
+                                 random_periodic_gauge)
 from holonomy_lab.hilbert import expi_hermitian
-from holonomy_lab.phases import dynamical_phase
+from holonomy_lab.phases import dynamical_phase, noncyclic_geometric_phase
 from holonomy_lab.tolerances import Tolerances
 
 KEYS = sorted(config._KEYS) + [f"tol.{f.name}" for f in fields(Tolerances)]
@@ -311,3 +312,178 @@ def test_cli_on_a_config_that_builds_exits_0_1_or_2(cli_dir, command, mapping, s
     cfg = cli_dir / "run.json"
     cfg.write_text(json.dumps(mapping), encoding="utf-8")
     assert cli.main([command, "--config", str(cfg), "--out", str(cli_dir / "out"), "--quiet"]) in (0, 1, 2)
+
+
+# The numeric boundary: a numpy float16, float32, float64 or longdouble
+# scalar, or a Python int, gives every entry the types and bits of the call
+# with float(x), and a numpy integer those of the call with int(n).
+
+def reals(lo, hi, int_hi):
+    """Numpy float16, float32, float64 and longdouble scalars in [lo, hi],
+    bounds float16 holds exactly, and Python ints in [ceil(lo), int_hi]."""
+    floats = st.floats(lo, hi)
+    # one longdouble step towards hi takes the value off the float64 grid
+    longdoubles = floats.map(lambda v: np.nextafter(np.longdouble(v), np.longdouble(hi)))
+    return st.one_of(*[floats.map(t) for t in (np.float16, np.float32, np.float64)], longdoubles,
+                     st.integers(math.ceil(lo), int_hi))
+
+
+def counts(lo, hi):
+    """Numpy integer scalars of every width, and Python ints, in [lo, hi]."""
+    types = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+    return st.one_of(*[st.integers(lo, min(hi, int(np.iinfo(t).max))).map(t) for t in types],
+                     st.integers(lo, hi))
+
+
+def bits(value):
+    """The types and bytes of a result, through dataclasses (but a frame's
+    callback), sequences and arrays."""
+    if is_dataclass(value):
+        return type(value).__name__, [bits(getattr(value, f.name)) for f in fields(value) if f.name != "fn"]
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if isinstance(value, str):
+        return value
+    array = np.asarray(value)
+    return type(value).__name__, array.dtype.str, array.shape, array.tobytes()
+
+
+SPIN = spin_model.ModelParams.from_eta(theta=1.0, eta=1.0)
+E0 = np.array([1.0, 0.0])
+TS = np.array([0.0, 0.3, 1.7])
+H2 = hermitian(np.arange(4).reshape(2, 2) * (1 + 0.5j) / 4)
+H3 = hermitian(np.arange(9).reshape(3, 3) * (1 - 0.5j) / 9)
+SCHED3 = constant_schedule(H3)
+TRAJ3 = propagate(SCHED3, np.eye(3)[0], TimeGrid(1.0, 8))
+
+
+def rotating(n, t):
+    """e^{it} e_0 and its derivative."""
+    vec = np.exp(1j * t)[..., None] * E0
+    return vec, 1j * vec
+
+
+def evaluated(frame):
+    return frame, frame.value_and_derivative(0, TS)
+
+
+def fd_frame(**kwargs):
+    return evaluated(finite_difference_frame(2, 1, lambda n, t: rotating(n, t)[0], **kwargs))
+
+
+def heff(t=0.3, hbar=1.0):
+    return eff_hamiltonian_matrix(spin_model.tilted_frame(SPIN), spin_model.schedule(SPIN), t, hbar=hbar)
+
+
+def model(**kwargs):
+    params = spin_model.ModelParams(**{"mu": 1.0, "b_field": 1.0, "omega": 1.0, "theta": 1.0, **kwargs})
+    return params, params.period
+
+
+def from_eta(**kwargs):
+    params = spin_model.ModelParams.from_eta(**{"theta": 1.0, "eta": 1.0, **kwargs})
+    return params, params.period
+
+
+def run_point(**kwargs):
+    return sweep.run_point(**{"theta": 1.0, "eta": 1.0, "base_steps": 16, **kwargs})
+
+
+def grid(t_end=1.0, steps=8):
+    g = TimeGrid(t_end, steps)
+    return g, g.dt, g.nodes()
+
+
+BIG = 2**53
+POSITIVE = reals(0.25, 4.0, BIG)
+SIGNED = reals(-2.0, 2.0, BIG)
+BOUNDARY_ENTRIES = {
+    "TimeGrid.t_end": (POSITIVE, lambda x: grid(t_end=x)),
+    "TimeGrid.steps": (counts(1, 64), lambda n: grid(steps=n)),
+    **{f"ModelParams.{name}": (POSITIVE, lambda x, name=name: model(**{name: x}))
+       for name in ("mu", "b_field", "omega", "hbar")},
+    "ModelParams.theta": (reals(0.0, 2.0, 2), lambda x: model(theta=x)),
+    **{f"from_eta.{name}": (POSITIVE, lambda x, name=name: from_eta(**{name: x}))
+       for name in ("eta", "mu", "b_field", "hbar")},
+    "from_eta.theta": (reals(0.0, 2.0, 2), lambda x: from_eta(theta=x)),
+    "MovingFrame.period": (POSITIVE, lambda x: evaluated(MovingFrame(2, 1, rotating, x))),
+    "MovingFrame.dim": (counts(2, 64), lambda n: MovingFrame(n, 1, rotating)),
+    "MovingFrame.count": (counts(1, 4), lambda n: MovingFrame(4, n, rotating)),
+    "finite_difference_frame.period": (POSITIVE, lambda x: fd_frame(period=x)),
+    "finite_difference_frame.fd_step": (POSITIVE, lambda x: fd_frame(fd_step=x)),
+    "random_periodic_gauge.period": (POSITIVE,
+                                     lambda x: random_periodic_gauge(x, np.random.default_rng(0)).fn(0, TS)),
+    "propagate.hbar": (POSITIVE, lambda x: propagate(SCHED3, np.eye(3)[0], TimeGrid(1.0, 8), hbar=x)),
+    "dynamical_phase.hbar": (POSITIVE, lambda x: dynamical_phase(TRAJ3, SCHED3, hbar=x)),
+    "noncyclic_geometric_phase.hbar": (POSITIVE,
+                                       lambda x: noncyclic_geometric_phase(TRAJ3, SCHED3, hbar=x)),
+    "expi_hermitian.dt": (SIGNED, lambda x: [expi_hermitian(h, x) for h in (H2, H3)]),
+    "expi_hermitian.hbar": (POSITIVE, lambda x: [expi_hermitian(h, 0.7, hbar=x) for h in (H2, H3)]),
+    "eff_hamiltonian_matrix.t": (SIGNED, lambda x: heff(t=x)),
+    "eff_hamiltonian_matrix.hbar": (POSITIVE, lambda x: heff(hbar=x)),
+    "run_point.theta": (reals(0.125, 2.0, 2), lambda x: run_point(theta=x)),
+    "run_point.eta": (reals(0.5, 2.0, 2), lambda x: run_point(eta=x)),
+    "run_point.hbar": (POSITIVE, lambda x: run_point(hbar=x)),
+    "run_point.base_steps": (counts(16, 64), lambda n: run_point(base_steps=n)),
+    "run_point.n_periods": (counts(1, 2), lambda n: run_point(n_periods=n)),
+    "geometric_phase_exact.n_periods": (counts(1, BIG),
+                                        lambda n: spin_model.geometric_phase_exact(SPIN, 1, n)),
+    "midpoint_phase_error_estimate.steps": (counts(1, BIG),
+                                            lambda n: spin_model.midpoint_phase_error_estimate(SPIN, n)),
+    "eta_grid.points": (counts(2, 64), lambda n: sweep.eta_grid(0.5, 2.0, n)),
+    "eta_grid.eta_min": (reals(0.25, 1.0, 1), lambda x: sweep.eta_grid(x, 4.0, 5)),
+    "eta_grid.eta_max": (reals(2.0, 4.0, BIG), lambda x: sweep.eta_grid(1.0, x, 5)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOUNDARY_ENTRIES))
+@settings(CONTRACT, max_examples=12)
+@given(data=st.data())
+def test_numpy_scalars_and_ints_give_the_bits_of_the_python_number(entry, data):
+    values, call = BOUNDARY_ENTRIES[entry]
+    x = data.draw(values)
+    exact = int(x) if isinstance(x, (int, np.integer)) else float(x)
+    assert bits(call(x)) == bits(call(exact))
+
+
+def test_a_float32_theta_or_a_float16_hbar_sweeps_as_float64():
+    rows = sweep.run_sweep(1.0, [0.5, 1.0])
+    assert [row.status for row in rows] == ["ok", "ok"]
+    assert bits(sweep.run_sweep(np.float32(1.0), [0.5, 1.0])) == bits(rows)
+    assert bits(sweep.run_sweep(1.0, [0.5, 1.0], hbar=np.float16(1.0))) == bits(rows)
+
+
+def test_an_error_row_holds_python_numbers():
+    (row,) = sweep.run_sweep(np.float32(4.0), [1.0], base_steps=np.int16(16))
+    assert row.status == "error: theta must lie in [0; pi]; got 4.0"
+    assert (type(row.theta), type(row.steps_used)) == (float, int)
+    assert json.loads(sweep.rows_to_json([row]))["rows"][0]["theta"] == 4.0
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"theta": math.nan}, "^theta must be a real finite scalar, got nan$"),
+    ({"base_steps": 1.5}, r"^base_steps must be an integer in \[16, "),
+])
+def test_sweep_refuses_a_bad_theta_or_base_steps_before_any_row(monkeypatch, kwargs, match):
+    monkeypatch.setattr(sweep, "run_point", None)
+    with pytest.raises(ValueError, match=match):
+        sweep.run_sweep(**{"theta": 1.0, "etas": [0.5, 1.0], **kwargs})
+
+
+def test_grid_steps_past_two_to_the_53_are_refused_at_construction():
+    TimeGrid(1.0, 2**53)  # dt is finite, and so is every node
+    for steps in (2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match=r"^steps must be an integer in \[1, 9007199254740992\], got "):
+            TimeGrid(1.0, steps)
+
+
+@pytest.mark.parametrize("hbar", [math.nan, 1j, 10**400, 0.0, None],
+                         ids=["nan", "complex", "past-float", "zero", "none"])
+def test_heff_refuses_a_bad_hbar_before_evaluating_h_or_the_frame(hbar):
+    calls = []
+    tilted = spin_model.tilted_frame(SPIN)
+    frame = MovingFrame(2, 2, lambda n, t: calls.append("frame") or tilted.fn(n, t), SPIN.period)
+    hamiltonian = lambda t: calls.append("H") or spin_model.hamiltonian(SPIN, t)  # noqa: E731
+    with pytest.raises(ValueError, match=r"^hbar must be positive and finite, got "):
+        eff_hamiltonian_matrix(frame, hamiltonian, 0.3, hbar=hbar)
+    assert calls == []

@@ -179,6 +179,19 @@ def test_fidelity_grid_mismatch():
         fidelity(Trajectory(grid_a, states_a), Trajectory(grid_b, states_b))
 
 
+def test_fidelity_dimension_mismatch():
+    grid = TimeGrid(t_end=1.0, steps=4)
+    a, b = (Trajectory(grid, np.tile(np.eye(dim)[0], (5, 1))) for dim in (2, 3))
+    with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: 2 vs 3$"):
+        fidelity(a, b)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 2), (5, 2, 1)], ids=["1-d", "one-node-short", "3-d"])
+def test_trajectory_refuses_states_of_another_shape(shape):
+    with pytest.raises(DimensionMismatchError, match=r"^states must have shape \(steps\+1, dim\), got "):
+        Trajectory(TimeGrid(t_end=1.0, steps=4), np.ones(shape))
+
+
 def test_expand_in_canonical_basis_returns_raw_amplitudes():
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
     grid = TimeGrid(t_end=params.period, steps=64)

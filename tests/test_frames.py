@@ -189,8 +189,8 @@ def counting_frame(period):
 
 @pytest.mark.parametrize(
     "steps, match",
-    [(0, "steps must be >= 1"), (-3, "steps must be >= 1"), (2.5, "steps must be an integer"),
-     (True, "steps must be an integer")],
+    [(0, "steps must be an integer in"), (-3, "steps must be an integer in"),
+     (2.5, "steps must be an integer"), (True, "steps must be an integer")],
 )
 def test_quadratures_refuse_bad_steps_before_sampling(steps, match):
     frame, calls = counting_frame(period=1.0)
@@ -198,6 +198,17 @@ def test_quadratures_refuse_bad_steps_before_sampling(steps, match):
         with pytest.raises(ValueError, match=match):
             quadrature(frame, 0, steps=steps)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [True, False, 0.0, 1.0, np.float64(0.0), "0", None, -1, 1, np.int64(1)])
+def test_frame_index_that_is_not_a_count_below_count_is_index_error(n):
+    frame, calls = counting_frame(period=1.0)
+    for method in (frame.value, frame.derivative, frame.value_and_derivative):
+        with pytest.raises(IndexError, match=r"^frame index .* out of range \[0, 1\)$"):
+            method(n, 0.5)
+    assert calls == []
+    for n in (0, np.int64(0), np.uint8(0)):
+        assert frame.value(n, 0.5).shape == (2,)
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
@@ -284,8 +295,10 @@ def test_heff_rejects_non_hermitian_hamiltonian():
 
 
 @pytest.mark.parametrize("h, match", [(np.eye(3), r"^expected dimension 2, got 3$"),
-                                      (np.eye(65), r"^dimension 65 exceeds configured cap 64$")],
-                         ids=["other-dim", "over-cap"])
+                                      (np.eye(65), r"^dimension 65 exceeds configured cap 64$"),
+                                      (np.ones((2, 3)),
+                                       r"^Hamiltonians must be square, got shape \(2, 3\)$")],
+                         ids=["other-dim", "over-cap", "non-square"])
 def test_heff_refuses_a_hamiltonian_of_the_wrong_size(h, match):
     with pytest.raises(DimensionMismatchError, match=match):
         eff_hamiltonian_matrix(spin_model.tilted_frame(PARAMS), h, 0.0)

@@ -329,6 +329,12 @@ def test_dimension_cap():
         hilbert._as_state(np.ones(65))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (), (0,)], ids=["2-d", "0-d", "empty"])
+def test_state_must_be_a_non_empty_vector(shape):
+    with pytest.raises(DimensionMismatchError, match=r"^state must be a 1-d vector, got shape "):
+        hilbert._as_state(np.ones(shape))
+
+
 def test_non_finite_state_rejected():
     with pytest.raises(ValueError):
         hilbert._as_state([1.0, np.nan])

@@ -296,3 +296,36 @@ def test_estimate_saturates_where_dt_squared_overflows(eta):
         p = ModelParams.from_eta(theta=0.0, eta=eta_used)
         assert spin_model.midpoint_phase_error_estimate(p, 1) == 0.0
         assert spin_model.steps_for_phase_tolerance(p, 1e-6) == spin_model._MIN_STEPS
+
+
+PARAMS = ModelParams.from_eta(theta=1.0, eta=1.0)
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True, 2**53 + 1])
+def test_error_estimate_refuses_a_step_count_that_is_not_a_count(steps):
+    with pytest.raises(ValueError, match=r"^steps must be an integer in \[1, "):
+        spin_model.midpoint_phase_error_estimate(PARAMS, steps)
+
+
+@pytest.mark.parametrize("n_periods", [0.5, 2.5, 0, -1, True])
+def test_period_count_that_is_not_a_count_is_refused(n_periods):
+    calls = [
+        lambda: spin_model.geometric_phase_exact(PARAMS, 1, n_periods),
+        lambda: spin_model.midpoint_phase_error_estimate(PARAMS, 16, n_periods),
+        lambda: spin_model.steps_for_phase_tolerance(PARAMS, 1e-6, n_periods),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^n_periods must be an integer in \[1, "):
+            call()
+
+
+@pytest.mark.parametrize("phase_tol", [np.nan, np.inf, 0.0, -1e-6, 1j, "1e-6", None, 10**400])
+def test_step_count_refuses_a_phase_tolerance_that_is_not_positive_and_finite(phase_tol):
+    with pytest.raises(ValueError, match="^phase_tol must be positive and finite, got "):
+        spin_model.steps_for_phase_tolerance(PARAMS, phase_tol)
+
+
+@pytest.mark.parametrize("branch", [0, 2, -2, 0.5])
+def test_exact_solution_refuses_a_branch_other_than_plus_or_minus_one(branch):
+    with pytest.raises(ValueError, match=f"^branch must be \\+1 or -1, got {branch}$"):
+        spin_model.exact_solution(PARAMS, branch, 0.0)

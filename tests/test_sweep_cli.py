@@ -137,6 +137,8 @@ def test_config_bounds():
         ({"eta": None, "omega": 1e308, "mu": 1e-10}, "eta = omega"),
         ({"eta": 1e300, "mu": 1e10}, "omega = 2 mu b_field eta "),
         ({"mu": 1e10, "sweep.eta_min": 1e-3, "sweep.eta_max": 1e300, "sweep.points": 4}, "sweep.eta_max"),
+        ({"n_periods": 0}, "^n_periods must be >= 1, got 0$"),
+        ({"sweep.eta_min": 1e-3, "sweep.points": 4}, r"^incomplete sweep spec, missing \['sweep.eta_max'\]$"),
     ],
 )
 def test_config_rejects_unbounded_values(mapping, match):
@@ -969,6 +971,31 @@ def test_eta_grid_refuses_an_infinite_bound(log):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="< inf"):
             eta_grid(1e-3, math.inf, 4, log=log)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("reached")
+
+
+@pytest.mark.parametrize("points", [3.0, True, 1, 100_001, 10**400])
+def test_eta_grid_refuses_points_before_allocating(monkeypatch, points):
+    monkeypatch.setattr(np, "logspace", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    with pytest.raises(ValueError, match=r"^points must be an integer in \[2, 100000\], got "):
+        eta_grid(1e-3, 1.0, points)
+
+
+@pytest.mark.parametrize("eta_min, eta_max", [(1j, 1.0), ("0.1", 1.0), (1e-3, 10**400), (None, 1.0)])
+def test_eta_grid_refuses_a_bound_that_is_not_a_real(eta_min, eta_max):
+    with pytest.raises(ValueError, match="^need 0 < eta_min < eta_max < inf, got "):
+        eta_grid(eta_min, eta_max, 4)
+
+
+@pytest.mark.parametrize("n_periods", [2.5, 0, True, np.float64(1.0)])
+def test_run_point_refuses_a_period_count_before_sampling(monkeypatch, n_periods):
+    monkeypatch.setattr(spin_model, "schedule", refuse)
+    with pytest.raises(ValueError, match=r"^n_periods must be an integer in \[1, "):
+        run_point(1.0, 1.0, n_periods=n_periods)
 
 
 def test_output_name_the_os_refuses_is_usage_error_before_the_run(tmp_path, monkeypatch, capsys):
