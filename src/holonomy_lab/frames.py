@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationDriftError
 from .evolution import TimeGrid
-from .hilbert import _count, _real, _require_hermitian, _require_operator_dim, inner
+from .hilbert import _count, _real, _require_hermitian, _require_operator_dim, _shown, inner
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -62,6 +62,11 @@ class MovingFrame:
     1 <= count <= dim (DimensionMismatchError when out of order); `period`
     is the frame's period T, or None for an aperiodic frame. For a frame
     known by its values alone, see finite_difference_frame.
+
+    Each frame object keeps its connection integrals over one period, one
+    per (n, steps, tol), for adiabatic_berry_phase (and holonomy through it);
+    so fn must be a function of (n, t) alone. A race between threads can
+    only compute one integral twice. Nothing else is cached.
     """
 
     dim: int
@@ -75,12 +80,17 @@ class MovingFrame:
         if self.count > self.dim:
             raise DimensionMismatchError(f"need 1 <= count <= dim, got count={self.count}, dim={self.dim}")
         object.__setattr__(self, "period", _real("period", self.period, positive=True, optional=True))
+        object.__setattr__(self, "_integrals", {})
+
+    def _require_index(self, n) -> None:
+        """IndexError unless n is a count in [0, count)."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < self.count:
+            raise IndexError(f"frame index {_shown(n)} out of range [0, {self.count})")
 
     def value_and_derivative(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
         """(v_n, d/dt v_n) at scalar or array t, each of shape shape(t) + (dim,),
         from one call of fn; IndexError unless n is a count in [0, count)."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < self.count:
-            raise IndexError(f"frame index {n!r} out of range [0, {self.count})")
+        self._require_index(n)
         t = np.asarray(t, dtype=float)
         shape = t.shape + (self.dim,)
         vec, deriv = self.fn(n, t)
@@ -200,9 +210,8 @@ def connection(frame: MovingFrame, n: int, t, tol: Tolerances = DEFAULT):
     return float(rate) if t.ndim == 0 else rate
 
 
-def _quadrature_nodes(t_end: float, steps: int) -> np.ndarray:
-    """steps + 1 uniform nodes on [0, t_end], both coerced by TimeGrid's rule."""
-    grid = TimeGrid(t_end=t_end, steps=steps)
+def _quadrature_nodes(grid: TimeGrid) -> np.ndarray:
+    """grid.steps + 1 uniform nodes on [0, grid.t_end]."""
     return np.linspace(0.0, grid.t_end, grid.steps + 1)
 
 
@@ -226,7 +235,7 @@ def parallel_transport_fix(
         t_end = frame.period
     if t_end is None:
         raise ValueError("parallel transport needs t_end for an aperiodic frame")
-    ts = _quadrature_nodes(t_end, steps)
+    ts = _quadrature_nodes(TimeGrid(t_end=t_end, steps=steps))
     rates = connection(frame, n, ts, tol=tol)
     dt = ts[1] - ts[0]
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * dt)])
@@ -248,12 +257,21 @@ def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
     Returned unreduced: windings carry physical content here. For smooth
     periodic frames the rule is spectrally accurate. Requires a periodic
     frame. Raises ValueError before sampling the frame unless steps is an
-    integer >= 1 (not a bool), as TimeGrid requires.
+    integer >= 1 (not a bool), as TimeGrid requires. The frame keeps the
+    result for its (n, steps, tol), checked first, and returns it on a
+    repeated call without sampling; an integral that raises is not kept.
     """
     if frame.period is None:
         raise ValueError("the connection integral over one period requires a periodic frame")
-    ts = _quadrature_nodes(frame.period, steps)
-    return float(np.trapezoid(connection(frame, n, ts, tol=tol), dx=ts[1] - ts[0]))
+    grid = TimeGrid(t_end=frame.period, steps=steps)
+    frame._require_index(n)
+    key = (int(n), grid.steps, tol)
+    integral = frame._integrals.get(key)
+    if integral is None:
+        ts = _quadrature_nodes(grid)
+        integral = float(np.trapezoid(connection(frame, n, ts, tol=tol), dx=ts[1] - ts[0]))
+        frame._integrals[key] = integral
+    return integral
 
 
 def holonomy(frame: MovingFrame, n: int, steps: int = 4096, tol: Tolerances = DEFAULT) -> complex:

@@ -144,6 +144,20 @@ def _empty_2x2(lead: tuple[int, ...]) -> np.ndarray:
 _MAX_COUNT = 1 << 53
 
 
+def _shown(x) -> str:
+    """repr(x) for an error message, or, for an int too long for repr
+    (sys.get_int_max_str_digits), its sign and count of digits."""
+    try:
+        return repr(x)
+    except ValueError:
+        if not isinstance(x, int):
+            raise
+        size = abs(x)
+        digits = int(size.bit_length() * math.log10(2.0))  # too low by at most one
+        digits += size >= 10**digits
+        return f"{'a negative' if x < 0 else 'an'} int of {digits} digits"
+
+
 def _real(name: str, x, positive: bool = False, optional: bool = False) -> float | None:
     """x as a Python float, finite (and > 0 when `positive`), or None when
     `optional`; ValueError naming `name` otherwise. See README's numeric boundary."""
@@ -156,14 +170,14 @@ def _real(name: str, x, positive: bool = False, optional: bool = False) -> float
     if math.isfinite(value) and (value > 0.0 or not positive):
         return value
     rule = "positive and finite" if positive else "a real finite scalar"
-    raise ValueError(f"{name} must be {'None or ' if optional else ''}{rule}, got {x!r}")
+    raise ValueError(f"{name} must be {'None or ' if optional else ''}{rule}, got {_shown(x)}")
 
 
 def _count(name: str, x, lo: int, hi: int = _MAX_COUNT) -> int:
     """x, an int or numpy integer but not a bool, as an int in [lo, hi], else ValueError."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x <= hi:
         return int(x)
-    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(x)}")
 
 
 def _step_unitaries(hams: np.ndarray, dt: float, hbar: float, times=None) -> np.ndarray:

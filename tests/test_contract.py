@@ -8,6 +8,7 @@ exception."""
 import json
 import math
 import struct
+import sys
 from dataclasses import fields, is_dataclass
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from holonomy_lab import cli, config, spin_model, sweep
+from holonomy_lab import cli, config, hilbert, spin_model, sweep
 from holonomy_lab.errors import ConfigError, NonHermitianError
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, Trajectory, propagate
 from holonomy_lab.frames import (MovingFrame, eff_hamiltonian_matrix, finite_difference_frame,
@@ -475,6 +476,32 @@ def test_grid_steps_past_two_to_the_53_are_refused_at_construction():
     for steps in (2**53 + 1, 10**400):
         with pytest.raises(ValueError, match=r"^steps must be an integer in \[1, 9007199254740992\], got "):
             TimeGrid(1.0, steps)
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default limit of 4300 digits on int-to-text conversion, for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: TimeGrid(1.0, -10**5000), r"^steps must be an integer in \[1, 9007199254740992\], "
+                                      r"got a negative int of 5001 digits$"),
+    (lambda: TimeGrid(10**4301 - 1, 8), r"^t_end must be positive and finite, got an int of 4301 digits$"),
+    (lambda: hilbert._real("x", 10**5000), r"^x must be a real finite scalar, got an int of 5001 digits$"),
+    (lambda: hilbert._real("x", -10**5000 + 1, optional=True),
+     r"^x must be None or a real finite scalar, got a negative int of 5000 digits$"),
+    (lambda: expi_hermitian(np.eye(2), 1.0, hbar=10**4300), r"^hbar must be positive and finite, got an int of 4301 digits$"),
+    (lambda: MovingFrame(10**5000, 1, None), r"^dim must be an integer in \[1, 9007199254740992\], got an int of 5001 digits$"),
+], ids=["steps", "t_end", "real", "optional-real", "hbar", "dim"])
+def test_an_int_too_long_to_print_is_named_by_its_digits(default_int_digit_limit, call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("hbar", [math.nan, 1j, 10**400, 0.0, None],

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ from holonomy_lab.frames import (
     random_periodic_gauge,
 )
 from holonomy_lab.phases import circular_distance
+from holonomy_lab.tolerances import DEFAULT
 
 PARAMS = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1.0)
 DELTA = PARAMS.theta - spin_model.tilt_angle(PARAMS).alpha
@@ -200,7 +203,8 @@ def test_quadratures_refuse_bad_steps_before_sampling(steps, match):
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [True, False, 0.0, 1.0, np.float64(0.0), "0", None, -1, 1, np.int64(1)])
+@pytest.mark.parametrize("n", [True, False, 0.0, 1.0, np.float64(0.0), "0", None, -1, 1, np.int64(1),
+                               pytest.param(10**5000, id="10**5000")])
 def test_frame_index_that_is_not_a_count_below_count_is_index_error(n):
     frame, calls = counting_frame(period=1.0)
     for method in (frame.value, frame.derivative, frame.value_and_derivative):
@@ -799,3 +803,155 @@ def test_frames_outputs_of_the_benchmark_are_pinned():
     for t in np.linspace(0.0, params.period, 64, endpoint=False):
         digest.update(eff_hamiltonian_matrix(frame, sched, t, hbar=params.hbar).tobytes())
     assert digest.hexdigest() == "87407fd55014734fd71c1b5c09a0fca52534e4638c5f8ca478e6845966ef7048"
+
+
+# --- each frame object keeps its connection integrals ---------------------------
+
+
+def recording_tilted_frame(params=PARAMS, gauge_seed=7):
+    """A gauged tilted frame of two vectors whose callback records (n, number of times)."""
+    gauged = gauge_transform(spin_model.tilted_frame(params),
+                             random_periodic_gauge(params.period, np.random.default_rng(gauge_seed)))
+    calls = []
+
+    def fn(n, t):
+        calls.append((int(n), np.size(t)))
+        return gauged.fn(n, t)
+
+    return MovingFrame(dim=2, count=2, fn=fn, period=params.period), calls
+
+
+def test_holonomy_then_berry_phase_sample_the_grid_once():
+    frame, calls = recording_tilted_frame()
+    fresh, _ = recording_tilted_frame()
+    hol = holonomy(frame, 0, steps=64)
+    assert calls == [(0, 65), (0, 2)]
+    berry = adiabatic_berry_phase(frame, 0, steps=64)
+    assert calls == [(0, 65), (0, 2)]
+    assert bits(berry) == bits(adiabatic_berry_phase(fresh, 0, steps=64))
+    assert bits(holonomy(frame, 0, steps=64)) == bits(hol)
+    assert calls == [(0, 65), (0, 2), (0, 2)]
+
+
+def test_a_new_index_steps_or_tol_computes_a_new_integral():
+    frame, calls = recording_tilted_frame()
+    lenient = DEFAULT.replace(connection_drift=1e-8)
+    keys = [(0, 64, DEFAULT), (1, 64, DEFAULT), (0, 32, DEFAULT), (0, 64, lenient)]
+    for n, steps, tol in keys:
+        fresh, _ = recording_tilted_frame()
+        want = adiabatic_berry_phase(fresh, n, steps=steps, tol=tol)
+        assert bits(adiabatic_berry_phase(frame, n, steps=steps, tol=tol)) == bits(want)
+    assert calls == [(0, 65), (1, 65), (0, 33), (0, 65)]
+    # the same keys, named by equal values of other types, sample nothing
+    for n, steps, tol in [(np.int64(0), np.uint16(64), DEFAULT.replace()), (np.uint8(1), 64, DEFAULT),
+                          (0, np.int32(32), DEFAULT), (0, 64, DEFAULT.replace(connection_drift=1e-8))]:
+        adiabatic_berry_phase(frame, n, steps=steps, tol=tol)
+    assert len(calls) == 4
+
+
+def drifting_frame(rate):
+    """e_0 scaled by 1 + rate * t: Im<v|i dv/dt> = rate * (1 + rate * t)."""
+    return MovingFrame(dim=2, count=1, period=1.0, fn=lambda n, t: (
+        np.multiply.outer((1.0 + rate * t) * np.exp(-1j * t), [1.0, 0.0]),
+        np.multiply.outer((rate - 1j * (1.0 + rate * t)) * np.exp(-1j * t), [1.0, 0.0])))
+
+
+def test_a_stricter_tol_after_a_lenient_one_still_raises():
+    frame = drifting_frame(1e-7)
+    lenient = DEFAULT.replace(connection_drift=1e-6)
+    assert np.isfinite(adiabatic_berry_phase(frame, 0, steps=64, tol=lenient))
+    assert np.isfinite(holonomy(frame, 0, steps=64, tol=lenient))
+    for quadrature in (adiabatic_berry_phase, holonomy):
+        with pytest.raises(NormalizationDriftError, match="frame vector 0 norm drifts at t=0.0:"):
+            quadrature(frame, 0, steps=64)
+
+
+@pytest.mark.parametrize("n, steps, error", [
+    (True, 64, IndexError), (np.float64(1.0), 64, IndexError), (2, 64, IndexError),
+    (1, 64.0, ValueError), (1, True, ValueError), (1, np.float64(1.0), ValueError),
+], ids=["index-True", "index-float", "index-2", "steps-float", "steps-True", "steps-np-float"])
+def test_a_kept_integral_does_not_let_a_refused_input_through(n, steps, error):
+    # True and 1.0 hash like 1, which is a kept index, and 64.0 like 64
+    frame, calls = recording_tilted_frame()
+    for quadrature in (adiabatic_berry_phase, holonomy):
+        quadrature(frame, 1, steps=64)
+        quadrature(frame, 1, steps=1)
+    del calls[:]
+    for quadrature in (adiabatic_berry_phase, holonomy):
+        with pytest.raises(error):
+            quadrature(frame, n, steps=steps)
+    with pytest.raises(ValueError, match="requires a periodic frame"):
+        adiabatic_berry_phase(dataclasses.replace(frame, period=None), 1, steps=64)
+    assert calls == []
+
+
+def test_an_integral_that_raises_is_not_kept():
+    frame, calls = recording_tilted_frame()
+    fresh, _ = recording_tilted_frame()
+    failures = [RuntimeError("the first call fails")]
+
+    def flaky(n, t):
+        if failures:
+            raise failures.pop()
+        return frame.fn(n, t)
+
+    flaky_frame = MovingFrame(dim=2, count=2, fn=flaky, period=frame.period)
+    with pytest.raises(RuntimeError, match="the first call fails"):
+        adiabatic_berry_phase(flaky_frame, 0, steps=64)
+    assert bits(adiabatic_berry_phase(flaky_frame, 0, steps=64)) == bits(adiabatic_berry_phase(fresh, 0, steps=64))
+    assert calls == [(0, 65)]
+    # a drift refused once is refused again: nothing was kept in its place
+    drifting = drifting_frame(1e-7)
+    for _ in range(2):
+        with pytest.raises(NormalizationDriftError):
+            holonomy(drifting, 0, steps=64)
+
+
+def test_a_replaced_frame_keeps_its_own_integrals():
+    frame, calls = recording_tilted_frame()
+    berry = adiabatic_berry_phase(frame, 0, steps=64)
+    copy = dataclasses.replace(frame)
+    assert bits(adiabatic_berry_phase(copy, 0, steps=64)) == bits(berry)
+    assert calls == [(0, 65), (0, 65)]
+    adiabatic_berry_phase(frame, 0, steps=64)
+    adiabatic_berry_phase(copy, 0, steps=64)
+    assert len(calls) == 2
+    # a copy with another period integrates over its own period
+    longer = dataclasses.replace(frame, period=2.0 * frame.period)
+    fresh, _ = recording_tilted_frame()
+    want = adiabatic_berry_phase(dataclasses.replace(fresh, period=2.0 * frame.period), 0, steps=64)
+    assert bits(adiabatic_berry_phase(longer, 0, steps=64)) == bits(want)
+    assert len(calls) == 3
+
+
+def test_threads_sharing_one_frame_get_the_one_thread_results():
+    keys = [(n, steps) for n in (0, 1) for steps in (16, 32, 64, 128)]
+    reference, _ = recording_tilted_frame()
+    want = {key: (bits(holonomy(reference, *key)), bits(adiabatic_berry_phase(reference, *key))) for key in keys}
+    frame, _ = recording_tilted_frame()
+    got, errors = [], []
+
+    def work(order):
+        try:
+            for _ in range(3):
+                for key in order:
+                    got.append((key, bits(adiabatic_berry_phase(frame, *key)), bits(holonomy(frame, *key))))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    orders = [keys, keys[::-1], keys[1::2] + keys[::2], keys[::2] + keys[1::2]]
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 3 * len(keys) * len(threads)
+    for key, berry, hol in got:
+        assert (hol, berry) == want[key]

@@ -832,6 +832,60 @@ def test_verify_reports_a_raising_check_as_failed_and_runs_the_rest(monkeypatch)
     assert lines[-1] == "1/2 checks passed"
 
 
+def triviality_rows(values, deviations, statuses):
+    """SweepRows with the given geometric phases, deviations and statuses."""
+    return [sweep.SweepRow(eta=float(k), theta=math.pi / 3, alpha=0.0, geom_phase_plus=v, geom_phase_minus=0.0,
+                           geom_phase_exact_plus=v, berry_limit_plus=0.0, deviation_from_exact=d,
+                           endpoint_fidelity=1.0, steps_used=4096, status=s)
+            for k, (v, d, s) in enumerate(zip(values, deviations, statuses))]
+
+
+def crafted_triviality(case):
+    """40 rows (the quick grid) that pass, or that break one rule of check_sweep_triviality."""
+    values = np.linspace(spin_model.berry_limit_phase(math.pi / 3, +1), 2.0 * math.pi, 40)
+    deviations = np.full(40, 1e-7)
+    statuses = ["ok"] * 40
+    if case == "one row failed":
+        statuses[7], deviations[7] = "error: crafted", math.nan
+    elif case == "every row failed":
+        values[:], deviations[:], statuses[:] = math.nan, math.nan, ["error: crafted"] * 40
+    elif case == "jump":
+        values[:20] = values[0]
+        values[20:] = values[-1]
+    elif case == "not monotone":
+        values[20] = values[19] - 1e-9
+    elif case == "deviation":
+        deviations[3] = 2e-5
+    elif case == "adiabatic endpoint":
+        values[0] -= 0.01
+    elif case == "trivial endpoint":
+        values[-1] -= 1e-3
+    return triviality_rows(values.tolist(), deviations.tolist(), statuses)
+
+
+@pytest.mark.parametrize("case, problem", [
+    ("pass", None),
+    ("one row failed", "1 rows failed"),
+    ("every row failed", "40 rows failed"),
+    ("jump", "max adjacent jump 1.571e+00"),
+    ("not monotone", "not monotone in eta"),
+    ("deviation", "per-row deviation 2.000e-05"),
+    ("adiabatic endpoint", "adiabatic endpoint off by 1.000e-02"),
+    ("trivial endpoint", "trivial endpoint off by 1.000e-03"),
+])
+def test_sweep_triviality_names_each_broken_rule(monkeypatch, case, problem):
+    # the warnings filter turns a RuntimeWarning into an error, as CI's verify step does
+    rows = crafted_triviality(case)
+    monkeypatch.setattr(sweep, "run_sweep", lambda theta, etas, base_steps, tol: rows)
+    result = verify.check_sweep_triviality(DEFAULT, quick=True)
+    assert result.detail == "40 rows" + ("" if problem is None else f"; {problem}")
+    assert result.passed == (problem is None)
+    if case == "every row failed":
+        assert math.isnan(result.measured)
+    else:
+        assert result.measured == max(r.deviation_from_exact for r in rows if r.status == "ok")
+
+
 @pytest.mark.parametrize("name", ["unitarity", "orthonormality", "norm_preservation", "gauge_invariance",
                                   "holonomy_modulus", "diagonality", "parallel_transport", "tilt_residual"])
 def test_cli_verify_refuses_a_tolerance_of_a_fixed_pass_line(tmp_path, monkeypatch, capsys, name):
