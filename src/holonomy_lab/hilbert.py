@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
-def _hermiticity_defects(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermiticity_defects(hams: np.ndarray, diff: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """max|H - H^H| and max|H| for each matrix of a (k, dim, dim) stack.
 
     At dim 2, when every entry is finite, both come from one pass over the
@@ -90,34 +91,69 @@ def _hermiticity_defects(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts of the diagonal cancel exactly), the scale the largest |Hij|. Both
     are bit-equal to the general formula, which every other stack takes, a
     dim-2 one with a non-finite entry included: there a non-finite Re Hii
-    gives a NaN defect, not 2|Im Hii|. The general formula writes H^H once
-    as a C-ordered array and subtracts it from H in place, so no operand is
-    read transposed in the subtraction; the samples are never written.
+    gives a NaN defect, not 2|Im Hii|. The general formula reads H - H^H
+    from `diff` when given, else forms it by _skew_part. A defect or scale
+    that overflows is inf, without a warning; the caller's test reports it.
     """
-    if hams.shape[1:] == (2, 2):
-        h00, h01, h10, h11 = hams[:, 0, 0], hams[:, 0, 1], hams[:, 1, 0], hams[:, 1, 1]
-        scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.maximum(np.abs(h10), np.abs(h11)))
-        if np.isfinite(scale).all():
-            defects = np.abs(h01 - h10.conj())
-            np.maximum(defects, 2.0 * np.abs(h00.imag), out=defects)
-            np.maximum(defects, 2.0 * np.abs(h11.imag), out=defects)
-            return defects, scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        if hams.shape[1:] == (2, 2):
+            h00, h01, h10, h11 = hams[:, 0, 0], hams[:, 0, 1], hams[:, 1, 0], hams[:, 1, 1]
+            scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.maximum(np.abs(h10), np.abs(h11)))
+            if np.isfinite(scale).all():
+                defects = np.abs(h01 - h10.conj())
+                np.maximum(defects, 2.0 * np.abs(h00.imag), out=defects)
+                np.maximum(defects, 2.0 * np.abs(h11.imag), out=defects)
+                return defects, scale
+        if diff is None:
+            diff = _skew_part(hams)
+        defects = np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
+        return defects, np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
+
+
+def _skew_part(hams: np.ndarray) -> np.ndarray:
+    """H - H^H for each matrix of a (k, dim, dim) stack, as a new array.
+
+    H^H is written once as a C-ordered array and H is subtracted into it, so
+    no operand is read transposed in the subtraction; the samples are never
+    written. Callers run it under np.errstate: an inf - inf or an overflowed
+    difference is left to their own test of the result.
+    """
     diff = np.conjugate(hams.swapaxes(-1, -2), order="C")
-    with np.errstate(invalid="ignore"):  # inf - inf; the caller's finiteness test reports it
-        np.subtract(hams, diff, out=diff)
-    defects = np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
-    return defects, np.max(np.abs(hams), axis=(-2, -1), initial=0.0)
+    return np.subtract(hams, diff, out=diff)
 
 
 def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
     """Raise NonHermitianError on the first matrix of a (k, dim, dim) stack that
     has a non-finite entry or max|H - H^H| > tol.hermiticity * max(1, max|H|),
-    naming times[k] when given. Dim-2 stacks are screened in one pass over
-    their entries (see _hermiticity_defects)."""
+    naming times[k] when given.
+
+    From dim 3 up a stack passes at once, without either max pass, when the
+    squared Frobenius norm of the whole stack is finite and every
+    ||H_k - H_k^H||_F^2, summed over the real view, is at most
+    (tol.hermiticity / 2)^2. The first makes every entry and every |Hij|
+    finite, so the exact pass's scale is finite too; the second keeps
+    max|H_k - H_k^H| below tol.hermiticity, the smallest allowed defect, with
+    room for the sum's round-off, and as the bound is a normal float no
+    square that could decide underflows. Every other stack, and every stack
+    when the bound is not a normal float, takes the exact pass, the only one
+    that reports; at dim 2 it is one pass over the entries (see
+    _hermiticity_defects).
+    """
     if hams.ndim != 3 or hams.shape[1] != hams.shape[2]:
         raise DimensionMismatchError(f"Hamiltonians must be square, got shape {hams.shape[1:]}")
-    defects, scale = _hermiticity_defects(hams)
-    allowed = tol.hermiticity * np.maximum(1.0, scale)
+    diff = None
+    half = 0.5 * tol.hermiticity
+    bound = half * half  # inf past the float range, where ** would raise
+    if hams.shape[1] > 2 and tol.hermiticity > 0.0 and sys.float_info.min <= bound <= sys.float_info.max:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(np.vdot(hams, hams).real):
+                diff = _skew_part(hams)
+                real = diff.view(float)
+                if (np.einsum("kij,kij->k", real, real) <= bound).all():
+                    return
+    defects, scale = _hermiticity_defects(hams, diff)
+    with np.errstate(invalid="ignore"):  # a zero tolerance times an infinite scale
+        allowed = tol.hermiticity * np.maximum(1.0, scale)
     # NaN fails every comparison, so finiteness is tested on its own
     bad = np.flatnonzero(~np.isfinite(scale) | (defects > allowed))
     if bad.size:
@@ -307,32 +343,38 @@ def _step_series(hams: np.ndarray, dt: float, hbar: float, out: np.ndarray, time
     return plans
 
 
-def _series_work(dim: int) -> np.ndarray:
-    """Scratch rows for _apply_step at this dim: row j ends in 1 / (j - 1)!."""
+def _series_work(dim: int) -> tuple[list, list]:
+    """Scratch for _apply_step at this dim: the rows of a (19, dim + 1)
+    buffer, row j ending in 1 / (j - 1)!, and the first dim entries of each
+    row, as views made once, so that no step slices the buffer."""
     work = np.zeros((_SERIES_MAX_DEGREE + 1, dim + 1), dtype=complex)
     work[1:, dim] = _INV_FACTORIALS[:_SERIES_MAX_DEGREE]
-    return work
+    return list(work), [row[:dim] for row in work]
 
 
-def _apply_step(plan, gen: np.ndarray, psi: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+def _apply_step(plan, gen: np.ndarray, psi: np.ndarray, out: np.ndarray, work: tuple[list, list] | None) -> None:
     """out = exp(A) psi for one step planned by _step_series, `gen` its row
-    of the generator buffer and `work` from _series_work.
+    of the generator buffer and `work` from _series_work (a unitary plan
+    reads neither, and they may be None).
 
     A unitary plan is applied as it is, in one matrix-vector product. A
     degree m applies the Taylor polynomial of A in Horner form:
     z_m = psi / m!, z_(j-1) = A z_j + psi / (j-1)!, down to z_0. Each term
     is one matrix-vector product of [A | psi], with psi written into gen's
-    last column, and [z_j, 1 / (j-1)!], so a step takes at most 18.
+    last column, and [z_j, 1 / (j-1)!], so a step takes at most 18. Every
+    product is an np.dot into a C-contiguous `out`: the BLAS zgemv that
+    np.matmul calls for these operands, with the same bits and less
+    overhead per call.
     """
     if isinstance(plan, np.ndarray):
-        np.matmul(plan, psi, out=out)
+        np.dot(plan, psi, out=out)
         return
-    dim = psi.size
-    gen[:, dim] = psi
-    np.multiply(psi, _INV_FACTORIALS[plan], out=work[plan, :dim])
+    rows, heads = work
+    gen[:, psi.size] = psi
+    np.multiply(psi, _INV_FACTORIALS[plan], out=heads[plan])
     for j in range(plan, 1, -1):
-        np.matmul(gen, work[j], out=work[j - 1, :dim])
-    np.matmul(gen, work[1], out=out)
+        np.dot(gen, rows[j], out=heads[j - 1])
+    np.dot(gen, rows[1], out=out)
 
 
 def expi_hermitian(h, dt: float, hbar: float = 1.0, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -530,6 +530,77 @@ def test_series_and_unitary_steps_mix_in_one_block(rng, monkeypatch):
     assert np.max(np.abs(results[0] - exact)) <= 1e-12
 
 
+def matmul_step(plan, gen, psi, out, work):
+    """out = exp(A) psi for one plan of _step_series by np.matmul: a unitary
+    in one product, a degree m by the Horner recursion over [A | psi] and
+    `work`'s rows [z_j, 1 / (j-1)!], sliced at every term."""
+    if isinstance(plan, np.ndarray):
+        np.matmul(plan, psi, out=out)
+        return
+    dim = psi.size
+    gen[:, dim] = psi
+    np.multiply(psi, hilbert._INV_FACTORIALS[plan], out=work[plan, :dim])
+    for j in range(plan, 1, -1):
+        np.matmul(gen, work[j], out=work[j - 1, :dim])
+    np.matmul(gen, work[1], out=out)
+
+
+def matmul_states(sched, psis, grid):
+    """States of propagate's plans over the whole grid, at hbar 1, each
+    applied by matmul_step, and the plans."""
+    dim = sched.dim
+    hams = sched.sample(grid.midpoints())
+    if dim < evolution._SERIES_MIN_DIM:
+        plans, gens = hilbert._step_unitaries(hams, grid.dt, 1.0), [None] * grid.steps
+    else:
+        gens = np.empty((grid.steps, dim, dim + 1), dtype=complex)
+        plans = hilbert._step_series(hams, grid.dt, 1.0, out=gens)
+    work = np.zeros((hilbert._SERIES_MAX_DEGREE + 1, dim + 1), dtype=complex)
+    work[1:, dim] = hilbert._INV_FACTORIALS[: hilbert._SERIES_MAX_DEGREE]
+    states = np.empty((len(psis), grid.steps + 1, dim), dtype=complex)
+    states[:, 0] = psis
+    for row in states:
+        for k in range(grid.steps):
+            matmul_step(plans[k], gens[k], row[k], row[k + 1], work)
+    return states, plans
+
+
+@pytest.mark.parametrize(
+    "dim, spike",
+    [(dim, False) for dim in (3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 32, 33, 48, 64)]
+    + [(dim, True) for dim in (8, 9, 16, 33, 64)],
+)
+def test_propagate_states_equal_the_matmul_horner_kernel(dim, spike):
+    # propagate applies its plans by np.dot on fixed views; its states equal
+    # those of np.matmul on sliced rows bit for bit, for two rows over 256
+    # steps of a schedule like dense-driven's (H0 + H1 cos t + H2 sin t,
+    # spectral norms 1, 0.5, 0.5, over 2 pi): unitary plans below dim 8, series
+    # plans from there, and with `spike` one midpoint's H scaled by 100, so
+    # that from dim 8 its plan is a unitary among series plans
+    rng = np.random.default_rng(dim)
+    parts = [a + a.conj().T for a in rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))]
+    h0, h1, h2 = (h * (norm / np.linalg.norm(h, 2)) for h, norm in zip(parts, (1.0, 0.5, 0.5)))
+    grid = TimeGrid(t_end=2 * np.pi, steps=256)
+    spiked = grid.midpoints()[100]
+
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        hams = h0 + h1 * np.cos(ts) + h2 * np.sin(ts)
+        return hams * np.where(spike & (ts == spiked), 100.0, 1.0)
+
+    sched = HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=dim)
+    psis = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    expected, plans = matmul_states(sched, psis, grid)
+    unitary = [k for k, plan in enumerate(plans) if isinstance(plan, np.ndarray)]
+    if dim < evolution._SERIES_MIN_DIM:
+        assert len(unitary) == grid.steps
+    else:
+        assert unitary == ([100] if spike else [])
+    assert same_bits(all_states(propagate(sched, psis, grid)), expected)
+    assert same_bits(propagate(sched, psis[1], grid).states, expected[1])
+
+
 def test_block_rows_may_be_strided(rng):
     sched = random_periodic_schedule(rng, 4)
     psis = np.linalg.eigh(sched.evaluate(0.0))[1].T  # rows are eigenvector columns

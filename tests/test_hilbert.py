@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -428,10 +429,12 @@ def test_dim2_screen_raises_as_general_screen(rng):
             assert f"at t = {float(times[first_bad])!r}:" in outcomes[0][1], name
 
 
-def general_screen(hams, times):
-    """(error class, message) of the screen's rule on general_defects, or None."""
-    defects, scale = general_defects(hams)
-    allowed = DEFAULT.hermiticity * np.maximum(1.0, scale)
+def general_screen(hams, times, tol=DEFAULT):
+    """(error class, message) of the screen's rule on general_defects, or
+    None; a defect or scale that overflows is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects, scale = general_defects(hams)
+        allowed = tol.hermiticity * np.maximum(1.0, scale)
     bad = np.flatnonzero(~np.isfinite(scale) | (defects > allowed))
     if not bad.size:
         return None
@@ -444,9 +447,9 @@ def general_screen(hams, times):
     )
 
 
-def screen_outcome(hams, times):
+def screen_outcome(hams, times, tol=DEFAULT):
     try:
-        hilbert._require_hermitian(hams, DEFAULT, times=times)
+        hilbert._require_hermitian(hams, tol, times=times)
     except NonHermitianError as exc:
         return type(exc), str(exc)
     return None
@@ -560,6 +563,104 @@ def test_series_generators_equal_gather_scatter_completion(rng, dim, dt, hbar):
         assert hams.tobytes() == before.tobytes(), name
 
 
+def screened(hams, tol, times):
+    """screen_outcome, and whether the screen took its exact pass."""
+    calls = []
+    exact = hilbert._hermiticity_defects
+    with mock.patch.object(hilbert, "_hermiticity_defects", lambda *a: calls.append(1) or exact(*a)):
+        outcome = screen_outcome(hams, times, tol)
+    return outcome, bool(calls)
+
+
+# defects relative to the allowed tol.hermiticity * max(1, max|H|), and an absolute one
+SCREEN_DEFECTS = {"zero": 0.0, "quarter": 0.25, "below": 1.0 - 2.0**-40, "above": 1.0 + 2.0**-40, "1e-170": None}
+SCREEN_TOLERANCES = [DEFAULT.hermiticity, 0.0, 1e-200, -1e-12]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.integers(3, 16),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.sampled_from([-3.0, -1.0, 0.0, 2.0, 100.0, 154.0, 200.0, 300.0]),
+    defect=st.sampled_from(sorted(SCREEN_DEFECTS)),
+    diagonal=st.booleans(),
+    bad=st.none() | st.sampled_from(NON_FINITE),
+    tol=st.sampled_from(SCREEN_TOLERANCES),
+)
+@example(dim=3, count=2, seed=0, log_scale=0.0, defect="1e-170", diagonal=False, bad=None, tol=1e-200)
+@example(dim=3, count=2, seed=0, log_scale=0.0, defect="above", diagonal=True, bad=None, tol=DEFAULT.hermiticity)
+@example(dim=5, count=3, seed=1, log_scale=-3.0, defect="above", diagonal=False, bad=None, tol=DEFAULT.hermiticity)
+@example(dim=5, count=3, seed=1, log_scale=0.0, defect="below", diagonal=True, bad=None, tol=DEFAULT.hermiticity)
+@example(dim=16, count=1, seed=1, log_scale=0.0, defect="quarter", diagonal=True, bad=None, tol=DEFAULT.hermiticity)
+def test_frobenius_test_decides_as_the_exact_pass(dim, count, seed, log_scale, defect, diagonal, bad, tol):
+    # a stack that passes the Frobenius test would pass the exact pass too, and
+    # every other stack gets the exact pass's error class, first bad t and
+    # message: a defect in the last matrix, at 0, a quarter of, just below and
+    # just above the allowed defect or at 1e-170, on the diagonal or off it,
+    # entries scaled from 1e-3 to 1e300, a non-finite entry in the first
+    # matrix, and a zero, tiny, negative or default tol.hermiticity
+    rng = np.random.default_rng(seed)
+    tol = DEFAULT.replace(hermiticity=tol)
+    hams = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+    hams *= 10.0**log_scale / np.max(np.abs(hams), axis=(-2, -1), keepdims=True)
+    size = SCREEN_DEFECTS[defect]
+    size = 1e-170 if size is None else size * tol.hermiticity * max(1.0, 10.0**log_scale)
+    if diagonal:
+        hams[-1, 1, 1] += 0.5j * size  # H11 - conj(H11) = 2i Im H11
+    else:
+        hams[-1, 2, 0] += size * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    if bad is not None:
+        hams[0, rng.integers(dim), rng.integers(dim)] = bad
+    times = np.linspace(0.0, 1.0, count)
+    before = hams.copy()
+    outcome, took_exact = screened(hams, tol, times)
+    assert outcome == general_screen(hams, times, tol)
+    assert hams.tobytes() == before.tobytes()
+    # the Frobenius test passes a Hermitian stack of moderate entries, and a
+    # defect of a quarter of tol.hermiticity, on its own
+    if tol.hermiticity == DEFAULT.hermiticity and bad is None and (
+        defect == "zero" and log_scale <= 100.0 or defect == "quarter" and log_scale <= 0.0
+    ):
+        assert not took_exact
+
+
+def test_screen_of_a_finite_entry_whose_modulus_overflows_is_the_exact_pass(rng):
+    # |1.5e308 (1 + i)| overflows, so the exact pass refuses this Hermitian
+    # matrix as not finite; the Frobenius test, whose skew part is zero,
+    # leaves it to that pass
+    for dim in (3, 8):
+        hams = np.zeros((2, dim, dim), dtype=complex)
+        hams[1, 0, 1] = complex(1.5e308, 1.5e308)
+        hams[1, 1, 0] = hams[1, 0, 1].conjugate()
+        times = np.array([0.25, 0.5])
+        outcome, took_exact = screened(hams, DEFAULT, times)
+        assert outcome == general_screen(hams, times) == (
+            NonHermitianError, "Hamiltonian not finite at t = 0.5: max|H| = inf"
+        )
+        assert took_exact
+
+
+OVERFLOWING_SKEW = {
+    "dim2-off-diagonal": [[0, 1e308], [-1e308, 0]],
+    "dim2-imaginary-diagonal": [[1e308j, 0], [0, 0]],
+    "dim3-imaginary-diagonal": np.diag([1e308j, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("h", OVERFLOWING_SKEW.values(), ids=OVERFLOWING_SKEW.keys())
+def test_finite_matrix_whose_skew_part_overflows_is_not_hermitian(h):
+    # H - H^H overflows to inf on finite entries: a NonHermitianError naming
+    # the inf defect, not a RuntimeWarning (an error under the tests' filter)
+    h = np.asarray(h, dtype=complex)
+    message = r"not Hermitian{}: max\|H - H\^H\| = inf \(allowed 1\.000e\+296\)"
+    with pytest.raises(NonHermitianError, match=message.format("")):
+        hilbert.expi_hermitian(h, 0.1)
+    sched = evolution.HamiltonianSchedule(evaluate=lambda t: h, dim=h.shape[0])
+    with pytest.raises(NonHermitianError, match=message.format(r" at t = 0\.125")):
+        evolution.propagate(sched, np.eye(h.shape[0])[0], evolution.TimeGrid(t_end=1.0, steps=4))
+
+
 # --- stack kernels called from a caller's thread pool --------------------------
 
 
@@ -568,6 +669,7 @@ def test_series_generators_equal_gather_scatter_completion(rng, dim, dt, hbar):
 # argv[2] threads, saved to argv[1]
 BLAS_CASE = """
 import sys
+from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, propagate
