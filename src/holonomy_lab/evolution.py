@@ -8,13 +8,14 @@ below dim 8 the step exponential is a unitary from its eigendecomposition
 Frobenius norm at most 1 is applied to the state by a Taylor series accurate
 to 2^-53, and any other step by its unitary.
 
-The grid is walked in blocks of steps, each sampled and screened at once. At
-dim 2 a block is 65,536 steps and its states come from a prefix scan of its
-step unitaries, whose round-off grows logarithmically in its steps; across
-dim-2 blocks, and above dim 2 where steps apply to the state in turn,
-round-off grows linearly. Above dim 2 a block's stack holds at most 2^16
-complex elements (at least 16 steps), sized for the cache, and the states do
-not depend on it.
+The grid is walked in blocks of steps, each sampled and screened at once; a
+block's stack holds at most 2^16 complex elements (at least 16 steps), sized
+for the cache, so a dim-2 block is 16,384 steps. At dim 2 the states come
+from a prefix scan of the step unitaries of a 65,536-step scan block, filled
+by its four sampled blocks in turn, whose round-off grows logarithmically in
+its steps; across scan blocks, and above dim 2 where steps apply to the state
+in turn, round-off grows linearly. The states depend on the scan block, not
+on the sampled block.
 """
 
 from __future__ import annotations
@@ -165,15 +166,18 @@ def _prefix_products(u: np.ndarray, work: np.ndarray | None = None) -> np.ndarra
     return u
 
 
-# steps per block at dim 2 (a 4 MiB stack): the block sets the association
-# of the prefix scan, so the dim-2 states depend on it. It ran faster than
-# 524,288 steps from 187k steps up (15-39% less median time over 187k to 2.1M)
+# steps per scan block at dim 2 (a 4 MiB stack of unitaries): the block sets
+# the association of the prefix scan, so the dim-2 states depend on it. It ran
+# faster than 524,288 steps from 187k steps up (15-39% less median time over
+# 187k to 2.1M)
 _SCAN_BLOCK_STEPS = 1 << 16
-# complex elements per stack of a block above dim 2 (1 MiB), where the states
-# do not depend on the block size: steps per block scale as 1 / dim^2, small
+# complex elements per stack of a sampled block (1 MiB), where the states do
+# not depend on the block size: steps per block scale as 1 / dim^2, small
 # enough that a block's samples, screen and generators stay near a 2 MiB L2
 # cache. On dense-driven 2^16 tied 2^15 and took 9% and 22% less time than
-# 2^17 and 2^18; long grids at dims 3 to 8 took the same time at all four
+# 2^17 and 2^18; long grids at dims 3 to 8 took the same time at all four.
+# At dim 2, 16,384-step blocks fill a scan block's unitaries in turn, so that
+# a long row's samples no longer take a 4 MiB stack twice over
 _STEP_BLOCK_ELEMENTS = 1 << 16
 # from this dim up a step's exponential is applied to the state by its Taylor
 # series (hilbert._step_series): from dim 8 it took less time than eigh on
@@ -182,11 +186,10 @@ _SERIES_MIN_DIM = 8
 
 
 def _block_steps(dim: int) -> int:
-    """Grid points per sampled block at this dim: _SCAN_BLOCK_STEPS at dim 2,
-    else _STEP_BLOCK_ELEMENTS / dim^2, at least 16. propagate's midpoints and
-    phases._node_energies's nodes are cut by this one rule."""
-    if dim == 2:
-        return _SCAN_BLOCK_STEPS
+    """Grid points per sampled block at this dim: _STEP_BLOCK_ELEMENTS / dim^2,
+    at least 16, so 16,384 at dim 2, which divides a dim-2 scan block.
+    propagate's midpoints and phases._node_energies's nodes are cut by this
+    one rule."""
     return max(16, _STEP_BLOCK_ELEMENTS // (dim * dim))
 
 
@@ -206,10 +209,12 @@ def propagate(
     error is O(dt^2) against the exact flow; each step is unitary to
     round-off, so the norm is preserved to round-off.
 
-    The grid is walked in blocks of midpoints (see _block_steps). At dim 2 a
-    block's step unitaries are prefix-scanned and the products applied to
-    each row's block start, so round-off grows logarithmically in the steps
-    of a block and linearly across blocks.
+    The grid is walked in blocks of midpoints (see _block_steps), each
+    sampled and screened, then exponentiated. At dim 2 the step unitaries of
+    a scan block of _SCAN_BLOCK_STEPS midpoints are written, one sampled
+    block after another, into one buffer, prefix-scanned there, and the
+    products applied to each row's scan-block start, so round-off grows
+    logarithmically in the steps of a scan block and linearly across them.
     Above dim 2 each row applies the block's step plans one after another
     (hilbert._apply_step), so round-off grows linearly in the steps and the
     states do not depend on the block size. Below _SERIES_MIN_DIM the plans
@@ -222,7 +227,9 @@ def propagate(
     Raises ValueError before any sampling unless hbar passes README's numeric
     boundary (hbar > 0), and NonHermitianError naming the offending midpoint
     if the schedule is not Hermitian or not finite there, or its step
-    exponential overflows (see hilbert._step_unitaries).
+    exponential overflows (see hilbert._step_unitaries). The sampled blocks
+    are checked in grid order, each screened before its exponentials, so the
+    error names a midpoint of the first block that fails.
     """
     hbar = hilbert._real("hbar", hbar, positive=True)
     psis = np.asarray(psi0, dtype=complex)
@@ -240,29 +247,42 @@ def propagate(
     states = np.empty((len(rows), grid.steps + 1, dim), dtype=complex)
     states[:, 0] = rows
     block = _block_steps(dim)
-    gens = work = None  # a unitary plan reads no series scratch
-    if dim >= _SERIES_MIN_DIM:
-        gens = np.empty((min(block, grid.steps), dim, dim + 1), dtype=complex)
-        work = hilbert._series_work(dim)
-    for pos in range(0, grid.steps, block):
-        take = min(block, grid.steps - pos)
-        times = mids[pos : pos + take]
+
+    def screened(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        times = mids[lo:hi]
         hams = schedule.sample(times)
         hilbert._require_hermitian(hams, tol, times=times)
-        if dim == 2:
-            prefixes = hilbert._step_unitaries(hams, grid.dt, hbar, times)
-            del hams  # the scan runs in the unitaries' buffer, without the samples
+        return times, hams
+
+    if dim == 2:
+        for pos in range(0, grid.steps, _SCAN_BLOCK_STEPS):
+            take = min(_SCAN_BLOCK_STEPS, grid.steps - pos)
+            # the scan runs in the unitaries' buffer, which each sampled block
+            # fills in turn, so no more than one block's samples are held
+            prefixes = hilbert._empty_2x2((take,))
+            for lo in range(0, take, block):
+                hi = min(lo + block, take)
+                times, hams = screened(pos + lo, pos + hi)
+                hilbert._step_unitaries(hams, grid.dt, hbar, times, prefixes[lo:hi], stack=take)
+                del times, hams
             _prefix_products(prefixes)
             for row in states:
                 np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
-            continue
-        if gens is None:
-            plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar, times), [None] * take
-        else:
-            plans, gen_rows = hilbert._step_series(hams, grid.dt, hbar, gens, times), gens
-        for row in states:
-            for k, (plan, gen) in enumerate(zip(plans, gen_rows)):
-                hilbert._apply_step(plan, gen, row[pos + k], row[pos + k + 1], work)
+    else:
+        gens = work = None  # a unitary plan reads no series scratch
+        if dim >= _SERIES_MIN_DIM:
+            gens = np.empty((min(block, grid.steps), dim, dim + 1), dtype=complex)
+            work = hilbert._series_work(dim)
+        for pos in range(0, grid.steps, block):
+            take = min(block, grid.steps - pos)
+            times, hams = screened(pos, pos + take)
+            if gens is None:
+                plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar, times), [None] * take
+            else:
+                plans, gen_rows = hilbert._step_series(hams, grid.dt, hbar, gens, times), gens
+            for row in states:
+                for k, (plan, gen) in enumerate(zip(plans, gen_rows)):
+                    hilbert._apply_step(plan, gen, row[pos + k], row[pos + k + 1], work)
     trajs = tuple(Trajectory(grid=grid, states=row) for row in states)
     return trajs[0] if psis.ndim == 1 else trajs
 

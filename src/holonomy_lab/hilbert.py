@@ -124,8 +124,8 @@ def _skew_part(hams: np.ndarray) -> np.ndarray:
 
 def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
     """Raise NonHermitianError on the first matrix of a (k, dim, dim) stack that
-    has a non-finite entry or max|H - H^H| > tol.hermiticity * max(1, max|H|),
-    naming times[k] when given.
+    has a non-finite entry, an entry whose modulus overflows, or
+    max|H - H^H| > tol.hermiticity * max(1, max|H|), naming times[k] when given.
 
     From dim 3 up a stack passes at once, without either max pass, when the
     squared Frobenius norm of the whole stack is finite and every
@@ -160,6 +160,10 @@ def _require_hermitian(hams: np.ndarray, tol: Tolerances, times=None) -> None:
         k = int(bad[0])
         where = "" if times is None else f" at t = {float(times[k])!r}"
         if not np.isfinite(scale[k]):
+            # an infinite scale would allow any defect, so a finite entry
+            # whose modulus overflows is refused as well, under its own cause
+            if np.isfinite(hams[k]).all():
+                raise NonHermitianError(f"Hamiltonian too large{where}: max|H| overflows")
             raise NonHermitianError(f"Hamiltonian not finite{where}: max|H| = {scale[k]}")
         raise NonHermitianError(
             f"Hamiltonian not Hermitian{where}: max|H - H^H| = {defects[k]:.3e} "
@@ -216,37 +220,41 @@ def _count(name: str, x, lo: int, hi: int = _MAX_COUNT) -> int:
     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(x)}")
 
 
-def _step_unitaries(hams: np.ndarray, dt: float, hbar: float, times=None) -> np.ndarray:
+def _step_unitaries(
+    hams: np.ndarray, dt: float, hbar: float, times=None, out: np.ndarray | None = None, stack: int | None = None
+) -> np.ndarray:
     """exp(-i H dt / hbar) for each matrix of a Hermitian (k, dim, dim) stack.
 
     Like eigh, both branches read only the lower triangle and the real
     diagonal. At dim 2 the closed form of H = h0 I + h.sigma is
     exp(-i h0 tau) [cos(r tau) I - i (sin(r tau) / r) h.sigma] with r = |h|
     and tau = dt / hbar, elementwise over the stack, and the result is a
-    component-major stack (see _empty_2x2). Other dims go through eigh,
+    component-major stack (see _empty_2x2), written into `out`, a
+    component-major (k, 2, 2) buffer, when given. Other dims go through eigh,
     H = V diag(lambda) V^H: the eigenvectors scaled by their phases,
     V diag(exp(-i lambda tau)), times V^H in one batched matmul, with the
     conjugate written into eigh's own buffer. Every matrix is computed on its
-    own, so its result does not depend on the stack around it, except in
-    the last bit of the dim-2 upper off-diagonal entry, which differs
-    between stacks of fewer and of at least 2^14 matrices (see below); the
-    pinned dim-2 bytes keep that. At dim 2 the result's own entries hold the
-    complex temporaries, so beside the samples and the result the kernel
-    holds four real values and at most two complex ones per matrix. propagate
-    takes this kernel at dims 2 to 7, and from dim 8 up only for the steps
-    whose generator has Frobenius norm above 1 (see _step_series). dt and
-    hbar are floats its callers have coerced (hbar > 0). Raises
-    NonHermitianError, naming times[k] when given, for the first matrix whose
-    exponential overflows to a non-finite entry: a finite H near the float
-    maximum (the closed form adds its diagonal entries), or H dt / hbar past it.
+    own, so its result does not depend on the stack around it; only the
+    operand order of the dim-2 upper off-diagonal product, which can move
+    that entry's last bit, follows `stack` (default k), the count of matrices
+    of the scan block the stack belongs to (see _exponentials), as the
+    pinned dim-2 bytes require. At dim 2 the kernel's temporaries are the
+    result's own entries and four real values per matrix. propagate takes
+    this kernel at dims 2 to 7, and from dim 8 up only for the steps whose generator has
+    Frobenius norm above 1 (see _step_series). dt and hbar are floats its
+    callers have coerced (hbar > 0). Raises NonHermitianError, naming
+    times[k] when given, for the first matrix whose exponential overflows to
+    a non-finite entry: a finite H near the float maximum (the closed form
+    adds its diagonal entries), or H dt / hbar past it.
     """
+    stack = hams.shape[0] if stack is None else stack
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _exponentials(hams, dt / hbar)
+            return _exponentials(hams, dt / hbar, out, stack)
     except FloatingPointError:  # the overflowed matrix is found on a second pass
         with np.errstate(over="ignore", invalid="ignore"):
             tau = dt / hbar
-            out = _exponentials(hams, tau)
+            out = _exponentials(hams, tau, out, stack)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
     if bad.size:
         k = int(bad[0])
@@ -258,7 +266,14 @@ def _step_unitaries(hams: np.ndarray, dt: float, hbar: float, times=None) -> np.
     return out
 
 
-def _exponentials(hams: np.ndarray, tau: float) -> np.ndarray:
+# numpy elides the temporary of a binary operator over arrays of 256 KiB and
+# up (2^14 complex entries) by computing in place into it, which swaps the
+# operands of a commutative product; the dim-2 kernel's upper off-diagonal
+# entry keeps the operand order such an expression had over a scan block
+_ELIDED_MATRICES = 1 << 14
+
+
+def _exponentials(hams: np.ndarray, tau: float, out: np.ndarray | None, stack: int) -> np.ndarray:
     """_step_unitaries's exp(-i H tau), with no check of its own."""
     if hams.shape[-2:] != (2, 2):
         evals, evecs = np.linalg.eigh(hams)
@@ -269,9 +284,11 @@ def _exponentials(hams: np.ndarray, tau: float) -> np.ndarray:
     # complex product writes over an operand: numpy takes another loop for a
     # one-element product in place, which moves the last bit
     h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
-    out = _empty_2x2(hams.shape[:1])
+    if out is None:
+        out = _empty_2x2(hams.shape[:1])
     e00, e01, e10, e11 = out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1]
-    hz, r, r_tau, sinc = np.empty((4, hams.shape[0]))
+    real = np.empty((4, hams.shape[0]))
+    hz, r, r_tau, sinc = real
     np.multiply(0.5, np.subtract(h00, h11, out=hz), out=hz)
     np.hypot(hz, np.abs(h10, out=r), out=r)
     np.multiply(r, tau, out=r_tau)
@@ -285,10 +302,20 @@ def _exponentials(hams: np.ndarray, tau: float) -> np.ndarray:
     np.add(diag, rot_hz, out=e00)
     np.subtract(diag, rot_hz, out=e11)
     np.multiply(rot, h10, out=e10)
-    # one expression, as numpy elides its temporary: from 2^14 matrices up
-    # it forms the product as conj(h10) * rot, whose last bit can differ.
-    # The product is complete before it is written over rot
-    out[:, 0, 1] = rot * h10.conj()
+    # numpy's complex product is not symmetric in its operands' last bit:
+    # conj(h10) * rot for a scan block of at least 2^14 matrices, as the
+    # elided rot * conj(h10) was, and rot * conj(h10) for a shorter one. The
+    # four real rows, read no more, hold conj(h10) and the product, which is
+    # not formed in place even where numpy elided, so that a one-matrix piece
+    # of a scan block keeps the bits of the whole; it is complete before it
+    # is written over rot
+    conj, product = real.reshape(2, -1).view(complex)
+    np.conjugate(h10, out=conj)
+    if stack >= _ELIDED_MATRICES:
+        np.multiply(conj, rot, out=product)
+    else:
+        np.multiply(rot, conj, out=product)
+    out[:, 0, 1] = product
     return out
 
 

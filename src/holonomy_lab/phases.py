@@ -98,7 +98,8 @@ def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule)
     one complex (steps+1,) array per trajectory.
 
     `schedule` is sampled once per block of nodes cut by propagate's rule (see
-    evolution._block_steps), so no full node stack is held, and every
+    evolution._block_steps: 16,384 nodes at dim 2), so no full node stack is
+    held, and every
     trajectory's energies are formed from that block by the same einsum, so
     they are the bits the trajectory gives alone. The arrays are separate
     because one (m, steps+1) stack of two 4096-step rows passes malloc's

@@ -131,7 +131,9 @@ def run_point(
     theta, eta = _real("theta", theta), _real("eta", eta, positive=True)
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta, mu=mu, b_field=b_field, hbar=hbar)
     trajs, reports = _solve(params, (+1, -1), base_steps, n_periods, tol.sweep_deviation, tol)
-    exact_end = spin_model.exact_solution(params, +1, trajs[0].grid.nodes()[-1:])[0]
+    grid = trajs[0].grid
+    # the last node alone, with grid.nodes()'s bits: steps * dt
+    exact_end = spin_model.exact_solution(params, +1, np.array([grid.steps * grid.dt]))[0]
     endpoint_fid = float(abs(np.vdot(exact_end, trajs[0].states[-1])) ** 2)
 
     exact_plus = spin_model.geometric_phase_exact(params, +1, n_periods)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holonomy_lab import evolution, hilbert, spin_model
+from holonomy_lab import evolution, hilbert, phases, spin_model, sweep
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError
 from holonomy_lab.evolution import (
     HamiltonianSchedule,
@@ -325,10 +325,10 @@ def test_prefix_products_keep_the_bits_of_the_odd_tail_scan(rng, lengths):
 
 
 def test_dim2_propagation_memory_guard():
-    # both spin branches over the longest row of the default sweep grid; the
-    # scan runs in the unitaries' buffer once the samples are dropped, so the
-    # peak holds about four 3.6 MiB stacks: states, samples, unitaries, nodes'
-    # midpoints and the exponential's temporaries
+    # both spin branches over the longest row of the default sweep grid: the
+    # peak, 9.5 MiB traced, holds two 3.6 MiB stacks, the states and the scan
+    # block's unitaries, beside the midpoints and one 16,384-step block's
+    # samples and exponential temporaries, about 1 MiB each
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-3)
     steps = spin_model.steps_for_phase_tolerance(params, DEFAULT.sweep_deviation / 3.0, 1)
     assert steps == 59_048
@@ -340,7 +340,7 @@ def test_dim2_propagation_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- block propagation --------------------------------------------------------
@@ -442,10 +442,11 @@ def test_states_above_dim2_do_not_depend_on_block_size(rng, monkeypatch, dim):
 
 
 def test_block_rule():
-    # dim 2 keeps the scan block its states depend on; above dim 2 a block is
-    # the most steps whose stack fits the budget, at least 16
-    assert evolution._block_steps(2) == 65_536
-    for dim in range(3, 257):
+    # at every dim a block is the most steps whose stack fits the budget, at
+    # least 16; at dim 2 whole blocks fill the scan block the states depend on
+    assert evolution._block_steps(2) == 16_384
+    assert evolution._SCAN_BLOCK_STEPS % evolution._block_steps(2) == 0
+    for dim in range(2, 257):
         steps = evolution._block_steps(dim)
         assert steps >= 16, dim
         assert steps * dim * dim <= evolution._STEP_BLOCK_ELEMENTS or steps == 16, dim
@@ -599,6 +600,155 @@ def test_propagate_states_equal_the_matmul_horner_kernel(dim, spike):
         assert unitary == ([100] if spike else [])
     assert same_bits(all_states(propagate(sched, psis, grid)), expected)
     assert same_bits(propagate(sched, psis[1], grid).states, expected[1])
+
+
+# --- dim-2 sampled blocks within a scan block -------------------------------
+
+
+def one_stack_unitaries(hams, tau):
+    """The dim-2 closed form of hilbert._exponentials, with its upper
+    off-diagonal entry as one expression, rot * conj(h10), whose temporary
+    numpy elides from 2^14 matrices up."""
+    h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+    out = hilbert._empty_2x2(hams.shape[:1])
+    e00, e01, e10, e11 = out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1]
+    hz, r, r_tau, sinc = np.empty((4, hams.shape[0]))
+    np.multiply(0.5, np.subtract(h00, h11, out=hz), out=hz)
+    np.hypot(hz, np.abs(h10, out=r), out=r)
+    np.multiply(r, tau, out=r_tau)
+    np.divide(np.sin(r_tau, out=sinc), r, out=sinc, where=r_tau != 0.0)
+    sinc[r_tau == 0.0] = tau
+    phase = np.exp(np.multiply(-0.5j * tau, np.add(h00, h11, out=r), out=e01), out=e00)
+    diag = np.multiply(phase, np.cos(r_tau, out=r_tau), out=e11)
+    rot = np.multiply(np.multiply(-1j, sinc, out=e10), phase, out=e01)
+    rot_hz = np.multiply(rot, hz, out=e10)
+    np.add(diag, rot_hz, out=e00)
+    np.subtract(diag, rot_hz, out=e11)
+    np.multiply(rot, h10, out=e10)
+    out[:, 0, 1] = rot * h10.conj()
+    return out
+
+
+@pytest.mark.parametrize("count", [5_000, 20_000])
+def test_dim2_unitaries_of_pieces_keep_the_bits_of_one_stack(count):
+    # pieces of a block's stack, written into its buffer with the block's
+    # count as `stack`, give the bits of one_stack_unitaries over the whole
+    # block, on both sides of 2^14 matrices. One-matrix pieces are the case
+    # to watch: numpy takes another loop for a one-element product in place,
+    # which moved the upper off-diagonal entry's last bit in about a third
+    # of these matrices when the elided order was formed in place
+    rng = np.random.default_rng(count)
+    a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    hams = a + a.conj().swapaxes(-1, -2)
+    expected = one_stack_unitaries(hams, 0.1)
+    for piece in (1, 3, 16_384):
+        got = hilbert._empty_2x2((count,))
+        for lo in range(0, count, piece):
+            hilbert._step_unitaries(hams[lo : lo + piece], 0.1, 1.0, None, got[lo : lo + piece], stack=count)
+        assert same_bits(got, expected), piece
+
+
+def one_stack_states(sched, psis, grid, hbar):
+    """Dim-2 states with each scan block sampled as one stack, its unitaries
+    from one_stack_unitaries, then scanned and applied as propagate does."""
+    states = np.empty((len(psis), grid.steps + 1, 2), dtype=complex)
+    states[:, 0] = psis
+    mids = grid.midpoints()
+    for pos in range(0, grid.steps, evolution._SCAN_BLOCK_STEPS):
+        take = min(evolution._SCAN_BLOCK_STEPS, grid.steps - pos)
+        prefixes = evolution._prefix_products(one_stack_unitaries(sched.sample(mids[pos : pos + take]), grid.dt / hbar))
+        for row in states:
+            np.einsum("kij,j->ki", prefixes, row[pos], out=row[pos + 1 : pos + take + 1])
+    return states
+
+
+def report_bits(report):
+    return [repr(getattr(report, name)) for name in report.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("steps", [16_383, 16_384, 16_385, 59_048, 65_536, 65_537, 131_073])
+def test_dim2_sampled_blocks_keep_the_bits_of_one_stack_per_scan_block(rng, monkeypatch, steps):
+    # the block edges: one sampled block and its one-step tail, the longest
+    # sweep row, a full scan block, and one and two of them with a one-step
+    # tail; both spin branches as one block, and a random dim-2 schedule
+    # from a complex start. The noncyclic reports of the one-stack states are
+    # taken with nodes cut as the scan block is
+    params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-3)
+    spin = spin_model.schedule(params)
+    branches = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in (+1, -1)])
+    start = rng.normal(size=2) + 1j * rng.normal(size=2)
+    cases = [
+        (spin, branches, TimeGrid(t_end=params.period, steps=steps), params.hbar),
+        (random_periodic_schedule(rng, 2), start[None] / np.linalg.norm(start), TimeGrid(t_end=2 * np.pi, steps=steps), 1.0),
+    ]
+    results = []
+    for sched, psis, grid, hbar in cases:
+        trajs = propagate(sched, psis, grid, hbar=hbar)
+        single = propagate(sched, psis[-1], grid, hbar=hbar)
+        reports = [report_bits(phases.noncyclic_geometric_phase(traj, sched, hbar=hbar)) for traj in trajs]
+        results.append((all_states(trajs), single.states, reports))
+    monkeypatch.setattr(phases, "_block_steps", lambda dim: evolution._SCAN_BLOCK_STEPS)
+    for (sched, psis, grid, hbar), (states, single, reports) in zip(cases, results):
+        expected = one_stack_states(sched, psis, grid, hbar)
+        assert same_bits(states, expected)
+        assert same_bits(single, expected[-1])
+        assert reports == [
+            report_bits(phases.noncyclic_geometric_phase(Trajectory(grid=grid, states=row), sched, hbar=hbar))
+            for row in expected
+        ]
+
+
+def test_no_dim2_sample_exceeds_one_block_in_a_sweep_row(monkeypatch):
+    # a sweep row at eta = 1e-4 (186,764 steps: two full scan blocks and a
+    # third of 55,692), through propagate and the node pass of its phases
+    sample = HamiltonianSchedule.sample
+    calls = []
+
+    def counted(self, ts):
+        calls.append((self.dim, len(ts)))
+        return sample(self, ts)
+
+    monkeypatch.setattr(HamiltonianSchedule, "sample", counted)
+    row = sweep.run_point(np.pi / 3, 1e-4)
+    assert row.steps_used == 186_764
+    block = evolution._block_steps(2)
+    assert {dim for dim, _ in calls} == {2}
+    assert max(count for _, count in calls) == block
+    # every midpoint and every node is sampled once
+    assert sum(count for _, count in calls) == 2 * row.steps_used + 1
+
+
+def overflow_and_defect_schedule(overflow_at, defect_at):
+    """A dim-2 schedule on midpoints k + 1/2 whose exponential overflows at
+    midpoint `overflow_at` (a finite H whose trace overflows), and that is
+    not Hermitian at midpoint `defect_at`."""
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)
+        hams = np.zeros((ts.size, 2, 2), dtype=complex)
+        hams[:, 0, 0], hams[:, 1, 1] = 1.0, -1.0
+        hams[ts == overflow_at + 0.5] = np.diag([1e308, 1e308])
+        hams[ts == defect_at + 0.5, 0, 1] = 1.0
+        return hams
+
+    return HamiltonianSchedule(evaluate=lambda t: many([t])[0], evaluate_many=many, dim=2)
+
+
+@pytest.mark.parametrize(
+    "overflow_at, defect_at, message",
+    [
+        (100, 20_000, r"too large for its step at t = 100\.5:"),
+        (20_000, 100, r"not Hermitian at t = 100\.5:"),
+        (100, 200, r"not Hermitian at t = 200\.5:"),
+    ],
+    ids=["overflow-in-an-earlier-block", "defect-in-an-earlier-block", "one-block"],
+)
+def test_dim2_error_names_a_midpoint_of_the_first_failing_block(overflow_at, defect_at, message):
+    # 40,000 steps of dt = 1, in one scan block of three sampled blocks: the
+    # blocks are checked in grid order, each screened before its exponentials
+    assert evolution._block_steps(2) < 20_000 < evolution._SCAN_BLOCK_STEPS
+    sched = overflow_and_defect_schedule(overflow_at, defect_at)
+    with pytest.raises(NonHermitianError, match=message):
+        propagate(sched, np.array([1.0, 0.0]), TimeGrid(t_end=40_000.0, steps=40_000))
 
 
 def test_block_rows_may_be_strided(rng):

@@ -440,6 +440,8 @@ def general_screen(hams, times, tol=DEFAULT):
         return None
     k = int(bad[0])
     if not np.isfinite(scale[k]):
+        if np.isfinite(hams[k]).all():
+            return NonHermitianError, f"Hamiltonian too large at t = {float(times[k])!r}: max|H| overflows"
         return NonHermitianError, f"Hamiltonian not finite at t = {float(times[k])!r}: max|H| = {scale[k]}"
     return NonHermitianError, (
         f"Hamiltonian not Hermitian at t = {float(times[k])!r}: max|H - H^H| = {defects[k]:.3e} "
@@ -627,8 +629,8 @@ def test_frobenius_test_decides_as_the_exact_pass(dim, count, seed, log_scale, d
 
 def test_screen_of_a_finite_entry_whose_modulus_overflows_is_the_exact_pass(rng):
     # |1.5e308 (1 + i)| overflows, so the exact pass refuses this Hermitian
-    # matrix as not finite; the Frobenius test, whose skew part is zero,
-    # leaves it to that pass
+    # matrix, whose entries are finite, as too large; the Frobenius test,
+    # whose skew part is zero, leaves it to that pass
     for dim in (3, 8):
         hams = np.zeros((2, dim, dim), dtype=complex)
         hams[1, 0, 1] = complex(1.5e308, 1.5e308)
@@ -636,9 +638,24 @@ def test_screen_of_a_finite_entry_whose_modulus_overflows_is_the_exact_pass(rng)
         times = np.array([0.25, 0.5])
         outcome, took_exact = screened(hams, DEFAULT, times)
         assert outcome == general_screen(hams, times) == (
-            NonHermitianError, "Hamiltonian not finite at t = 0.5: max|H| = inf"
+            NonHermitianError, "Hamiltonian too large at t = 0.5: max|H| overflows"
         )
         assert took_exact
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_finite_entry_whose_modulus_overflows_is_too_large(dim):
+    # every entry is finite, so the refusal names the overflowing modulus,
+    # not a non-finite entry, through expi_hermitian and propagate
+    h = np.zeros((dim, dim), dtype=complex)
+    h[0, 1] = complex(1.5e308, 1.5e308)
+    h[1, 0] = h[0, 1].conjugate()
+    message = r"Hamiltonian too large{}: max\|H\| overflows$"
+    with pytest.raises(NonHermitianError, match=message.format("")):
+        hilbert.expi_hermitian(h, 0.1)
+    sched = evolution.HamiltonianSchedule(evaluate=lambda t: h, dim=dim)
+    with pytest.raises(NonHermitianError, match=message.format(r" at t = 0\.125")):
+        evolution.propagate(sched, np.eye(dim)[0], evolution.TimeGrid(t_end=1.0, steps=4))
 
 
 OVERFLOWING_SKEW = {
