@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .spin_model import _MAX_POINTS, _MAX_STEPS, _MIN_STEPS
+from .hilbert import _count, _real
+from .spin_model import _MAX_POINTS, _MAX_STEPS, _MIN_STEPS, ModelParams
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -31,14 +32,6 @@ class _SweepSpec:
     eta_max: float
     points: int
     log: bool = True
-
-    def __post_init__(self):
-        if not 2 <= self.points <= _MAX_POINTS:
-            raise ConfigError(f"sweep.points must lie in [2, {_MAX_POINTS}], got {self.points}")
-        if not (0 < self.eta_min < self.eta_max < math.inf):
-            raise ConfigError(
-                f"need 0 < sweep.eta_min < sweep.eta_max < inf, got {self.eta_min}, {self.eta_max}"
-            )
 
 
 @dataclass(frozen=True)
@@ -59,35 +52,28 @@ class RunConfig:
     def __post_init__(self):
         if self.omega is not None and self.eta is not None:
             raise ConfigError("give exactly one of omega or eta, not both")
-        if not _MIN_STEPS <= self.steps <= _MAX_STEPS:
-            raise ConfigError(f"steps must lie in [{_MIN_STEPS}, {_MAX_STEPS}], got {self.steps}")
-        if self.n_periods < 1:
-            raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {self.output_format!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
-        for p, name in (
-            (self.mu, "mu"), (self.b_field, "b_field"), (self.hbar, "hbar"),
-            (self.omega, "omega"), (self.eta, "eta"),
-        ):
-            if p is not None and not 0 < p < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {p}")
-        if self.omega is not None:
-            eta = self.require_single_point()
-            if not 0 < eta < math.inf:
-                raise ConfigError(
-                    f"eta = omega / (2 mu b_field) must be positive and finite, got {eta}"
-                )
-        etas = {"eta": self.eta}
+        etas = {}  # {config key: eta} of every run, each model built as the run builds it
+        if self.omega is not None or self.eta is not None:
+            etas["omega" if self.eta is None else "eta"] = self.require_single_point()
         if self.sweep is not None:
             etas.update({"sweep.eta_min": self.sweep.eta_min, "sweep.eta_max": self.sweep.eta_max})
-        for name, eta in etas.items():
-            if eta is None:
-                continue
-            omega = 2.0 * self.mu * self.b_field * eta  # as spin_model.ModelParams.from_eta has it
-            if not 0 < omega < math.inf:
-                raise ConfigError(f"omega = 2 mu b_field {name} must be positive and finite, got {omega}")
+        prefix = ""  # the key and value of the eta whose model is being built
+        try:
+            _count("steps", self.steps, _MIN_STEPS, _MAX_STEPS)
+            _count("n_periods", self.n_periods, 1)
+            if self.sweep is not None:
+                _count("sweep.points", self.sweep.points, 2, _MAX_POINTS)
+            if not etas:  # no eta to run, but the model's own values still follow its rules
+                ModelParams(self.mu, self.b_field, omega=1.0, theta=self.theta, hbar=self.hbar)
+            for key, eta in etas.items():
+                prefix = f"{key} = {self.omega if key == 'omega' else eta}: "
+                ModelParams.from_eta(self.theta, eta, self.mu, self.b_field, self.hbar)
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}{exc}") from exc
+        if self.sweep is not None and not self.sweep.eta_min < self.sweep.eta_max:
+            raise ConfigError(f"need sweep.eta_min < sweep.eta_max, got {self.sweep.eta_min}, {self.sweep.eta_max}")
 
     def require_single_point(self) -> float:
         """The eta of a single-point run; exactly one of omega/eta must be set."""
@@ -95,7 +81,7 @@ class RunConfig:
             return self.eta
         if self.omega is not None:
             scale = 2.0 * self.mu * self.b_field
-            # a scale that underflows to 0 makes eta infinite, which __post_init__ refuses
+            # a scale that underflows to 0 makes eta infinite, which ModelParams refuses
             return self.omega / scale if scale else math.inf
         raise ConfigError("give exactly one of omega or eta")
 
@@ -218,15 +204,11 @@ def tolerance_overrides(mapping: dict) -> dict:
         name = key[4:]
         if name not in tol_names:
             raise ConfigError(f"unknown tolerance {key!r}")
-        if name == "max_dim":
-            value = _as_int(key, value)
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
-        else:
-            value = _as_float(key, value)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {value}")
-        overrides[name] = value
+        value = _as_int(key, value) if name == "max_dim" else _as_float(key, value)
+        try:
+            overrides[name] = _count(key, value, 1) if name == "max_dim" else _real(key, value, positive=True)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return overrides
 
 

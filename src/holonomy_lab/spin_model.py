@@ -73,7 +73,8 @@ class ModelParams:
         hbar: float = 1.0,
     ) -> "ModelParams":
         """Parameters with the adiabaticity ratio eta = omega / (2 mu B) given directly."""
-        omega = 2.0 * _real("mu", mu) * _real("b_field", b_field) * _real("eta", eta)
+        mu, b_field = _real("mu", mu, positive=True), _real("b_field", b_field, positive=True)
+        omega = 2.0 * mu * b_field * _real("eta", eta, positive=True)
         return cls(mu=mu, b_field=b_field, omega=omega, theta=theta, hbar=hbar)
 
     @property

@@ -70,6 +70,38 @@ def test_any_values_of_the_known_keys_build_or_raise_config_error(mapping, on_a_
     assert cfg is None or isinstance(cfg, config.RunConfig)
 
 
+# 0, the subnormals, every normal exponent and inf
+FLOAT_RANGE = st.floats(min_value=0.0)
+UNIT_MODEL = {"mu": 1.0, "b_field": 1.0, "hbar": 1.0}
+
+
+@CONTRACT
+@given(st.fixed_dictionaries({"mu": FLOAT_RANGE, "b_field": FLOAT_RANGE, "hbar": FLOAT_RANGE}),
+       st.one_of(st.none(), st.tuples(st.sampled_from(["eta", "omega"]), FLOAT_RANGE)),
+       st.one_of(st.none(), st.lists(FLOAT_RANGE, min_size=2, max_size=2).map(sorted)))
+@example(UNIT_MODEL, ("eta", 1e-320), None)
+@example(UNIT_MODEL, ("omega", 1e-320), None)
+@example(UNIT_MODEL, None, [1e-320, 1e-319])
+@example({**UNIT_MODEL, "mu": 1e-200, "b_field": 1e-200}, ("omega", 1.0), None)
+def test_a_config_that_builds_can_run_the_model_at_each_of_its_etas(model, point, bounds):
+    # the config's checks are the model's: a command never refuses a model
+    # that the config let through
+    mapping = {"theta": 1.0, **model}
+    if point is not None:
+        mapping[point[0]] = point[1]
+    if bounds is not None:
+        mapping.update({"sweep.eta_min": bounds[0], "sweep.eta_max": bounds[1], "sweep.points": 2})
+    try:
+        cfg = config.build_config(mapping)
+    except ConfigError:
+        return
+    etas = [] if bounds is None else [cfg.sweep.eta_min, cfg.sweep.eta_max]
+    if point is not None:
+        etas.append(cfg.require_single_point())
+    for eta in etas:
+        spin_model.ModelParams.from_eta(cfg.theta, eta, cfg.mu, cfg.b_field, cfg.hbar)
+
+
 LINE_VALUES = st.one_of(
     st.text(max_size=16),
     st.sampled_from(NUMERIC_TEXT + ['"a#b"', '"open', 'close"', '[1, 2', "{}", '"\\u12"', "[" * 3000]),

@@ -396,12 +396,12 @@ def test_block_matches_single_state_calls_on_spin_model():
 
 
 def test_spin_model_over_several_dim2_blocks_matches_one_block(monkeypatch):
-    # the sweep's step count at eta = 1e-4: three blocks at the default budget.
+    # the sweep's step count at eta = 1e-4: three scan blocks.
     # Each block's scan starts from the state its predecessor ended on, so
     # the states differ from one scan over the whole grid by round-off only
     params = spin_model.ModelParams.from_eta(theta=np.pi / 3, eta=1e-4)
     grid = TimeGrid(t_end=params.period, steps=186_764)
-    assert grid.steps > 2 * evolution._block_steps(2)
+    assert grid.steps > 2 * evolution._SCAN_BLOCK_STEPS
     psis = np.stack([spin_model.exact_solution(params, branch, 0.0) for branch in (+1, -1)])
     sched = spin_model.schedule(params)
     blocks = propagate(sched, psis, grid)

@@ -325,6 +325,13 @@ def test_step_count_refuses_a_phase_tolerance_that_is_not_positive_and_finite(ph
         spin_model.steps_for_phase_tolerance(PARAMS, phase_tol)
 
 
+@pytest.mark.parametrize("name, value", [("eta", -1.0), ("eta", 0.0), ("eta", np.inf), ("mu", -1.0), ("b_field", 0.0)])
+def test_from_eta_names_the_input_that_is_bad(name, value):
+    # not the omega = 2 mu b_field eta that the bad input would make
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        ModelParams.from_eta(theta=1.0, **{"eta": 1.0, name: value})
+
+
 @pytest.mark.parametrize("branch", [0, 2, -2, 0.5])
 def test_exact_solution_refuses_a_branch_other_than_plus_or_minus_one(branch):
     with pytest.raises(ValueError, match=f"^branch must be \\+1 or -1, got {branch}$"):

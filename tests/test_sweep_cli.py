@@ -117,6 +117,14 @@ def test_config_bounds():
         build_config({"theta": 1.0, "eta": 1.0, "tol.max_dim": 8.5})
 
 
+@pytest.mark.parametrize("key, value", [("theta", 5.0), ("mu", -1.0), ("b_field", math.inf), ("hbar", 0.0)])
+def test_a_config_with_no_eta_still_checks_the_model_values(key, value):
+    # verify reads a full run config that sets no eta, for its tolerances and
+    # output path; a model value it holds is refused all the same
+    with pytest.raises(ConfigError, match=f"^{key} must "):
+        build_config({"theta": 1.0, key: value})
+
+
 @pytest.mark.parametrize(
     "mapping, match",
     [
@@ -134,10 +142,10 @@ def test_config_bounds():
         ({"eta": float("inf")}, "eta"),
         ({"eta": None, "omega": float("inf")}, "omega"),
         ({"sweep.eta_min": 1e-3, "sweep.eta_max": float("inf"), "sweep.points": 4}, "sweep.eta_max"),
-        ({"eta": None, "omega": 1e308, "mu": 1e-10}, "eta = omega"),
-        ({"eta": 1e300, "mu": 1e10}, "omega = 2 mu b_field eta "),
+        ({"eta": None, "omega": 1e308, "mu": 1e-10}, r"omega = 1e[+]308: eta must be positive and finite, got inf$"),
+        ({"eta": 1e300, "mu": 1e10}, r"eta = 1e[+]300: omega must be positive and finite, got inf$"),
         ({"mu": 1e10, "sweep.eta_min": 1e-3, "sweep.eta_max": 1e300, "sweep.points": 4}, "sweep.eta_max"),
-        ({"n_periods": 0}, "^n_periods must be >= 1, got 0$"),
+        ({"n_periods": 0}, r"^n_periods must be an integer in \[1, 9007199254740992\], got 0$"),
         ({"sweep.eta_min": 1e-3, "sweep.points": 4}, r"^incomplete sweep spec, missing \['sweep.eta_max'\]$"),
     ],
 )
@@ -236,9 +244,9 @@ def test_run_point_raises_steps_in_adiabatic_regime():
 
 
 def test_run_point_over_several_dim2_blocks_is_ok():
-    # 186,764 steps: three blocks at the default budget
+    # 186,764 steps: three scan blocks
     row = run_point(np.pi / 3, 1e-4)
-    assert row.steps_used > 2 * evolution._block_steps(2)
+    assert row.steps_used > 2 * evolution._SCAN_BLOCK_STEPS
     assert row.status == "ok"
     assert row.deviation_from_exact <= DEFAULT.sweep_deviation
 
@@ -1009,14 +1017,35 @@ def test_cli_reads_and_writes_utf8_without_the_locale_encoding(tmp_path):
 def test_sweep_points_past_the_bound_is_config_error(tmp_path, monkeypatch, capsys):
     spec = {"theta": 1.0, "sweep.eta_min": 1e-3, "sweep.eta_max": 1e3}
     assert build_config({**spec, "sweep.points": 100_000}).sweep.points == 100_000
-    with pytest.raises(ConfigError, match=r"sweep.points must lie in \[2, 100000\], got 100001"):
+    with pytest.raises(ConfigError, match=r"^sweep.points must be an integer in \[2, 100000\], got 100001$"):
         build_config({**spec, "sweep.points": 100_001})
     refuse_to_run(monkeypatch)
     monkeypatch.setattr(sweep, "eta_grid", lambda *args, **kwargs: pytest.fail("the grid was built"))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theta = 1.0\nsweep.eta_min = 1e-3\nsweep.eta_max = 1e3\nsweep.points = 1000000000000\n")
     assert cli.main(["sweep", "--config", str(cfg), "--quiet"]) == 2
-    assert "config error: sweep.points must lie in [2, 100000]" in capsys.readouterr().err
+    assert "config error: sweep.points must be an integer in [2, 100000], got 1000000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, text", [
+    ("evolve", "eta", "theta = 1.0\neta = 1e-320\n"),
+    ("evolve", "omega", "theta = 1.0\nomega = 1e-320\n"),
+    ("sweep", "sweep.eta_min", "theta = 1.0\nsweep.eta_min = 1e-320\nsweep.eta_max = 1e-319\nsweep.points = 2\n"),
+], ids=["evolve-eta", "evolve-omega", "sweep-eta_min"])
+def test_a_period_past_the_float_range_is_config_error(tmp_path, monkeypatch, capsys, command, key, text):
+    # the config builds the model at each eta it runs, so an omega too small
+    # for a finite period 2 pi / omega is a config error before the run, not a
+    # numerical failure of evolve or error rows of a sweep
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key} = 1e-320: omega = ")
+    assert captured.err.endswith(" gives a period 2 pi / omega past the float range\n")
 
 
 @pytest.mark.parametrize("log", [True, False])
