@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .evolution import TimeGrid
 from .hilbert import _count, _real
 from .spin_model import _MAX_POINTS, _MAX_STEPS, _MIN_STEPS, ModelParams
 from .tolerances import DEFAULT, Tolerances
@@ -54,7 +55,7 @@ class RunConfig:
             raise ConfigError("give exactly one of omega or eta, not both")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {self.output_format!r}")
-        etas = {}  # {config key: eta} of every run, each model built as the run builds it
+        etas = {}  # {config key: eta} of every run, each model and grid built as the run builds them
         if self.omega is not None or self.eta is not None:
             etas["omega" if self.eta is None else "eta"] = self.require_single_point()
         if self.sweep is not None:
@@ -69,7 +70,8 @@ class RunConfig:
                 ModelParams(self.mu, self.b_field, omega=1.0, theta=self.theta, hbar=self.hbar)
             for key, eta in etas.items():
                 prefix = f"{key} = {self.omega if key == 'omega' else eta}: "
-                ModelParams.from_eta(self.theta, eta, self.mu, self.b_field, self.hbar)
+                params = ModelParams.from_eta(self.theta, eta, self.mu, self.b_field, self.hbar)
+                TimeGrid(self.n_periods * params.period, self.steps)
         except ValueError as exc:
             raise ConfigError(f"{prefix}{exc}") from exc
         if self.sweep is not None and not self.sweep.eta_min < self.sweep.eta_max:

@@ -8,14 +8,15 @@ below dim 8 the step exponential is a unitary from its eigendecomposition
 Frobenius norm at most 1 is applied to the state by a Taylor series accurate
 to 2^-53, and any other step by its unitary.
 
-The grid is walked in blocks of steps, each sampled and screened at once; a
-block's stack holds at most 2^16 complex elements (at least 16 steps), sized
-for the cache, so a dim-2 block is 16,384 steps. At dim 2 the states come
-from a prefix scan of the step unitaries of a 65,536-step scan block, filled
-by its four sampled blocks in turn, whose round-off grows logarithmically in
-its steps; across scan blocks, and above dim 2 where steps apply to the state
-in turn, round-off grows linearly. The states depend on the scan block, not
-on the sampled block.
+The grid is walked in blocks of steps, each sampled and screened at once.
+Above dim 2 a block's stack holds at most 2^14 complex elements (256 KiB, at
+least one step), so that a block and its temporaries stay in a 2 MiB L2
+cache; a dim-2 block is 16,384 steps. At dim 2 the states come from a prefix
+scan of the step unitaries of a 65,536-step scan block, filled by its four
+sampled blocks in turn, whose round-off grows logarithmically in its steps;
+across scan blocks, and above dim 2 where steps apply to the state in turn,
+round-off grows linearly. The states depend on the scan block, not on the
+sampled block.
 """
 
 from __future__ import annotations
@@ -171,14 +172,16 @@ def _prefix_products(u: np.ndarray, work: np.ndarray | None = None) -> np.ndarra
 # faster than 524,288 steps from 187k steps up (15-39% less median time over
 # 187k to 2.1M)
 _SCAN_BLOCK_STEPS = 1 << 16
-# complex elements per stack of a sampled block (1 MiB), where the states do
-# not depend on the block size: steps per block scale as 1 / dim^2, small
-# enough that a block's samples, screen and generators stay near a 2 MiB L2
-# cache. On dense-driven 2^16 tied 2^15 and took 9% and 22% less time than
-# 2^17 and 2^18; long grids at dims 3 to 8 took the same time at all four.
-# At dim 2, 16,384-step blocks fill a scan block's unitaries in turn, so that
-# a long row's samples no longer take a 4 MiB stack twice over
-_STEP_BLOCK_ELEMENTS = 1 << 16
+# complex elements per stack of a sampled block above dim 2 (256 KiB), where
+# the states do not depend on the block size: steps per block scale as
+# 1 / dim^2. A block lives in about five such stacks at once (the callback's
+# temporaries, the screen's H^H and difference, the series generators and
+# their transpose), which at 1 MiB each overflowed a 2 MiB L2 cache and, past
+# malloc's mmap threshold, were faulted in anew on every block: a dense-driven
+# pass took 10,699 minor page faults with 1 MiB stacks and 545 with 256 KiB
+# ones, and a dim-64 step's sampling 66 us against 22 us, its screen 19 us
+# against 13 us and its series plan 29 us against 24 us
+_STEP_BLOCK_ELEMENTS = 1 << 14
 # from this dim up a step's exponential is applied to the state by its Taylor
 # series (hilbert._step_series): from dim 8 it took less time than eigh on
 # 1,024 and 10^5 steps, below dim 8 not always (README has the timings)
@@ -186,11 +189,14 @@ _SERIES_MIN_DIM = 8
 
 
 def _block_steps(dim: int) -> int:
-    """Grid points per sampled block at this dim: _STEP_BLOCK_ELEMENTS / dim^2,
-    at least 16, so 16,384 at dim 2, which divides a dim-2 scan block.
-    propagate's midpoints and phases._node_energies's nodes are cut by this
-    one rule."""
-    return max(16, _STEP_BLOCK_ELEMENTS // (dim * dim))
+    """Grid points per sampled block at this dim: a quarter of the scan block
+    at dim 2 (16,384), which fills its unitaries in turn; above dim 2,
+    _STEP_BLOCK_ELEMENTS / dim^2, at least 1. propagate's midpoints and
+    phases._node_energies's nodes are cut by this one rule."""
+    if dim == 2:
+        # 4,096-step blocks made the 200-row sweep slower in 4 of 4 paired runs
+        return _SCAN_BLOCK_STEPS // 4
+    return max(1, _STEP_BLOCK_ELEMENTS // (dim * dim))
 
 
 def propagate(

@@ -442,15 +442,35 @@ def test_states_above_dim2_do_not_depend_on_block_size(rng, monkeypatch, dim):
 
 
 def test_block_rule():
-    # at every dim a block is the most steps whose stack fits the budget, at
-    # least 16; at dim 2 whole blocks fill the scan block the states depend on
+    # at dim 2 whole blocks fill the scan block the states depend on; above
+    # dim 2 a block is the most steps whose 256 KiB stack fits the budget, at
+    # least one
     assert evolution._block_steps(2) == 16_384
     assert evolution._SCAN_BLOCK_STEPS % evolution._block_steps(2) == 0
-    for dim in range(2, 257):
+    assert evolution._STEP_BLOCK_ELEMENTS == 1 << 14
+    for dim in range(3, 257):
         steps = evolution._block_steps(dim)
-        assert steps >= 16, dim
-        assert steps * dim * dim <= evolution._STEP_BLOCK_ELEMENTS or steps == 16, dim
+        assert steps >= 1, dim
+        assert steps * dim * dim <= evolution._STEP_BLOCK_ELEMENTS or steps == 1, dim
         assert (steps + 1) * dim * dim > evolution._STEP_BLOCK_ELEMENTS, dim
+
+
+def test_dense_propagation_memory_guard(rng):
+    # dim 64 over 1,024 steps, every step a series: beside the states, one
+    # 4-step block's samples, screen and generators, 256 KiB stacks each;
+    # 1.3 MiB traced, 4.3 MiB with the 1 MiB stacks of 16-step blocks
+    dim = 64
+    sched = random_periodic_schedule(rng, dim)
+    psi = np.linalg.eigh(sched.evaluate(0.0))[1][:, 0]
+    grid = TimeGrid(t_end=8 / dim, steps=1024)
+    tracemalloc.start()
+    try:
+        states = propagate(sched, psi, grid).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - states.nbytes
+    assert extra <= 2 * 2**20, f"peak {extra / 2**20:.1f} MiB beside the states"
 
 
 def cut(count, block):
@@ -460,8 +480,8 @@ def cut(count, block):
 
 @pytest.mark.parametrize("dim, steps", [(2, 70_000), (3, 16_000), (17, 452), (64, 40)])
 def test_node_energies_cut_nodes_as_propagate_cuts_midpoints(rng, dim, steps):
-    # several blocks at each dim's default size; at dim 17 the midpoints fill
-    # two blocks exactly and the last node is a block of its own
+    # several blocks at each dim's default size; at dim 64 the midpoints fill
+    # ten blocks exactly and the last node is a block of its own
     calls = []
     many = random_periodic_schedule(rng, dim).evaluate_many
 

@@ -281,9 +281,9 @@ def test_connection_route_survives_wrapped_stride_two_overlaps(steps, energy_dt)
 
 @pytest.mark.parametrize("dim", [2, 4, 17])
 def test_dynamical_phase_sampled_in_blocks_equals_node_stack(rng, monkeypatch, dim):
-    # 16-node blocks over 49 nodes, the dim-2 scan block included: three
-    # full blocks and a one-node tail
-    monkeypatch.setattr(evolution, "_SCAN_BLOCK_STEPS", 16)
+    # 16-node blocks over 49 nodes (at dim 2 a quarter of a 64-step scan
+    # block): three full blocks and a one-node tail
+    monkeypatch.setattr(evolution, "_SCAN_BLOCK_STEPS", 64)
     monkeypatch.setattr(evolution, "_STEP_BLOCK_ELEMENTS", 16 * dim * dim)
     a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
     h0, h1, h2 = a + a.conj().swapaxes(-1, -2)

@@ -1048,6 +1048,30 @@ def test_a_period_past_the_float_range_is_config_error(tmp_path, monkeypatch, ca
     assert captured.err.endswith(" gives a period 2 pi / omega past the float range\n")
 
 
+@pytest.mark.parametrize("command, key, text", [
+    ("evolve", "eta", "theta = 1.0\neta = 1e-300\nn_periods = 1000000000\n"),
+    ("sweep", "sweep.eta_min",
+     "theta = 1.0\nsweep.eta_min = 1e-300\nsweep.eta_max = 1e-299\nsweep.points = 2\nn_periods = 1000000000\n"),
+], ids=["evolve", "sweep"])
+def test_a_run_length_past_the_float_range_is_config_error(tmp_path, capsys, command, key, text):
+    # each period is finite, but n_periods of them are not: the config builds
+    # the run's grid at each eta it runs, so this is refused before the run,
+    # where evolve failed numerically and a sweep wrote error rows, with a
+    # RuntimeWarning from the step model's error estimate on the way
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {key} = 1e-300: t_end must be positive and finite, got inf\n"
+
+
 @pytest.mark.parametrize("log", [True, False])
 def test_eta_grid_refuses_an_infinite_bound(log):
     with warnings.catch_warnings():
