@@ -16,7 +16,6 @@ from .errors import (
 )
 from .evolution import HamiltonianSchedule, TimeGrid, Trajectory, expand_in_frame, fidelity, propagate
 from .frames import (
-    GaugeFunction,
     MovingFrame,
     connection,
     eff_hamiltonian_matrix,
@@ -54,7 +53,6 @@ __all__ = [
     "expand_in_frame",
     "fidelity",
     "propagate",
-    "GaugeFunction",
     "MovingFrame",
     "connection",
     "eff_hamiltonian_matrix",

@@ -93,6 +93,13 @@ class HamiltonianSchedule:
         return hams
 
 
+def _require_schedule(schedule) -> None:
+    """TypeError unless `schedule` is a HamiltonianSchedule, the one form in
+    which propagate, the phases and frames.eff_hamiltonian_matrix take H."""
+    if not isinstance(schedule, HamiltonianSchedule):
+        raise TypeError(f"schedule must be a HamiltonianSchedule, got {type(schedule).__name__}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States on the nodes of a time grid; states[k] is psi(t_k)."""
@@ -231,9 +238,10 @@ def propagate(
     takes its unitary from eigh (see hilbert._step_series).
 
     Raises ValueError before any sampling unless hbar passes README's numeric
-    boundary (hbar > 0), and NonHermitianError naming the offending midpoint
-    if the schedule is not Hermitian or not finite there, or its step
-    exponential overflows (see hilbert._step_unitaries). The sampled blocks
+    boundary (hbar > 0), TypeError unless `schedule` is a HamiltonianSchedule
+    (after the initial state's checks), and NonHermitianError naming the
+    offending midpoint if the schedule is not Hermitian or not finite there,
+    or its step exponential overflows (see hilbert._step_unitaries). The sampled blocks
     are checked in grid order, each screened before its exponentials, so the
     error names a midpoint of the first block that fails.
     """
@@ -245,6 +253,7 @@ def propagate(
         )
     rows = [hilbert._check_normalized(psi, tol=tol) for psi in np.atleast_2d(psis)]
     dim = rows[0].size
+    _require_schedule(schedule)
     if dim != schedule.dim:
         raise DimensionMismatchError(
             f"state dimension {dim} does not match schedule dimension {schedule.dim}"
@@ -289,6 +298,9 @@ def propagate(
             for row in states:
                 for k, (plan, gen) in enumerate(zip(plans, gen_rows)):
                     hilbert._apply_step(plan, gen, row[pos + k], row[pos + k + 1], work)
+            # released before the next block is sampled: the last plan, a view
+            # of the block's unitary stack, would keep that stack alive too
+            del times, hams, plans, plan, gen
     trajs = tuple(Trajectory(grid=grid, states=row) for row in states)
     return trajs[0] if psis.ndim == 1 else trajs
 

@@ -12,6 +12,7 @@ lives in three derived objects:
 
 Multiplying v_n by a smooth phase e^{i alpha_n(t)} (a local gauge transform)
 shifts the connection by -d(alpha_n)/dt and leaves the holonomy unchanged.
+A gauge is a plain callable gauge(n, t) -> (alpha_n(t), d/dt alpha_n(t)).
 Parallel transport is the gauge choice that zeroes the connection.
 """
 
@@ -23,13 +24,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationDriftError
-from .evolution import TimeGrid
+from .evolution import HamiltonianSchedule, TimeGrid, _require_schedule
 from .hilbert import _count, _real, _require_hermitian, _require_operator_dim, _shown, inner
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "MovingFrame",
-    "GaugeFunction",
     "finite_difference_frame",
     "gauge_transform",
     "connection",
@@ -100,10 +100,6 @@ class MovingFrame:
         """v_n at scalar or array t, shape shape(t) + (dim,)."""
         return self.value_and_derivative(n, t)[0]
 
-    def derivative(self, n: int, t) -> np.ndarray:
-        """d/dt v_n at scalar or array t, shape shape(t) + (dim,)."""
-        return self.value_and_derivative(n, t)[1]
-
 
 def finite_difference_frame(dim: int, count: int, value_fn: Callable[[int, np.ndarray], np.ndarray],
                             period: float | None = None, fd_step: float | None = None) -> MovingFrame:
@@ -125,15 +121,6 @@ def finite_difference_frame(dim: int, count: int, value_fn: Callable[[int, np.nd
     return MovingFrame(dim, count, fn, period)
 
 
-@dataclass(frozen=True)
-class GaugeFunction:
-    """Smooth per-index phase angles and their rate: fn(n, t) returns the pair
-    (alpha_n(t), d/dt alpha_n(t)) for a scalar or 1-d array t, each
-    broadcasting to shape(t)."""
-
-    fn: Callable[[int, np.ndarray], tuple]
-
-
 def _sum_modes(terms: np.ndarray) -> np.ndarray:
     """np.sum(terms, axis=-1) over a trailing axis of four modes, bit for bit:
     numpy adds them in order onto +0.0 (so four -0.0 sum to +0.0), and so do
@@ -141,14 +128,12 @@ def _sum_modes(terms: np.ndarray) -> np.ndarray:
     return 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
-def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunction:
-    """Random smooth gauge, periodic mod 2 pi: an offset uniform in [-pi, pi),
-    four Fourier modes with coefficients uniform in [-1, 1), and an integer
-    winding in [-2, 2]. `period` is coerced as MovingFrame's is, and None is
-    refused (ValueError)."""
-    if period is None:
-        raise ValueError("a random periodic gauge needs a period, got None")
-    period = _real("period", period, positive=True, optional=True)
+def random_periodic_gauge(period: float, rng: np.random.Generator) -> Callable[[int, np.ndarray], tuple]:
+    """Random smooth gauge(n, t) -> (alpha, d alpha/dt), periodic mod 2 pi: an
+    offset uniform in [-pi, pi), four Fourier modes with coefficients uniform
+    in [-1, 1), and an integer winding in [-2, 2], the same for every n.
+    `period` must be positive and finite (ValueError otherwise, None too)."""
+    period = _real("period", period, positive=True)
     a = rng.uniform(-1.0, 1.0, size=4)
     b = rng.uniform(-1.0, 1.0, size=4)
     a0 = rng.uniform(-np.pi, np.pi)
@@ -156,26 +141,28 @@ def random_periodic_gauge(period: float, rng: np.random.Generator) -> GaugeFunct
     w = 2.0 * np.pi / period  # inf, not a numpy overflow, for a subnormal period
     kw = np.arange(1, a.size + 1) * w
 
-    def fn(n: int, t) -> tuple[np.ndarray, np.ndarray]:
+    def gauge(n: int, t) -> tuple[np.ndarray, np.ndarray]:
         kwt = np.multiply.outer(t, kw)
         cos_kwt, sin_kwt = np.cos(kwt), np.sin(kwt)
         angle = a0 + winding * w * t + _sum_modes(a * cos_kwt + b * sin_kwt)
         rate = winding * w + _sum_modes(kw * (-a * sin_kwt + b * cos_kwt))
         return angle, rate
 
-    return GaugeFunction(fn)
+    return gauge
 
 
-def gauge_transform(frame: MovingFrame, gauge: GaugeFunction) -> MovingFrame:
+def gauge_transform(frame: MovingFrame, gauge: Callable[[int, np.ndarray], tuple]) -> MovingFrame:
     """Frame with v_n replaced by e^{i alpha_n(t)} v_n; orthonormality is preserved exactly.
 
+    `gauge(n, t)` takes a frame index and a scalar or 1-d array t and returns
+    the pair (alpha_n(t), d/dt alpha_n(t)), each broadcasting to shape(t).
     The derivative is the product rule e^{i alpha_n} (i d(alpha_n)/dt v_n + d/dt v_n),
     with d/dt v_n from the original frame. Each call evaluates one angle and
     rate, one phase and the original frame once.
     """
 
     def fn(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        alpha, rate = gauge.fn(n, t)
+        alpha, rate = gauge(n, t)
         phase = np.exp(1j * np.asarray(alpha))[..., None]
         vec, deriv = frame.value_and_derivative(n, t)
         with np.errstate(invalid="ignore"):  # a non-finite frame is named by connection
@@ -240,14 +227,14 @@ def parallel_transport_fix(
     dt = ts[1] - ts[0]
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * dt)])
 
-    def fn(m: int, t: np.ndarray):
+    def gauge(m: int, t: np.ndarray):
         if m != n:
             return 0.0, 0.0
         rate = connection(frame, n, t, tol=tol)
         k = np.clip(np.floor(t / dt), 0, steps - 1).astype(int)
         return cumulative[k] + 0.5 * (t - ts[k]) * (rates[k] + rate), rate
 
-    return gauge_transform(frame, GaugeFunction(fn))
+    return gauge_transform(frame, gauge)
 
 
 def adiabatic_berry_phase(frame: MovingFrame, n: int, steps: int = 2048,
@@ -288,29 +275,24 @@ def holonomy(frame: MovingFrame, n: int, steps: int = 4096, tol: Tolerances = DE
 
 def eff_hamiltonian_matrix(
     frame: MovingFrame,
-    hamiltonian,
+    schedule: HamiltonianSchedule,
     t: float,
     hbar: float = 1.0,
     tol: Tolerances = DEFAULT,
 ) -> np.ndarray:
-    """Effective Hamiltonian over the frame: <v_n|H(t)|v_m> - <v_n| i hbar d/dt |v_m>.
+    """Effective Hamiltonian over the frame: <v_n|H(t)|v_m> - <v_n| i hbar d/dt |v_m>,
+    with H(t) = schedule.evaluate(t).
 
-    `hamiltonian` may be a schedule object (anything with .evaluate), a
-    callable t -> matrix, or a static matrix. Finite Hermitian input is
-    required (NonHermitianError names t otherwise); the output is Hermitian
-    whenever the frame is orthonormal and its derivatives are consistent.
-    Raises ValueError, before evaluating H or the frame, unless t and hbar
-    pass README's numeric boundary (hbar > 0).
+    Finite Hermitian input is required (NonHermitianError names t otherwise);
+    the output is Hermitian whenever the frame is orthonormal and its
+    derivatives are consistent. Raises ValueError unless t and hbar pass
+    README's numeric boundary (hbar > 0), then TypeError unless `schedule` is
+    a HamiltonianSchedule, each before evaluating H or the frame.
     """
     t = _real("t", t)
     hbar = _real("hbar", hbar, positive=True)
-    if hasattr(hamiltonian, "evaluate"):
-        h_t = hamiltonian.evaluate(t)
-    elif callable(hamiltonian):
-        h_t = hamiltonian(t)
-    else:
-        h_t = hamiltonian
-    h_t = np.asarray(h_t, dtype=complex)
+    _require_schedule(schedule)
+    h_t = np.asarray(schedule.evaluate(t), dtype=complex)
     # the screen rejects a non-square or non-finite H, naming t
     _require_hermitian(h_t[None], tol, times=[t])
     _require_operator_dim(h_t.shape[0], frame.dim, tol)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import DimensionMismatchError, NonHermitianError, NotCyclicError, OrthogonalEndpointsError
-from .evolution import HamiltonianSchedule, Trajectory, _block_steps
+from .evolution import HamiltonianSchedule, Trajectory, _block_steps, _require_schedule
 from .frames import adiabatic_berry_phase
 from .tolerances import DEFAULT, Tolerances
 
@@ -98,15 +98,14 @@ def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule)
     one complex (steps+1,) array per trajectory.
 
     `schedule` is sampled once per block of nodes cut by propagate's rule (see
-    evolution._block_steps: 16,384 nodes at dim 2), so no full node stack is
-    held, and every
-    trajectory's energies are formed from that block by the same einsum, so
-    they are the bits the trajectory gives alone. The arrays are separate
+    evolution._block_steps: 16,384 nodes at dim 2), and each block is released
+    before the next is sampled, so no more than one block's stack is held.
+    Every trajectory's energies are formed from that block by the same einsum,
+    so they are the bits the trajectory gives alone. The arrays are separate
     because one (m, steps+1) stack of two 4096-step rows passes malloc's
     128 KiB mmap threshold, and its pages were faulted in anew on every row.
     """
-    if not isinstance(schedule, HamiltonianSchedule):
-        raise TypeError(f"schedule must be a HamiltonianSchedule, got {type(schedule).__name__}")
+    _require_schedule(schedule)
     grid, dim = trajs[0].grid, trajs[0].dim
     if schedule.dim != dim:
         raise DimensionMismatchError(
@@ -121,6 +120,7 @@ def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule)
         for traj, out in zip(trajs, energies):
             psi = traj.states[lo:hi]
             np.einsum("ki,kij,kj->k", psi.conj(), hams, psi, out=out[lo:hi])
+        del hams  # released before the next block is sampled
     return energies
 
 

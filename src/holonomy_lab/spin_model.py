@@ -225,18 +225,8 @@ def berry_limit_phase(theta: float, branch: int) -> float:
     return float((np.pi * (1.0 + branch * np.cos(theta))) % (2.0 * np.pi))
 
 
-# The exponential-midpoint propagator picks up a secular phase error from the
-# leading Magnus remainder, mu B omega^2 |sin(theta) sin(theta - alpha)| T dt^2
-# times a coefficient. With the factor 3 over 24 that coefficient is 1/8, the
-# exact leading one in the adiabatic regime: against the discrete flow's
-# truncation, computed in longdouble at the chosen steps, the estimate read
-# 1.000-1.016 for eta in [1e-4, 0.1], 1.04-1.14 at eta 0.3-1, and 1.5 from
-# eta 3 up, where the rows sit at the step floor.
-_SECULAR_ERROR_CALIBRATION = 3.0
-
-
 def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: int = 1) -> float:
-    """Calibrated estimate of the propagated geometric-phase error at `steps`;
+    """Leading-order estimate of the propagated geometric-phase error at `steps`;
     inf where dt^2 is past the float range (tiny eta), unless the geometric
     factor makes it 0."""
     steps, n_periods = _count("steps", steps, 1), _count("n_periods", n_periods, 1)
@@ -246,8 +236,11 @@ def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: in
     mu_b = params.mu * params.b_field
     geometry = abs(np.sin(params.theta) * np.sin(params.theta - a))
     lead = mu_b * params.omega**2 * geometry
+    # the leading Magnus remainder's secular phase error, with its exact
+    # coefficient 1/8: against the discrete flow's truncation in longdouble,
+    # this read 1.000-1.016 for eta in [1e-4, 0.1] and 1.04-1.14 at eta 0.3-1
     try:
-        return _SECULAR_ERROR_CALIBRATION * lead * total_t * dt**2 / 24.0
+        return lead * total_t * dt**2 / 8.0
     except OverflowError:
         return np.inf if geometry else 0.0
 

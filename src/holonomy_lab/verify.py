@@ -18,7 +18,6 @@ import numpy as np
 from . import hilbert, spin_model
 from .evolution import TimeGrid, fidelity, propagate
 from .frames import (
-    GaugeFunction,
     adiabatic_berry_phase,
     connection,
     eff_hamiltonian_matrix,
@@ -312,14 +311,16 @@ def check_gauge_covariance(tol: Tolerances = DEFAULT, quick: bool = False, seed:
     frame = spin_model.tilted_frame(params)
     sched = spin_model.schedule(params)
     w = 2 * np.pi / params.period
-    gauge = GaugeFunction(
-        lambda n, t: (0.3 + 0.7 * np.sin(w * t), 0.7 * w * np.cos(w * t)) if n == 0 else (0.0, 0.0))
+
+    def gauge(n, t):
+        return (0.3 + 0.7 * np.sin(w * t), 0.7 * w * np.cos(w * t)) if n == 0 else (0.0, 0.0)
+
     transformed = gauge_transform(frame, gauge)
     worst = 0.0
     for t in np.linspace(0.0, params.period, 9):
         m0 = eff_hamiltonian_matrix(frame, sched, t, hbar=params.hbar, tol=tol)
         m1 = eff_hamiltonian_matrix(transformed, sched, t, hbar=params.hbar, tol=tol)
-        shift = (m1[0, 0] - m0[0, 0]).real - params.hbar * gauge.fn(0, t)[1]
+        shift = (m1[0, 0] - m0[0, 0]).real - params.hbar * gauge(0, t)[1]
         worst = max(worst, abs(shift), abs(abs(m1[0, 1]) - abs(m0[0, 1])))
     return CheckResult("heff_gauge_covariance", worst <= 1e-10, worst, 1e-10,
                        "diagonal shift vs hbar d(alpha)/dt")

@@ -445,7 +445,7 @@ BOUNDARY_ENTRIES = {
     "finite_difference_frame.period": (POSITIVE, lambda x: fd_frame(period=x)),
     "finite_difference_frame.fd_step": (POSITIVE, lambda x: fd_frame(fd_step=x)),
     "random_periodic_gauge.period": (POSITIVE,
-                                     lambda x: random_periodic_gauge(x, np.random.default_rng(0)).fn(0, TS)),
+                                     lambda x: random_periodic_gauge(x, np.random.default_rng(0))(0, TS)),
     "propagate.hbar": (POSITIVE, lambda x: propagate(SCHED3, np.eye(3)[0], TimeGrid(1.0, 8), hbar=x)),
     "dynamical_phase.hbar": (POSITIVE, lambda x: dynamical_phase(TRAJ3, SCHED3, hbar=x)),
     "noncyclic_geometric_phase.hbar": (POSITIVE,
@@ -542,7 +542,7 @@ def test_heff_refuses_a_bad_hbar_before_evaluating_h_or_the_frame(hbar):
     calls = []
     tilted = spin_model.tilted_frame(SPIN)
     frame = MovingFrame(2, 2, lambda n, t: calls.append("frame") or tilted.fn(n, t), SPIN.period)
-    hamiltonian = lambda t: calls.append("H") or spin_model.hamiltonian(SPIN, t)  # noqa: E731
+    hamiltonian = HamiltonianSchedule(lambda t: calls.append("H") or spin_model.hamiltonian(SPIN, t), 2)
     with pytest.raises(ValueError, match=r"^hbar must be positive and finite, got "):
         eff_hamiltonian_matrix(frame, hamiltonian, 0.3, hbar=hbar)
     assert calls == []

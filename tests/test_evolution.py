@@ -19,7 +19,7 @@ from holonomy_lab.evolution import (
     fidelity,
     propagate,
 )
-from holonomy_lab.frames import GaugeFunction, MovingFrame, gauge_transform
+from holonomy_lab.frames import MovingFrame, gauge_transform
 from holonomy_lab.phases import dynamical_phase
 from holonomy_lab.tolerances import DEFAULT
 
@@ -107,6 +107,19 @@ def test_propagate_requires_normalized_state():
     grid = TimeGrid(t_end=1.0, steps=16)
     with pytest.raises(ValueError, match="not normalized"):
         propagate(static_schedule(_SIGMA_Z), np.array([1.0, 1.0]), grid)
+
+
+@pytest.mark.parametrize("form", ["callable", "ndarray"])
+def test_propagate_refuses_a_schedule_of_another_form(form):
+    # H is taken as a HamiltonianSchedule only, refused after the state's checks
+    h = _SIGMA_Z
+    schedule = {"callable": lambda t: h, "ndarray": h}[form]
+    kind = {"callable": "function", "ndarray": "ndarray"}[form]
+    grid = TimeGrid(t_end=1.0, steps=16)
+    with pytest.raises(TypeError, match=f"^schedule must be a HamiltonianSchedule, got {kind}$"):
+        propagate(schedule, np.array([1.0, 0.0]), grid)
+    with pytest.raises(ValueError, match="not normalized"):
+        propagate(schedule, np.array([1.0, 1.0]), grid)
 
 
 def test_propagate_aborts_on_non_hermitian_with_offending_time():
@@ -219,7 +232,7 @@ def test_gauged_frame_rotates_coefficients():
     traj = spin_model.exact_trajectory(params, +1, grid)
     frame = spin_model.tilted_frame(params)
     rate = 0.77
-    gauged = gauge_transform(frame, GaugeFunction(lambda n, t: (rate * t, rate)))
+    gauged = gauge_transform(frame, lambda n, t: (rate * t, rate))
     base = expand_in_frame(traj, frame)
     rotated = expand_in_frame(traj, gauged)
     expected = base * np.exp(-1j * rate * grid.nodes())[:, None]
@@ -346,8 +359,10 @@ def test_dim2_propagation_memory_guard():
 # --- block propagation --------------------------------------------------------
 
 
-def random_periodic_schedule(rng, dim):
+def random_periodic_schedule(rng, dim, scale=1.0):
+    """h0 + cos(t) h1 + sin(t) h2 for random Hermitian h0, h1 and h2, with h0 times `scale`."""
     h0, h1, h2 = (a + a.conj().T for a in rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)))
+    h0 = scale * h0
 
     def many(ts):
         ts = np.asarray(ts, dtype=float)[:, None, None]
@@ -471,6 +486,43 @@ def test_dense_propagation_memory_guard(rng):
         tracemalloc.stop()
     extra = peak - states.nbytes
     assert extra <= 2 * 2**20, f"peak {extra / 2**20:.1f} MiB beside the states"
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory tracemalloc traced during it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("dim", [5, 64])
+def test_each_sampled_block_is_released_before_the_next(rng, dim):
+    # six blocks take no more memory beside the states than one: each block's
+    # samples and step plans are let go before the next block is sampled
+    # (keeping them held about 256 KiB more on six). At dim 64 h0 is scaled
+    # so that every step takes its unitary from eigh
+    sched = random_periodic_schedule(rng, dim, scale=4.0)
+    psi = np.eye(dim)[0]
+    block = evolution._block_steps(dim)
+    dt = 0.05
+    peaks = {}
+    for blocks in (1, 6):
+        grid = TimeGrid(t_end=blocks * block * dt, steps=blocks * block)
+        if dim >= evolution._SERIES_MIN_DIM:
+            gens = np.empty((grid.steps, dim, dim + 1), dtype=complex)
+            plans = hilbert._step_series(sched.sample(grid.midpoints()), grid.dt, 1.0, gens)
+            assert all(isinstance(plan, np.ndarray) for plan in plans)
+        traj, peak = traced_peak(lambda: propagate(sched, psi, grid))
+        _, node_peak = traced_peak(lambda: dynamical_phase(traj, sched))
+        peaks[blocks] = (peak - traj.states.nbytes, node_peak)
+    grown = [f"{call}: {six / 2**10:.0f} KiB on six blocks, {one / 2**10:.0f} KiB on one"
+             for one, six, call in zip(peaks[1], peaks[6], ("propagate", "dynamical_phase"))
+             if six > one + 128 * 2**10]
+    assert not grown, "; ".join(grown)
 
 
 def cut(count, block):

@@ -11,7 +11,6 @@ from holonomy_lab import spin_model
 from holonomy_lab.errors import DimensionMismatchError, NonHermitianError, NormalizationDriftError
 from holonomy_lab.evolution import HamiltonianSchedule
 from holonomy_lab.frames import (
-    GaugeFunction,
     MovingFrame,
     _sum_modes,
     adiabatic_berry_phase,
@@ -32,11 +31,11 @@ DELTA = PARAMS.theta - spin_model.tilt_angle(PARAMS).alpha
 
 
 def constant_gauge(c):
-    return GaugeFunction(lambda n, t: (c, 0.0))
+    return lambda n, t: (c, 0.0)
 
 
 def linear_gauge(rate):
-    return GaugeFunction(lambda n, t: (rate * t, rate))
+    return lambda n, t: (rate * t, rate)
 
 
 def phase_winding_frame(rate, period=None):
@@ -64,7 +63,7 @@ def test_model_frame_orthonormal():
 def test_fd_derivative_consistent_at_second_order():
     frame = spin_model.tilted_frame(PARAMS)
     t = 0.37 * PARAMS.period
-    exact = frame.derivative(0, t)
+    exact = frame.value_and_derivative(0, t)[1]
     errs = []
     for h in (1e-3, 5e-4):
         fd = (frame.value(0, t + h) - frame.value(0, t - h)) / (2 * h)
@@ -111,7 +110,7 @@ def test_identity_gauge_leaves_frame_unchanged():
     gauged = gauge_transform(frame, constant_gauge(0.0))
     t = 0.3
     assert np.allclose(gauged.value(0, t), frame.value(0, t), atol=1e-15)
-    assert np.allclose(gauged.derivative(0, t), frame.derivative(0, t), atol=1e-15)
+    assert np.allclose(gauged.value_and_derivative(0, t)[1], frame.value_and_derivative(0, t)[1], atol=1e-15)
 
 
 def test_constant_gauge_preserves_holonomy():
@@ -207,7 +206,7 @@ def test_quadratures_refuse_bad_steps_before_sampling(steps, match):
                                pytest.param(10**5000, id="10**5000")])
 def test_frame_index_that_is_not_a_count_below_count_is_index_error(n):
     frame, calls = counting_frame(period=1.0)
-    for method in (frame.value, frame.derivative, frame.value_and_derivative):
+    for method in (frame.value, frame.value_and_derivative):
         with pytest.raises(IndexError, match=r"^frame index .* out of range \[0, 1\)$"):
             method(n, 0.5)
     assert calls == []
@@ -270,7 +269,7 @@ def test_heff_static_eigenbasis_is_diagonal(rng):
     h = (a + a.conj().T) / 2
     evals, evecs = np.linalg.eigh(h)
     frame = MovingFrame(dim=4, count=4, fn=lambda n, t: (evecs[:, n], 0.0), period=1.0)
-    m = eff_hamiltonian_matrix(frame, lambda t: h, 0.0)
+    m = eff_hamiltonian_matrix(frame, HamiltonianSchedule(lambda t: h, 4), 0.0)
     assert np.allclose(m, np.diag(evals), atol=1e-10)
 
 
@@ -292,10 +291,11 @@ def test_heff_model_frame_diagonal_values():
 def test_heff_rejects_non_hermitian_hamiltonian():
     frame = spin_model.tilted_frame(PARAMS)
     with pytest.raises(NonHermitianError):
-        eff_hamiltonian_matrix(frame, np.array([[0, 1], [0, 0]], dtype=complex), 0.0)
+        eff_hamiltonian_matrix(frame, HamiltonianSchedule(lambda t: np.array([[0, 1], [0, 0]], dtype=complex), 2),
+                               0.0)
     for value in (np.nan, np.inf):
         with pytest.raises(NonHermitianError, match=r"not finite at t = 0\.25:"):
-            eff_hamiltonian_matrix(frame, lambda t: np.diag([value, 1.0]), 0.25)
+            eff_hamiltonian_matrix(frame, HamiltonianSchedule(lambda t: np.diag([value, 1.0]), 2), 0.25)
 
 
 @pytest.mark.parametrize("h, match", [(np.eye(3), r"^expected dimension 2, got 3$"),
@@ -305,13 +305,14 @@ def test_heff_rejects_non_hermitian_hamiltonian():
                          ids=["other-dim", "over-cap", "non-square"])
 def test_heff_refuses_a_hamiltonian_of_the_wrong_size(h, match):
     with pytest.raises(DimensionMismatchError, match=match):
-        eff_hamiltonian_matrix(spin_model.tilted_frame(PARAMS), h, 0.0)
+        eff_hamiltonian_matrix(spin_model.tilted_frame(PARAMS), HamiltonianSchedule(lambda t: h, h.shape[0]), 0.0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, 0.2]), 1j], ids=["nan", "inf", "array", "complex"])
 @pytest.mark.parametrize("kind", ["static", "callable", "schedule"])
 def test_heff_refuses_a_time_that_is_not_a_real_finite_scalar(kind, t):
-    # refused by expi_hermitian's rule for dt, before H or the frame is evaluated
+    # refused by expi_hermitian's rule for dt, before H or the frame is
+    # evaluated, and before a static or callable H is refused as not a schedule
     calls = []
     h = spin_model.hamiltonian(PARAMS, 0.0)
     hamiltonian = {
@@ -326,7 +327,23 @@ def test_heff_refuses_a_time_that_is_not_a_real_finite_scalar(kind, t):
         with pytest.raises(ValueError, match=r"^t must be a real finite scalar, got "):
             eff_hamiltonian_matrix(frame, hamiltonian, t)
     assert calls == []
-    assert eff_hamiltonian_matrix(frame, hamiltonian, 0.3).shape == (2, 2)
+    if kind == "schedule":
+        assert eff_hamiltonian_matrix(frame, hamiltonian, 0.3).shape == (2, 2)
+
+
+@pytest.mark.parametrize("form", ["ndarray", "callable", "None", "str"])
+def test_heff_refuses_a_hamiltonian_that_is_not_a_schedule(form):
+    # H is taken as a HamiltonianSchedule only: any other form is a TypeError
+    # before H or the frame is evaluated
+    calls = []
+    h = spin_model.hamiltonian(PARAMS, 0.0)
+    hamiltonian = {"ndarray": h, "callable": counted(calls, "H", lambda t: h), "None": None, "str": "H"}[form]
+    tilted = spin_model.tilted_frame(PARAMS)
+    frame = MovingFrame(dim=2, count=2, fn=counted(calls, "frame", tilted.fn), period=PARAMS.period)
+    kind = {"ndarray": "ndarray", "callable": "function", "None": "NoneType", "str": "str"}[form]
+    with pytest.raises(TypeError, match=f"^schedule must be a HamiltonianSchedule, got {kind}$"):
+        eff_hamiltonian_matrix(frame, hamiltonian, 0.3)
+    assert calls == []
 
 
 def test_heff_gauge_covariance():
@@ -334,13 +351,16 @@ def test_heff_gauge_covariance():
     frame = spin_model.tilted_frame(PARAMS)
     sched = spin_model.schedule(PARAMS)
     w = 2 * np.pi / PARAMS.period
-    gauge = GaugeFunction(lambda n, t: (0.4 * np.sin(w * t), 0.4 * w * np.cos(w * t)) if n == 0 else (-0.2 * t, -0.2))
+
+    def gauge(n, t):
+        return (0.4 * np.sin(w * t), 0.4 * w * np.cos(w * t)) if n == 0 else (-0.2 * t, -0.2)
+
     gauged = gauge_transform(frame, gauge)
     for t in (0.1, 0.9, 2.7):
         m0 = eff_hamiltonian_matrix(frame, sched, t)
         m1 = eff_hamiltonian_matrix(gauged, sched, t)
         for n in range(2):
-            assert (m1[n, n] - m0[n, n]).real == pytest.approx(gauge.fn(n, t)[1], abs=1e-12)
+            assert (m1[n, n] - m0[n, n]).real == pytest.approx(gauge(n, t)[1], abs=1e-12)
         assert abs(m1[0, 1]) == pytest.approx(abs(m0[0, 1]), abs=1e-10)
 
 
@@ -349,7 +369,7 @@ def test_random_gauge_is_periodic_mod_two_pi(rng):
     for _ in range(8):
         gauge = random_periodic_gauge(period, rng)
         for n in range(2):
-            jump = gauge.fn(n, period)[0] - gauge.fn(n, 0.0)[0]
+            jump = gauge(n, period)[0] - gauge(n, 0.0)[0]
             assert abs(jump - 2.0 * np.pi * round(jump / (2.0 * np.pi))) <= 1e-12
 
 
@@ -365,9 +385,9 @@ def test_frame_refuses_bad_fd_step_or_period(field, value):
             MovingFrame(dim=2, count=1, fn=lambda n, t: (np.array([1.0, 0.0]), 0.0), period=value)
 
 
-@pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf, None])
 def test_random_gauge_refuses_bad_period(rng, period):
-    with pytest.raises(ValueError, match="period must be None or positive and finite"):
+    with pytest.raises(ValueError, match=r"^period must be positive and finite, got "):
         random_periodic_gauge(period, rng)
 
 
@@ -439,9 +459,8 @@ def test_gauged_fd_frame_holonomy_matches_closed_form(rng):
 @pytest.mark.parametrize("period, fd_step", [(PARAMS.period, None), (None, None), (PARAMS.period, 1e-5)],
                          ids=["default-step", "aperiodic", "given-step"])
 def test_finite_difference_frame_keeps_the_symmetric_difference_bits(period, fd_step):
-    # the symmetric difference as MovingFrame.derivative formed it without a
-    # derivative callback: both samples shaped as value shapes them, then
-    # subtracted and divided by 2h
+    # the symmetric difference of a frame without a derivative callback: both
+    # samples shaped as value shapes them, then subtracted and divided by 2h
     tilted = spin_model.tilted_frame(PARAMS)
 
     def value_fn(n, t):  # a real list at scalar t, as a user's callback may give
@@ -457,7 +476,7 @@ def test_finite_difference_frame_keeps_the_symmetric_difference_bits(period, fd_
 
             want = (shaped(t + h) - shaped(t - h)) / (2.0 * h)
             value, derivative = frame.value_and_derivative(n, t)
-            assert bits(derivative) == bits(want) and bits(frame.derivative(n, t)) == bits(want)
+            assert bits(derivative) == bits(want)
             assert bits(value) == bits(shaped(t)) and bits(frame.value(n, t)) == bits(shaped(t))
 
 
@@ -509,8 +528,12 @@ def test_array_calls_equal_stacked_scalar_calls(rng, analytic):
     frame = spin_model.tilted_frame(PARAMS) if analytic else fd_tilted_frame()
     gauged = gauge_transform(frame, random_periodic_gauge(PARAMS.period, rng))
     ts = np.linspace(-0.3, 1.7 * PARAMS.period, 23)
+
+    def derivative(n, t):
+        return gauged.value_and_derivative(n, t)[1]
+
     for n in range(2):
-        for method in (gauged.value, gauged.derivative):
+        for method in (gauged.value, derivative):
             stacked = np.stack([method(n, t) for t in ts])
             assert method(n, ts).shape == (ts.size, 2)
             assert np.allclose(method(n, ts), stacked, rtol=0, atol=1e-12)
@@ -571,7 +594,7 @@ def bits(x):
 def test_joint_evaluation_keeps_every_bit(name, frame):
     # value_and_derivative gives what separate value and derivative calls give
     reference = MovingFrame(dim=frame.dim, count=frame.count, period=frame.period,
-                            fn=lambda n, t: (frame.value(n, t), frame.derivative(n, t)))
+                            fn=lambda n, t: (frame.value(n, t), frame.value_and_derivative(n, t)[1]))
     sched = spin_model.schedule(PARAMS)
     ts = np.linspace(0.0, 1.3 * PARAMS.period, 37)
     for n in range(frame.count):
@@ -591,12 +614,12 @@ def separate_gauge_transform(frame, gauge):
     each evaluating its own angle and phase: the reference for its one callback."""
 
     def phase(n, t):
-        return np.exp(1j * np.asarray(gauge.fn(n, t)[0]))[..., None]
+        return np.exp(1j * np.asarray(gauge(n, t)[0]))[..., None]
 
     def fn(n, t):
-        rate = np.asarray(gauge.fn(n, t)[1])[..., None]
+        rate = np.asarray(gauge(n, t)[1])[..., None]
         return (phase(n, t) * frame.value(n, t),
-                phase(n, t) * (1j * rate * frame.value(n, t) + frame.derivative(n, t)))
+                phase(n, t) * (1j * rate * frame.value(n, t) + frame.value_and_derivative(n, t)[1]))
 
     return MovingFrame(dim=frame.dim, count=frame.count, fn=fn, period=frame.period)
 
@@ -635,7 +658,7 @@ def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     calls = []
     # the gauge and the model frame as built, with each callback counted
     drawn = random_periodic_gauge(PARAMS.period, rng)
-    gauge = GaugeFunction(counted(calls, "gauge", drawn.fn))
+    gauge = counted(calls, "gauge", drawn)
     tilted = spin_model.tilted_frame(PARAMS)
     base = MovingFrame(dim=2, count=2, fn=counted(calls, "frame", tilted.fn), period=tilted.period)
     gauged = gauge_transform(base, gauge)
@@ -649,7 +672,7 @@ def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     # every public call of a frame is one call of its callback: the gauged
     # frame's is one call of its gauge and one of its base frame
     for frame, one_call in ((gauged, ["gauge", "frame"]), (base, ["frame"])):
-        for method in (frame.value, frame.derivative, frame.value_and_derivative):
+        for method in (frame.value, frame.value_and_derivative):
             calls.clear()
             method(0, 0.3)
             assert calls == one_call
@@ -657,7 +680,7 @@ def test_gauged_frame_evaluates_its_gauge_once_per_connection(rng, monkeypatch):
     fill = spin_model._basis_value_and_derivative
     monkeypatch.setattr(spin_model, "_basis_value_and_derivative", counted(calls, "fill", fill))
     model = spin_model.tilted_frame(PARAMS)
-    for method in (model.value, model.derivative, model.value_and_derivative):
+    for method in (model.value, model.value_and_derivative):
         calls.clear()
         method(1, 0.3)
         assert calls == ["fill"]
@@ -673,7 +696,7 @@ def test_replace_copy_of_a_package_frame_makes_one_call_per_evaluation(rng, monk
     transported = parallel_transport_fix(tilted, 0, steps=64)
     for frame, fills in ((tilted, 1), (gauged, 1), (transported, 2)):
         copy = dataclasses.replace(frame)
-        for method in (copy.value, copy.derivative, copy.value_and_derivative):
+        for method in (copy.value, copy.value_and_derivative):
             calls.clear()
             method(0, 0.3)
             assert calls == ["fill"] * fills
@@ -711,12 +734,12 @@ def test_frame_calls_keep_their_shapes(value, derivative, copied):
         frame = dataclasses.replace(frame)
     for t in (0.3, np.linspace(0.0, 1.0, 5), np.array([0.5])):
         shape = np.shape(t) + (2,)
-        got = [frame.value(0, t), frame.derivative(0, t), *frame.value_and_derivative(0, t)]
+        got = [frame.value(0, t), *frame.value_and_derivative(0, t)]
         for x in got:
             assert x.shape == shape and x.dtype == complex
-        assert bits(got[0]) == bits(got[2]) and bits(got[1]) == bits(got[3])
+        assert bits(got[0]) == bits(got[1])
         assert bits(got[0]) == bits(np.broadcast_to(np.asarray(value(0, np.asarray(t)), dtype=complex), shape))
-        assert not np.any(got[1])
+        assert not np.any(got[2])
 
 
 def test_frame_returns_a_callback_array_of_its_shape_as_it_is():
@@ -780,7 +803,7 @@ def test_random_gauge_sums_its_modes_as_numpy_does():
         reference = numpy_sum_gauge(PARAMS.period, np.random.default_rng(seed))
         for t in (ts, np.asarray(0.0), np.asarray(-0.0), np.asarray(1.3)):
             want = reference(0, t)
-            assert bits(gauge.fn(0, t)) == bits(want)
+            assert bits(gauge(0, t)) == bits(want)
 
 
 def test_frames_outputs_of_the_benchmark_are_pinned():

@@ -109,7 +109,7 @@ def test_frame_expectations_match_closed_forms():
         h = spin_model.hamiltonian(p, t)
         for n, branch in ((0, +1), (1, -1)):
             v = frame.value(n, t)
-            dv = frame.derivative(n, t)
+            dv = frame.value_and_derivative(n, t)[1]
             energy = np.vdot(v, h @ v).real
             conn = np.vdot(v, 1j * p.hbar * dv).real
             assert energy == pytest.approx(-branch * p.magnetic_energy * np.cos(alpha), rel=1e-12)
