@@ -8,15 +8,12 @@ below dim 8 the step exponential is a unitary from its eigendecomposition
 Frobenius norm at most 1 is applied to the state by a Taylor series accurate
 to 2^-53, and any other step by its unitary.
 
-The grid is walked in blocks of steps, each sampled and screened at once.
-Above dim 2 a block's stack holds at most 2^14 complex elements (256 KiB, at
-least one step), so that a block and its temporaries stay in a 2 MiB L2
-cache; a dim-2 block is 16,384 steps. At dim 2 the states come from a prefix
-scan of the step unitaries of a 65,536-step scan block, filled by its four
-sampled blocks in turn, whose round-off grows logarithmically in its steps;
-across scan blocks, and above dim 2 where steps apply to the state in turn,
-round-off grows linearly. The states depend on the scan block, not on the
-sampled block.
+The grid is walked in sampled blocks of steps (see _sampled_blocks). At dim 2
+the states come from a prefix scan of the step unitaries of a 65,536-step
+scan block, filled by its four sampled blocks in turn, whose round-off grows
+logarithmically in its steps; across scan blocks, and above dim 2 where steps
+apply to the state in turn, round-off grows linearly. The states depend on
+the scan block, not on the sampled block.
 """
 
 from __future__ import annotations
@@ -198,12 +195,31 @@ _SERIES_MIN_DIM = 8
 def _block_steps(dim: int) -> int:
     """Grid points per sampled block at this dim: a quarter of the scan block
     at dim 2 (16,384), which fills its unitaries in turn; above dim 2,
-    _STEP_BLOCK_ELEMENTS / dim^2, at least 1. propagate's midpoints and
-    phases._node_energies's nodes are cut by this one rule."""
+    _STEP_BLOCK_ELEMENTS / dim^2, at least 1."""
     if dim == 2:
         # 4,096-step blocks made the 200-row sweep slower in 4 of 4 paired runs
         return _SCAN_BLOCK_STEPS // 4
     return max(1, _STEP_BLOCK_ELEMENTS // (dim * dim))
+
+
+def _sampled_blocks(schedule: HamiltonianSchedule, times: np.ndarray, tol: Tolerances | None = None):
+    """Yield (lo, block_times, hams): `times` cut into blocks of
+    _block_steps(schedule.dim) points, in order, block_times being
+    times[lo : lo + len(block_times)] and hams its samples; with `tol`, each
+    block is screened by hilbert._require_hermitian before it is yielded.
+
+    The walker drops a block before it samples the next; a caller deletes its
+    own loop variables, and what it made of them, at the end of its loop
+    body, so that no more than one block is held at once.
+    """
+    block = _block_steps(schedule.dim)
+    for lo in range(0, len(times), block):
+        block_times = times[lo : lo + block]
+        hams = schedule.sample(block_times)
+        if tol is not None:
+            hilbert._require_hermitian(hams, tol, times=block_times)
+        yield lo, block_times, hams
+        del block_times, hams
 
 
 def propagate(
@@ -222,10 +238,10 @@ def propagate(
     error is O(dt^2) against the exact flow; each step is unitary to
     round-off, so the norm is preserved to round-off.
 
-    The grid is walked in blocks of midpoints (see _block_steps), each
-    sampled and screened, then exponentiated. At dim 2 the step unitaries of
-    a scan block of _SCAN_BLOCK_STEPS midpoints are written, one sampled
-    block after another, into one buffer, prefix-scanned there, and the
+    The midpoints are sampled and screened block by block (see
+    _sampled_blocks), each block then exponentiated. At dim 2 the step
+    unitaries of a scan block of _SCAN_BLOCK_STEPS midpoints are written, one
+    sampled block after another, into one buffer, prefix-scanned there, and the
     products applied to each row's scan-block start, so round-off grows
     logarithmically in the steps of a scan block and linearly across them.
     Above dim 2 each row applies the block's step plans one after another
@@ -241,9 +257,9 @@ def propagate(
     boundary (hbar > 0), TypeError unless `schedule` is a HamiltonianSchedule
     (after the initial state's checks), and NonHermitianError naming the
     offending midpoint if the schedule is not Hermitian or not finite there,
-    or its step exponential overflows (see hilbert._step_unitaries). The sampled blocks
-    are checked in grid order, each screened before its exponentials, so the
-    error names a midpoint of the first block that fails.
+    or its step exponential overflows (see hilbert._step_unitaries). The
+    sampled blocks are checked in grid order, each screened before its
+    exponentials, so the error names a midpoint of the first block that fails.
     """
     hbar = hilbert._real("hbar", hbar, positive=True)
     psis = np.asarray(psi0, dtype=complex)
@@ -261,24 +277,13 @@ def propagate(
     mids = grid.midpoints()
     states = np.empty((len(rows), grid.steps + 1, dim), dtype=complex)
     states[:, 0] = rows
-    block = _block_steps(dim)
-
-    def screened(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        times = mids[lo:hi]
-        hams = schedule.sample(times)
-        hilbert._require_hermitian(hams, tol, times=times)
-        return times, hams
-
     if dim == 2:
         for pos in range(0, grid.steps, _SCAN_BLOCK_STEPS):
             take = min(_SCAN_BLOCK_STEPS, grid.steps - pos)
-            # the scan runs in the unitaries' buffer, which each sampled block
-            # fills in turn, so no more than one block's samples are held
+            # the scan runs in the unitaries' buffer, which each sampled block fills
             prefixes = hilbert._empty_2x2((take,))
-            for lo in range(0, take, block):
-                hi = min(lo + block, take)
-                times, hams = screened(pos + lo, pos + hi)
-                hilbert._step_unitaries(hams, grid.dt, hbar, times, prefixes[lo:hi], stack=take)
+            for lo, times, hams in _sampled_blocks(schedule, mids[pos : pos + take], tol):
+                hilbert._step_unitaries(hams, grid.dt, hbar, times, prefixes[lo : lo + len(times)], stack=take)
                 del times, hams
             _prefix_products(prefixes)
             for row in states:
@@ -286,20 +291,17 @@ def propagate(
     else:
         gens = work = None  # a unitary plan reads no series scratch
         if dim >= _SERIES_MIN_DIM:
-            gens = np.empty((min(block, grid.steps), dim, dim + 1), dtype=complex)
+            gens = np.empty((min(_block_steps(dim), grid.steps), dim, dim + 1), dtype=complex)
             work = hilbert._series_work(dim)
-        for pos in range(0, grid.steps, block):
-            take = min(block, grid.steps - pos)
-            times, hams = screened(pos, pos + take)
+        for pos, times, hams in _sampled_blocks(schedule, mids, tol):
             if gens is None:
-                plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar, times), [None] * take
+                plans, gen_rows = hilbert._step_unitaries(hams, grid.dt, hbar, times), [None] * len(times)
             else:
                 plans, gen_rows = hilbert._step_series(hams, grid.dt, hbar, gens, times), gens
             for row in states:
                 for k, (plan, gen) in enumerate(zip(plans, gen_rows)):
                     hilbert._apply_step(plan, gen, row[pos + k], row[pos + k + 1], work)
-            # released before the next block is sampled: the last plan, a view
-            # of the block's unitary stack, would keep that stack alive too
+            # the last plan, a view of the block's unitary stack, would keep it alive
             del times, hams, plans, plan, gen
     trajs = tuple(Trajectory(grid=grid, states=row) for row in states)
     return trajs[0] if psis.ndim == 1 else trajs

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import DimensionMismatchError, NonHermitianError, NotCyclicError, OrthogonalEndpointsError
-from .evolution import HamiltonianSchedule, Trajectory, _block_steps, _require_schedule
+from .evolution import HamiltonianSchedule, Trajectory, _require_schedule, _sampled_blocks
 from .frames import adiabatic_berry_phase
 from .tolerances import DEFAULT, Tolerances
 
@@ -75,14 +75,6 @@ class PhaseReport:
     route_agreement: float | None = None
 
 
-def _total_phase(traj: Trajectory, tol: Tolerances = DEFAULT) -> float:
-    """Principal argument of <psi(0)|psi(T)>, in (-pi, pi].
-
-    Undefined (raises) when the endpoints are orthogonal within tol.overlap_floor.
-    """
-    return _overlap_argument(complex(np.vdot(traj.states[0], traj.states[-1])), tol)
-
-
 def _overlap_argument(ov: complex, tol: Tolerances) -> float:
     """arg ov, or OrthogonalEndpointsError when |ov| <= tol.overlap_floor."""
     if abs(ov) <= tol.overlap_floor:
@@ -97,13 +89,13 @@ def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule)
     """<psi_k|H(t_k)|psi_k> on the nodes of the trajectories' shared grid:
     one complex (steps+1,) array per trajectory.
 
-    `schedule` is sampled once per block of nodes cut by propagate's rule (see
-    evolution._block_steps: 16,384 nodes at dim 2), and each block is released
-    before the next is sampled, so no more than one block's stack is held.
-    Every trajectory's energies are formed from that block by the same einsum,
-    so they are the bits the trajectory gives alone. The arrays are separate
-    because one (m, steps+1) stack of two 4096-step rows passes malloc's
-    128 KiB mmap threshold, and its pages were faulted in anew on every row.
+    `schedule` is sampled once per block of nodes by propagate's walker (see
+    evolution._sampled_blocks), unscreened, so no more than one block's stack
+    is held. Every trajectory's energies are formed from that block by the
+    same einsum, so they are the bits the trajectory gives alone. The arrays
+    are separate because one (m, steps+1) stack of two 4096-step rows passes
+    malloc's 128 KiB mmap threshold, and its pages were faulted in anew on
+    every row.
     """
     _require_schedule(schedule)
     grid, dim = trajs[0].grid, trajs[0].dim
@@ -113,14 +105,12 @@ def _node_energies(trajs: tuple[Trajectory, ...], schedule: HamiltonianSchedule)
         )
     ts = grid.nodes()
     energies = [np.empty(ts.size, dtype=complex) for _ in trajs]
-    block = _block_steps(dim)
-    for lo in range(0, ts.size, block):
-        hi = lo + block
-        hams = schedule.sample(ts[lo:hi])
+    for lo, times, hams in _sampled_blocks(schedule, ts):
+        hi = lo + len(times)
         for traj, out in zip(trajs, energies):
             psi = traj.states[lo:hi]
             np.einsum("ki,kij,kj->k", psi.conj(), hams, psi, out=out[lo:hi])
-        del hams  # released before the next block is sampled
+        del times, hams
     return energies
 
 
@@ -144,9 +134,9 @@ def _dynamical(traj: Trajectory, energies: np.ndarray, hbar: float) -> float:
 def dynamical_phase(traj: Trajectory, schedule: HamiltonianSchedule, hbar: float = 1.0) -> float:
     """(1/hbar) * Int <psi(t)|H(t)|psi(t)> dt by the trapezoid rule on the grid.
 
-    The schedule is sampled on the grid nodes in blocks, as propagate samples
-    its midpoints. Raises ValueError unless hbar is a positive finite real
-    number, TypeError unless `schedule` is a HamiltonianSchedule, and
+    The schedule is sampled on the grid nodes by propagate's block walker
+    (evolution._sampled_blocks). Raises ValueError unless hbar is a positive
+    finite real number, TypeError unless `schedule` is a HamiltonianSchedule, and
     DimensionMismatchError when its dim is not the trajectory's, each before
     any sampling, and NonHermitianError naming the first node whose energy is
     not finite, or the largest energy when the phase overflows.
@@ -164,8 +154,10 @@ def cyclic_phase_from_connection(traj: Trajectory, tol: Tolerances = DEFAULT) ->
     2 are Richardson-combined, lifting the quadrature to fourth order; no
     Hamiltonian evaluation is involved. Each sum is right only mod 2 pi, so
     their difference is taken in (-pi, pi] when it lies outside [-pi, pi].
+    Raises OrthogonalEndpointsError when |<psi_0|psi_M>| <= tol.overlap_floor.
     """
-    return _connection_route(traj, _total_phase(traj, tol))
+    total = _overlap_argument(complex(np.vdot(traj.states[0], traj.states[-1])), tol)
+    return _connection_route(traj, total)
 
 
 def _connection_route(traj: Trajectory, total: float) -> float:

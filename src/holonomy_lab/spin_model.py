@@ -228,17 +228,22 @@ def berry_limit_phase(theta: float, branch: int) -> float:
 def midpoint_phase_error_estimate(params: ModelParams, steps: int, n_periods: int = 1) -> float:
     """Leading-order estimate of the propagated geometric-phase error at `steps`;
     inf where dt^2 is past the float range (tiny eta), unless the geometric
-    factor makes it 0."""
+    factor makes it 0, and finite where mu B omega^2 is (huge eta or mu B)."""
     steps, n_periods = _count("steps", steps, 1), _count("n_periods", n_periods, 1)
     a = tilt_angle(params).alpha
     total_t = n_periods * params.period
     dt = total_t / steps
     mu_b = params.mu * params.b_field
     geometry = abs(np.sin(params.theta) * np.sin(params.theta - a))
-    lead = mu_b * params.omega**2 * geometry
     # the leading Magnus remainder's secular phase error, with its exact
     # coefficient 1/8: against the discrete flow's truncation in longdouble,
     # this read 1.000-1.016 for eta in [1e-4, 0.1] and 1.04-1.14 at eta 0.3-1
+    try:
+        lead = mu_b * params.omega**2 * geometry
+    except OverflowError:
+        lead = np.inf
+    if not np.isfinite(lead):  # regrouped about omega dt = 2 pi n_periods / steps
+        return mu_b * geometry * (params.omega * dt) ** 2 * total_t / 8.0
     try:
         return lead * total_t * dt**2 / 8.0
     except OverflowError:

@@ -50,12 +50,12 @@ class CheckResult:
         return f"{status}  {self.name:<28} measured {self.measured:.6e}  allowed {self.threshold:.6e}{extra}"
 
 
-def _run_model(theta: float, eta: float, steps: int, branch: int = +1):
+def _run_model(theta: float, eta: float, steps: int, tol: Tolerances):
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta)
     sched = spin_model.schedule(params)
     grid = TimeGrid(t_end=params.period, steps=steps)
-    psi0 = spin_model.exact_solution(params, branch, 0.0)
-    traj = propagate(sched, psi0, grid)
+    psi0 = spin_model.exact_solution(params, +1, 0.0)
+    traj = propagate(sched, psi0, grid, tol=tol)
     return params, sched, grid, traj
 
 
@@ -67,7 +67,7 @@ def check_oracle_fidelity(tol: Tolerances = DEFAULT, quick: bool = False, seed: 
     worst = 0.0
     for theta in thetas:
         for eta in ETAS:
-            params, _, grid, traj = _run_model(theta, eta, 4096)
+            params, _, grid, traj = _run_model(theta, eta, 4096, tol)
             exact = spin_model.exact_trajectory(params, +1, grid)
             worst = max(worst, 1.0 - fidelity(traj, exact))
     elapsed = time.perf_counter() - started
@@ -85,7 +85,7 @@ def check_oracle_fidelity(tol: Tolerances = DEFAULT, quick: bool = False, seed: 
 def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Adiabatic regime reproduces the adiabatic-loop value pi (1 + cos theta)."""
     theta = np.pi / 3
-    _, sched, _, traj = _run_model(theta, 1e-3, 8192)
+    _, sched, _, traj = _run_model(theta, 1e-3, 8192, tol)
     report = cyclic_geometric_phase(traj, sched, tol=tol.replace(two_route=math.inf))
     dist = circular_distance(report.geometric, spin_model.berry_limit_phase(theta, +1))
     return CheckResult("berry_limit", dist <= 5e-3, dist, 5e-3, "theta=pi/3, eta=1e-3, steps=8192")
@@ -93,7 +93,7 @@ def check_berry_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int 
 
 def check_trivial_limit(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Fast-rotation regime gives a trivial geometric phase (0 mod 2 pi)."""
-    _, sched, _, traj = _run_model(np.pi / 3, 1e3, 8192)
+    _, sched, _, traj = _run_model(np.pi / 3, 1e3, 8192, tol)
     report = cyclic_geometric_phase(traj, sched, tol=tol.replace(two_route=math.inf))
     dist = circular_distance(report.geometric, 0.0)
     return CheckResult("trivial_limit", dist <= 1e-4, dist, 1e-4, "theta=pi/3, eta=1e3, steps=8192")
@@ -189,11 +189,11 @@ def check_gauge_invariance(tol: Tolerances = DEFAULT, quick: bool = False, seed:
     grid = TimeGrid(t_end=params.period, steps=2048)
     psi0 = spin_model.exact_solution(params, +1, 0.0)
     record_gap = tol.replace(two_route=math.inf)
-    base = cyclic_geometric_phase(propagate(sched, psi0, grid), sched, tol=record_gap)
+    base = cyclic_geometric_phase(propagate(sched, psi0, grid, tol=tol), sched, tol=record_gap)
     for _ in range(3):
         c = rng.uniform(-np.pi, np.pi)
         shifted = cyclic_geometric_phase(
-            propagate(sched, np.exp(1j * c) * psi0, grid), sched, tol=record_gap
+            propagate(sched, np.exp(1j * c) * psi0, grid, tol=tol), sched, tol=record_gap
         )
         worst = max(
             worst,
@@ -226,7 +226,7 @@ def check_convergence_order(tol: Tolerances = DEFAULT, quick: bool = False, seed
     theta, eta = np.pi / 3, 1e-2
     errors = []
     for steps in (256, 512, 1024, 2048):
-        params, _, grid, traj = _run_model(theta, eta, steps)
+        params, _, grid, traj = _run_model(theta, eta, steps, tol)
         exact = spin_model.exact_trajectory(params, +1, grid)
         errors.append(math.sqrt(max(1.0 - fidelity(traj, exact), 1e-300)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
@@ -254,7 +254,7 @@ def check_two_route(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 
         for eta in etas:
             params = spin_model.ModelParams.from_eta(theta=theta, eta=eta)
             steps = max(4096, spin_model.steps_for_phase_tolerance(params, tol.two_route / 3.0))
-            _, sched, _, traj = _run_model(theta, eta, steps)
+            _, sched, _, traj = _run_model(theta, eta, steps, tol)
             report = cyclic_geometric_phase(traj, sched, tol=tol.replace(two_route=math.inf))
             worst = max(worst, report.route_agreement)
     return CheckResult("two_route_agreement", worst <= tol.two_route, worst, tol.two_route,
@@ -264,7 +264,7 @@ def check_two_route(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 
 def check_unitarity_drift(tol: Tolerances = DEFAULT, quick: bool = False, seed: int = 0) -> CheckResult:
     """Norm drift over 10^4 propagation steps stays at round-off."""
     steps = 2000 if quick else 10000
-    _, _, _, traj = _run_model(np.pi / 3, 1.0, steps)
+    _, _, _, traj = _run_model(np.pi / 3, 1.0, steps, tol)
     drift = traj.norm_drift()
     return CheckResult("unitarity_drift", drift <= 1e-10, drift, 1e-10, f"{steps} steps")
 

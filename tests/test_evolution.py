@@ -759,7 +759,7 @@ def test_dim2_sampled_blocks_keep_the_bits_of_one_stack_per_scan_block(rng, monk
         single = propagate(sched, psis[-1], grid, hbar=hbar)
         reports = [report_bits(phases.noncyclic_geometric_phase(traj, sched, hbar=hbar)) for traj in trajs]
         results.append((all_states(trajs), single.states, reports))
-    monkeypatch.setattr(phases, "_block_steps", lambda dim: evolution._SCAN_BLOCK_STEPS)
+    monkeypatch.setattr(evolution, "_block_steps", lambda dim: evolution._SCAN_BLOCK_STEPS)
     for (sched, psis, grid, hbar), (states, single, reports) in zip(cases, results):
         expected = one_stack_states(sched, psis, grid, hbar)
         assert same_bits(states, expected)

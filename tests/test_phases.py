@@ -10,7 +10,6 @@ from holonomy_lab.errors import DimensionMismatchError, NonHermitianError, NotCy
 from holonomy_lab.evolution import HamiltonianSchedule, TimeGrid, Trajectory, propagate
 from holonomy_lab.phases import (
     _mod_two_pi,
-    _total_phase,
     adiabatic_berry_phase,
     circular_distance,
     cyclic_geometric_phase,
@@ -64,6 +63,11 @@ def constant_phase_trajectory(phase, steps=8):
     return Trajectory(grid=grid, states=states)
 
 
+# H = 0: a trajectory's noncyclic report then has no dynamical part, and its
+# total is the argument of the endpoint overlap alone
+ZERO_SCHEDULE = HamiltonianSchedule(evaluate=lambda t: np.zeros((2, 2)), dim=2)
+
+
 def model_run(theta=np.pi / 3, eta=1.0, steps=4096, branch=+1, n_periods=1):
     params = spin_model.ModelParams.from_eta(theta=theta, eta=eta)
     sched = spin_model.schedule(params)
@@ -87,14 +91,14 @@ def test_mod_two_pi_keeps_nan():
 
 def test_total_phase_of_constructed_trajectory():
     traj = constant_phase_trajectory(np.pi / 3)
-    assert _total_phase(traj) == pytest.approx(np.pi / 3, abs=1e-12)
+    assert noncyclic_geometric_phase(traj, ZERO_SCHEDULE).total == pytest.approx(np.pi / 3, abs=1e-12)
 
 
 def test_total_phase_orthogonal_endpoints_rejected():
     grid = TimeGrid(t_end=1.0, steps=2)
     states = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
     with pytest.raises(OrthogonalEndpointsError, match="Pancharatnam"):
-        _total_phase(Trajectory(grid=grid, states=states))
+        cyclic_phase_from_connection(Trajectory(grid=grid, states=states))
 
 
 def test_total_phase_of_exact_model_solution():
@@ -104,7 +108,7 @@ def test_total_phase_of_exact_model_solution():
     alpha = spin_model.tilt_angle(params).alpha
     delta = params.theta - alpha
     expected_raw = (np.cos(alpha) + 0.5 * params.omega * (1 + np.cos(delta))) * params.period
-    got = _total_phase(traj)
+    got = noncyclic_geometric_phase(traj, ZERO_SCHEDULE).total
     assert -np.pi < got <= np.pi
     assert circular_distance(got, expected_raw) <= 1e-10
 

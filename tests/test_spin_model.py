@@ -298,6 +298,20 @@ def test_estimate_saturates_where_dt_squared_overflows(eta):
         assert spin_model.steps_for_phase_tolerance(p, 1e-6) == spin_model._MIN_STEPS
 
 
+@pytest.mark.parametrize("mu", [1e150, 1e160])
+@pytest.mark.parametrize("eta", [1e-3, 1.0])
+def test_estimate_where_omega_squared_overflows_is_that_of_the_unit_field(eta, mu):
+    # mu B omega^2 is past the float range at mu B = 1e150 and omega^2 itself
+    # at 1e160, while omega dt = 2 pi / steps is not; the estimate, a pure
+    # number, is the one at mu B = 1
+    big = ModelParams.from_eta(theta=np.pi / 3, eta=eta, mu=mu)
+    unit = ModelParams.from_eta(theta=np.pi / 3, eta=eta)
+    for steps in (1, 4096):
+        got = spin_model.midpoint_phase_error_estimate(big, steps)
+        assert got == pytest.approx(spin_model.midpoint_phase_error_estimate(unit, steps), rel=1e-12)
+    assert spin_model.steps_for_phase_tolerance(big, 1e-6) == spin_model.steps_for_phase_tolerance(unit, 1e-6)
+
+
 PARAMS = ModelParams.from_eta(theta=1.0, eta=1.0)
 
 

@@ -703,6 +703,18 @@ def test_cli_evolve_at_tiny_eta_is_numerical_failure_not_overflow(tmp_path, eta)
     assert "numerical failure: not cyclic at tolerance" in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("eta", ["1e160", "1e300"])
+def test_rows_past_the_square_of_omega_are_ok_as_at_1e_150(tmp_path, capsys, eta):
+    # from eta = 6.8e153 omega^2 is past the float range, and the step-error
+    # estimate ended the row and evolve in "(34, 'Numerical result out of
+    # range')"; such a row takes the base steps and is ok, as at eta = 1e150
+    row = sweep.run_point(np.pi / 3, float(eta))
+    assert (row.status, row.steps_used) == ("ok", 4096)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"theta = 1.0\neta = {eta}\n")
+    assert cli.main(["evolve", "--config", str(cfg), "--quiet"]) == 0, capsys.readouterr().err
+
+
 def test_cli_sweep_writes_deterministic_csv(tmp_path):
     config_text = (
         "theta = 1.0471975511965976\n"
@@ -838,6 +850,20 @@ def test_verify_reports_a_raising_check_as_failed_and_runs_the_rest(monkeypatch)
     assert lines[0] == ("FAIL  check_that_raises            measured nan  allowed nan  "
                         "raised RuntimeError('boom')")
     assert lines[-1] == "1/2 checks passed"
+
+
+def test_a_tolerance_override_reaches_every_propagation_of_verify(monkeypatch):
+    # max_dim = 1 refuses the model's dim-2 states, so each check that
+    # propagates the model fails when verify passes its tol on to propagate
+    propagating = (verify.check_oracle_fidelity, verify.check_berry_limit, verify.check_trivial_limit,
+                   verify.check_gauge_invariance, verify.check_convergence_order, verify.check_two_route,
+                   verify.check_unitarity_drift)
+    monkeypatch.setattr(verify, "ACCEPTANCE", propagating)
+    monkeypatch.setattr(verify, "EXTRAS", ())
+    results = verify.run_suite(DEFAULT.replace(max_dim=1), quick=True)
+    assert len(results) == len(propagating)
+    for result in results:
+        assert not result.passed and "exceeds configured cap 1" in result.detail, result.line()
 
 
 def triviality_rows(values, deviations, statuses):
